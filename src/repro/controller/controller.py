@@ -13,6 +13,7 @@ progress, so the simulation loop can skip dead time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +21,7 @@ from repro.controller.mechanism import ActivationPlan, Mechanism, NoMechanism
 from repro.controller.request import MemRequest, RequestType
 from repro.controller.scheduler import FrFcfsCap, Scheduler
 from repro.dram.commands import Command, CommandKind, RowId
-from repro.dram.device import DramChannel
+from repro.dram.device import DramChannel, IssueResult
 from repro.dram.timing import REF_COMMANDS_PER_WINDOW
 from repro.errors import ConfigError
 from repro.units import ns_to_cycles
@@ -57,6 +58,18 @@ class ControllerConfig:
             raise ConfigError("drain_high cannot exceed the write queue size")
         if self.scheduler_window < 1:
             raise ConfigError("scheduler_window must be >= 1")
+        if self.fr_fcfs_cap < 1:
+            raise ConfigError(
+                f"fr_fcfs_cap must be >= 1, got {self.fr_fcfs_cap}"
+            )
+        timeout = self.row_timeout_ns
+        if timeout is not None and not (
+            math.isfinite(timeout) and timeout > 0
+        ):
+            raise ConfigError(
+                "row_timeout_ns must be a finite number > 0 "
+                f"(None selects open-page), got {timeout}"
+            )
 
 
 class ChannelController:
@@ -120,11 +133,20 @@ class ChannelController:
         )
         self._salp_pre_cmds: dict[tuple[int, int], Command] = {}
         self._ref_cmd = Command(CommandKind.REF)
-        # Activation commands are likewise immutable and fully determined
-        # by (kind, bank, rows, timings); candidates are re-planned every
-        # scheduling pass until they issue, so the same command is built
-        # many times over.
-        self._act_cmds: dict[tuple, Command] = {}
+
+        # Pass reuse. Between two ticks the scheduling inputs — queues,
+        # bank and channel state, hit streaks, mechanism state — change
+        # only on enqueue, dequeue or a command issue, and each of those
+        # bumps ``_version``. A queue pass that issued nothing is kept as
+        # ``(version, queue, candidates, earliest_any)``: under the same
+        # version a fresh pass would rank the same candidates with the
+        # same readiness times, so the next tick scans the record
+        # instead. ``_timeout_scan`` keeps ``(version, next_expiry)`` of
+        # the last row-timeout scan that closed nothing. Both are pure
+        # caches: never serialized, cleared on load_state_dict.
+        self._version = 0
+        self._idle_pass: tuple | None = None
+        self._timeout_scan: tuple[int, int] | None = None
 
         # Statistics.
         self.stats = {
@@ -157,6 +179,7 @@ class ChannelController:
         """Accept a request; returns False when the queue is full."""
         if not self.can_accept(request.type):
             return False
+        self._version += 1
         request.arrival = now
         if request.type is RequestType.READ:
             if self.config.write_forwarding:
@@ -229,7 +252,7 @@ class ChannelController:
             return earliest
         cursor = self.channel.refresh_cursor
         rows_per_ref = max(1, self.geometry.rows_per_bank // REF_COMMANDS_PER_WINDOW)
-        self.channel.issue(ref, now)
+        self._issue(ref, now)
         self.stats["refreshes"] += 1
         self.mechanism.on_refresh(range(cursor, cursor + rows_per_ref), now)
         self.next_ref += self.timing.trefi
@@ -252,12 +275,11 @@ class ChannelController:
                 self._issue_pre(pre, now)
                 return now + 1
             return earliest
-        command = Command(
-            plan.kind, bank=bank_index, rows=plan.rows, timings=plan.timings
+        earliest = self.channel.earliest_act(
+            bank_index, plan.rows[0].subarray
         )
-        earliest = self.channel.earliest_issue(command)
         if earliest <= now:
-            self.channel.issue(command, now)
+            self._issue_act(bank_index, plan, now)
             self.hit_streak[bank_index] = 0
             self.bank_last_use[bank_index] = now
             self.mechanism.on_activate(bank_index, plan, now)
@@ -285,8 +307,17 @@ class ChannelController:
         Returns ``(issued, earliest)`` where ``earliest`` is the soonest
         time any evaluated candidate could have issued (IDLE if none).
         """
+        idle = self._idle_pass
+        if idle is not None and idle[0] == self._version and idle[1] is queue:
+            for request, command, earliest in idle[2]:
+                if earliest <= now:
+                    self._issue_for_request(request, command, now)
+                    return True, now
+            return False, idle[3]
+
         earliest_any = IDLE
-        evaluated = 0
+        window = self.config.scheduler_window
+        candidates: list[tuple] = []
         # Bank state cannot change between ranking and candidate
         # evaluation (issuing returns immediately below), so the
         # (service row, open rows) pair the ranking probe computes is
@@ -304,35 +335,36 @@ class ChannelController:
             return open_rows is not None and srow in open_rows
 
         for request in self.scheduler.ranked(queue, is_hit, self._streak_of):
-            command, plan = self._next_command(
-                request, now, rowinfo.get(id(request))
+            command, earliest = self._next_command(
+                request, rowinfo.get(id(request))
             )
-            earliest = self.channel.earliest_issue(command)
             if earliest <= now:
-                self._issue_for_request(request, command, plan, now)
+                self._issue_for_request(request, command, now)
                 return True, now
-            earliest_any = min(earliest_any, earliest)
-            evaluated += 1
-            if evaluated >= self.config.scheduler_window:
+            candidates.append((request, command, earliest))
+            if earliest < earliest_any:
+                earliest_any = earliest
+            if len(candidates) >= window:
                 break
+        self._idle_pass = (self._version, queue, candidates, earliest_any)
         return False, earliest_any
 
     def _streak_of(self, request: MemRequest) -> int:
         return self.hit_streak[request.location.bank]
 
     def _next_command(
-        self,
-        request: MemRequest,
-        now: int,
-        rowinfo: tuple | None = None,
-    ) -> tuple[Command, ActivationPlan | None]:
-        """The next DRAM command needed to advance ``request``.
+        self, request: MemRequest, rowinfo: tuple | None = None
+    ) -> tuple[Command | None, int]:
+        """The next DRAM command needed to advance ``request``, and the
+        earliest cycle it can issue.
 
-        ``plan_activation`` must be side-effect free: the controller may
-        evaluate several candidates per tick and re-plan on later ticks;
-        mechanisms mutate their state only in ``on_activate``.
-        ``rowinfo`` is an optional ``(service row, open rows)`` pair
-        memoized by the ranking probe within the same scheduling pass.
+        The command is ``None`` when the request needs an activation:
+        every activation kind shares the readiness bounds of
+        :meth:`DramChannel.earliest_act`, so the mechanism's plan is
+        requested only for the one activation that issues (see
+        :meth:`_issue_for_request`). ``rowinfo`` is an optional
+        ``(service row, open rows)`` pair memoized by the ranking probe
+        within the same scheduling pass.
         """
         bank = request.location.bank
         if rowinfo is not None:
@@ -340,74 +372,86 @@ class ChannelController:
         else:
             srow = self.mechanism.service_row(bank, request.location.row)
             open_rows = self._open_rows(bank, srow)
-        if open_rows is not None and srow in open_rows:
+        if open_rows is None:
+            return None, self.channel.earliest_act(bank, srow.subarray)
+        if srow in open_rows:
             subarray = srow.subarray if self._salp else None
             cached = request.col_cmd
             if cached is not None and cached[0] == subarray:
-                return cached[1], None
-            command = Command(
-                CommandKind.RD
-                if request.type is RequestType.READ
-                else CommandKind.WR,
-                bank=bank,
-                col=request.location.col,
-                subarray=subarray,
-            )
-            request.col_cmd = (subarray, command)
-            return command, None
-        if open_rows is not None:
-            return self._pre_command(bank, srow.subarray), None
-        plan = self.mechanism.plan_activation(bank, request.location.row, now)
-        key = (plan.kind, bank, plan.rows, plan.timings)
-        command = self._act_cmds.get(key)
-        if command is None:
-            command = Command(
-                plan.kind, bank=bank, rows=plan.rows, timings=plan.timings
-            )
-            self._act_cmds[key] = command
-        return command, plan
+                command = cached[1]
+            else:
+                command = Command(
+                    CommandKind.RD
+                    if request.type is RequestType.READ
+                    else CommandKind.WR,
+                    bank=bank,
+                    col=request.location.col,
+                    subarray=subarray,
+                )
+                request.col_cmd = (subarray, command)
+        else:
+            command = self._pre_command(bank, srow.subarray)
+        return command, self.channel.earliest_issue(command)
 
     def _issue_for_request(
-        self,
-        request: MemRequest,
-        command: Command,
-        plan: ActivationPlan | None,
-        now: int,
+        self, request: MemRequest, command: Command | None, now: int
     ) -> None:
-        bank = command.bank
-        kind = command.kind
-        if kind in (CommandKind.RD, CommandKind.WR):
-            result = self.channel.issue(command, now)
-            self.hit_streak[bank] += 1
-            self.bank_last_use[bank] = now
-            self.stats["row_hits"] += 1
-            self._dequeue(request)
-            if kind is CommandKind.RD:
-                self.stats["reads_served"] += 1
-                self._complete(request, result.data_at)
-            else:
-                self.stats["writes_served"] += 1
-                self._complete(request, result.done_at)
-        elif kind is CommandKind.PRE:
-            result = self.channel.issue(command, now)
-            self.hit_streak[bank] = 0
-            self.stats["row_conflicts"] += 1
-            assert result.precharge is not None
-            self.mechanism.on_precharge(bank, result.precharge, now)
-        else:  # activation
-            assert plan is not None
-            self.channel.issue(command, now)
+        """Issue ``command`` (``None``: an activation) for ``request``.
+
+        Activations are planned here, at issue time: ``plan_activation``
+        must be side-effect free and target the service row's subarray
+        (the one :meth:`_next_command` probed); mechanisms mutate their
+        state only in ``on_activate``.
+        """
+        bank = request.location.bank
+        if command is None:
+            plan = self.mechanism.plan_activation(
+                bank, request.location.row, now
+            )
+            self._issue_act(bank, plan, now)
             self.hit_streak[bank] = 0
             self.bank_last_use[bank] = now
             self.stats["row_misses"] += 1
             if plan.is_restore:
                 self.stats["restore_activations"] += 1
             self.mechanism.on_activate(bank, plan, now)
+            return
+        kind = command.kind
+        if kind is CommandKind.PRE:
+            result = self._issue(command, now)
+            self.hit_streak[bank] = 0
+            self.stats["row_conflicts"] += 1
+            assert result.precharge is not None
+            self.mechanism.on_precharge(bank, result.precharge, now)
+            return
+        result = self._issue(command, now)
+        self.hit_streak[bank] += 1
+        self.bank_last_use[bank] = now
+        self.stats["row_hits"] += 1
+        self._dequeue(request)
+        if kind is CommandKind.RD:
+            self.stats["reads_served"] += 1
+            self._complete(request, result.data_at)
+        else:
+            self.stats["writes_served"] += 1
+            self._complete(request, result.done_at)
+
+    def _issue(self, command: Command, now: int) -> IssueResult:
+        """Issue ``command``; every issue invalidates the pass caches."""
+        self._version += 1
+        return self.channel.issue(command, now)
+
+    def _issue_act(self, bank: int, plan: ActivationPlan, now: int) -> None:
+        command = Command(
+            plan.kind, bank=bank, rows=plan.rows, timings=plan.timings
+        )
+        self._issue(command, now)
 
     def _dequeue(self, request: MemRequest) -> None:
         queue = self.read_q if request.type is RequestType.READ else self.write_q
         queue.remove(request)
         self.bank_pending[request.location.bank] -= 1
+        self._version += 1
 
     def _complete(self, request: MemRequest, finish: int) -> None:
         request.completed_at = finish
@@ -461,6 +505,8 @@ class ChannelController:
         self.bank_pending = list(state["bank_pending"])
         self.stats = dict(state["stats"])
         self.mechanism.load_state_dict(state["mechanism"])
+        self._idle_pass = None
+        self._timeout_scan = None
 
     # ------------------------------------------------------------------
     # Row-buffer policy
@@ -469,6 +515,11 @@ class ChannelController:
         """Close idle open rows after the timeout; return next expiry."""
         if self.row_timeout is None:
             return IDLE
+        # A scan that closed nothing stays valid under the same version
+        # until its earliest expiry: no bank can time out before then.
+        scan = self._timeout_scan
+        if scan is not None and scan[0] == self._version and now < scan[1]:
+            return scan[1]
         next_expiry = IDLE
         for bank_index, bank in enumerate(self.channel.banks):
             if not bank.is_open:
@@ -485,13 +536,14 @@ class ChannelController:
                 self._issue_pre(pre, now)
                 return now + 1
             next_expiry = min(next_expiry, earliest)
+        self._timeout_scan = (self._version, next_expiry)
         return next_expiry
 
     def _bank_has_pending(self, bank_index: int) -> bool:
         return self.bank_pending[bank_index] > 0
 
     def _issue_pre(self, pre: Command, now: int) -> None:
-        result = self.channel.issue(pre, now)
+        result = self._issue(pre, now)
         self.hit_streak[pre.bank] = 0
         assert result.precharge is not None
         self.mechanism.on_precharge(pre.bank, result.precharge, now)

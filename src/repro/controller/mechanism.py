@@ -95,7 +95,13 @@ class Mechanism:
         return rid
 
     def plan_activation(self, bank: int, row: int, now: int) -> ActivationPlan:
-        """Decide how to activate regular row ``row`` of ``bank``."""
+        """Decide how to activate regular row ``row`` of ``bank``.
+
+        The controller calls this only for the activation it is about to
+        issue at ``now``. It must be side-effect free, and ``rows[0]``
+        must lie in the subarray of :meth:`service_row` — the slot whose
+        readiness the controller probed.
+        """
         return ActivationPlan(
             kind=CommandKind.ACT,
             rows=(self.service_row(bank, row),),

@@ -235,34 +235,63 @@ class DramChannel:
     # ------------------------------------------------------------------
     # Earliest-issue computation
     # ------------------------------------------------------------------
+    def earliest_act(self, bank: int, subarray: int) -> int:
+        """Earliest cycle at which any activation of ``bank`` can issue.
+
+        Every activation kind (``ACT``, ``ACT-c``, ``ACT-t``) shares these
+        bounds: the command bus, the refresh blackout, the bank's — for
+        SALP, the ``subarray`` slot's — ``ready_act``, tRRD and tFAW.
+        ``subarray`` is ignored for conventional banks. The controller
+        probes readiness through this method so that it can defer
+        building an activation plan until one actually issues.
+
+        Raises :class:`ProtocolError` if the bank (slot) is open.
+        """
+        # Inline comparisons instead of max() calls: this and
+        # earliest_issue() are the hottest functions in the timed phase
+        # (several calls per scheduling pass), and the builtin-call
+        # overhead is measurable.
+        earliest = self.cmd_bus_free
+        bound = self.ref_busy_until
+        if bound > earliest:
+            earliest = bound
+        try:
+            slot = self.banks[bank]
+        except IndexError:
+            raise ProtocolError(
+                f"bank {bank} out of range "
+                f"(channel has {len(self.banks)} banks)"
+            ) from None
+        if self.salp:
+            slot = slot.slot(subarray)  # type: ignore[union-attr]
+        bound = slot.earliest_act()  # type: ignore[union-attr]
+        if bound > earliest:
+            earliest = bound
+        last_act = self.last_act_time
+        if last_act != _FAR_PAST:
+            bound = last_act + self.timing.trrd
+            if bound > earliest:
+                earliest = bound
+        if len(self.act_history) == 4:
+            bound = self.act_history[0] + self.timing.tfaw
+            if bound > earliest:
+                earliest = bound
+        return earliest
+
     def earliest_issue(self, command: Command, honor_full_tras: bool = False) -> int:
         """Earliest cycle at which ``command`` satisfies every constraint.
 
         Raises :class:`ProtocolError` if the command is illegal in the
         current bank state regardless of time (e.g. ACT to an open bank).
         """
-        # Inline comparisons instead of max() calls: this is the hottest
-        # function in the timed phase (several calls per scheduling
-        # pass), and the builtin-call overhead is measurable.
+        kind = command.kind
+        if kind in _ACTIVATION_KINDS:
+            return self.earliest_act(command.bank, command.rows[0].subarray)
         earliest = self.cmd_bus_free
         bound = self.ref_busy_until
         if bound > earliest:
             earliest = bound
-        kind = command.kind
-        if kind in _ACTIVATION_KINDS:
-            bound = self._bank_slot(command).earliest_act()
-            if bound > earliest:
-                earliest = bound
-            last_act = self.last_act_time
-            if last_act != _FAR_PAST:
-                bound = last_act + self.timing.trrd
-                if bound > earliest:
-                    earliest = bound
-            if len(self.act_history) == 4:
-                bound = self.act_history[0] + self.timing.tfaw
-                if bound > earliest:
-                    earliest = bound
-        elif kind is CommandKind.RD:
+        if kind is CommandKind.RD:
             bound = self._bank_slot(command).earliest_col()
             if bound > earliest:
                 earliest = bound

@@ -209,6 +209,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ControllerConfig(write_drain_high=2, write_drain_low=5)
 
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), -float("inf"), 0.0, -10.0]
+    )
+    def test_rejects_bad_row_timeout(self, timeout):
+        with pytest.raises(ConfigError, match="row_timeout_ns") as excinfo:
+            ControllerConfig(row_timeout_ns=timeout)
+        assert repr(timeout) in str(excinfo.value)
+
+    def test_open_page_timeout_still_allowed(self):
+        assert ControllerConfig(row_timeout_ns=None).row_timeout_ns is None
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_bad_fr_fcfs_cap(self, cap):
+        with pytest.raises(ConfigError, match=f"fr_fcfs_cap.*{cap}"):
+            ControllerConfig(fr_fcfs_cap=cap)
+
     def test_rejects_drain_above_queue(self):
         with pytest.raises(ConfigError):
             ControllerConfig(write_queue_size=8, write_drain_high=16)
