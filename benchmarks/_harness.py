@@ -18,9 +18,7 @@ benchmark invocations, and ``REPRO_BENCH_JOURNAL=<file>`` to append a
 JSONL execution journal. ``REPRO_BENCH_TELEMETRY=1`` turns on the
 telemetry registry for every swept task (per-task digests land in the
 journal; note telemetry is part of the cache key, so telemetry-on and
-telemetry-off sweeps cache separately). ``REPRO_BENCH_ENGINE=batch``
-runs every swept task on the batch engine — results (and cache keys)
-are engine-invariant, so this is purely a wall-clock knob.
+telemetry-off sweeps cache separately).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "SCALE",
     "JOBS",
     "TELEMETRY",
-    "ENGINE",
     "INSTRUCTIONS",
     "WARMUP",
     "MIX_INSTRUCTIONS",
@@ -53,9 +50,6 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
 
 #: Collect telemetry for every swept task (0/1).
 TELEMETRY = os.environ.get("REPRO_BENCH_TELEMETRY", "") not in ("", "0")
-
-#: Simulation engine for every swept task ('' keeps each task's default).
-ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "")
 
 #: Single-core measured / warm-up instruction counts.
 INSTRUCTIONS = int(40_000 * SCALE)
@@ -92,13 +86,6 @@ def sweep(tasks, jobs: "int | None" = None) -> list:
         tasks = [
             dataclasses.replace(
                 task, config=dataclasses.replace(task.config, telemetry=True)
-            )
-            for task in tasks
-        ]
-    if ENGINE:
-        tasks = [
-            dataclasses.replace(
-                task, config=dataclasses.replace(task.config, engine=ENGINE)
             )
             for task in tasks
         ]

@@ -1071,7 +1071,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf import compare, load_results, run_suite, write_results
 
-    doc = run_suite(repeat=args.repeat, progress=print, engine=args.engine)
+    doc = run_suite(repeat=args.repeat, progress=print)
     write_results(doc, args.output)
     print(f"wrote {args.output} (composite {doc['composite']:.4f})")
     if args.compare is None:
@@ -1658,11 +1658,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--threshold", type=float, default=0.15, metavar="FRACTION",
         help="allowed composite drop vs the baseline (default: 0.15)",
-    )
-    perf.add_argument(
-        "--engine", default="event", choices=["event", "batch"],
-        help="simulation engine to benchmark (digests are engine-"
-             "invariant, so either compares against the same baseline)",
     )
     perf.set_defaults(func=_cmd_perf)
     return parser

@@ -51,7 +51,7 @@ def crow_act_t_timings(
 
     Pure function of the CROW timing factors and the config knobs — the
     single source both the live mechanism (:class:`CrowCache`) and the
-    compiled engine tables (:mod:`repro.engine.tables`) derive from.
+    compiled timing tables (:mod:`repro.dram.tables`) derive from.
     Cached: the controller re-plans candidate activations every
     scheduling pass, and all inputs are frozen dataclasses or bools.
     """

@@ -20,8 +20,8 @@ PAGE_SHIFT = 12
 PAGE_MASK = PAGE_BYTES - 1
 #: Address-space id field offset in the integer page-table key; virtual
 #: page numbers stay below this for any realistic trace footprint.
-#: Public so bulk consumers (System.prewarm) can probe the page table
-#: inline instead of paying a call per record.
+#: Public so the pre-warm kernel can build page-table keys in bulk
+#: (:meth:`VirtualMemory.bulk_map`).
 ASID_SHIFT = 52
 _PAGE_SHIFT = PAGE_SHIFT
 _PAGE_MASK = PAGE_MASK
@@ -56,9 +56,9 @@ class VirtualMemory:
         ``keys`` are ``(asid << ASID_SHIFT) | vpage`` integers in
         *first-touch order*: missing pages allocate one frame each, in
         list order, drawing from the allocator RNG exactly as the same
-        sequence of :meth:`translate` calls would. Bulk consumers (the
-        batch engine's pre-warm) rely on that draw-for-draw equivalence
-        to keep snapshots byte-identical across engines.
+        sequence of :meth:`translate` calls would. The vectorized
+        pre-warm relies on that draw-for-draw equivalence to leave the
+        state per-access translation would.
 
         Allocation draws are batched: one ``integers(n, size=k)`` call
         consumes the bit stream word-for-word like ``k`` scalar calls,
@@ -133,15 +133,6 @@ class VirtualMemory:
         self._page_table = dict(state["page_table"])
         self._used_frames = set(self._page_table.values())
         self._rng.bit_generator.state = state["rng_state"]
-
-    @property
-    def page_table(self) -> dict[int, int]:
-        """The live ``(asid << ASID_SHIFT) | vpage -> frame`` mapping.
-
-        Read-only view for bulk translation fast paths; mappings are
-        created exclusively through :meth:`translate`.
-        """
-        return self._page_table
 
     @property
     def mapped_pages(self) -> int:

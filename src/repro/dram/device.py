@@ -24,6 +24,7 @@ from repro.dram.bank import BankState, PrechargeResult, SalpBankState
 from repro.dram.cellarray import CellArray
 from repro.dram.commands import ActTimings, Command, CommandKind, RowId, RowKind
 from repro.dram.geometry import DramGeometry
+from repro.dram.tables import compile_timing_tables
 from repro.dram.timing import REF_COMMANDS_PER_WINDOW, TimingParameters
 from repro.errors import ConfigError, ProtocolError, TimingViolationError
 
@@ -81,12 +82,7 @@ class DramChannel:
         self.cell_array = cell_array
         # Compiled timing-advance tables: every cross-command spacing
         # that earliest_issue()/issue() needs is a sum of fixed timing
-        # parameters, resolved once per parameter set (and shared with
-        # the batch engine — one source of truth for both). Imported
-        # lazily: repro.engine.tables reads this package's command
-        # definitions, so a module-level import would be circular.
-        from repro.engine.tables import compile_timing_tables
-
+        # parameters, resolved once per parameter set.
         tables = compile_timing_tables(timing)
         self.tables = tables
         self._base_act_timings = tables.base_act

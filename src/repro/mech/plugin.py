@@ -113,11 +113,11 @@ class MechanismPlugin:
     ) -> dict:
         """Named activation-timing overrides this mechanism can issue.
 
-        Consumed by :func:`repro.engine.tables.compile_act_variants`:
+        Consumed by :func:`repro.dram.tables.compile_act_variants`:
         the returned ``{name: ActTimings}`` mapping must cover every
         timing override the mechanism puts on an ``ActivationPlan``, so
-        the compiled engine tables (and the differential tests built on
-        them) enumerate the full per-config timing universe. The
+        the compiled timing tables (and the tests built on them)
+        enumerate the full per-config timing universe. The
         default — no overrides — matches mechanisms that only ever
         issue base-timing activations.
         """

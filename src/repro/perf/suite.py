@@ -87,16 +87,13 @@ CASES: tuple[PerfCase, ...] = (
 )
 
 
-def _run_case_once(
-    case: PerfCase, engine: str = "event"
-) -> tuple[float, dict[str, Any]]:
+def _run_case_once(case: PerfCase) -> tuple[float, dict[str, Any]]:
     """One timed end-to-end run; returns (wall seconds, raw facts)."""
     config = SystemConfig(
         cores=len(case.workloads),
         mechanism=case.mechanism,
         seed=case.seed,
         telemetry=True,
-        engine=engine,
     )
     start = time.perf_counter()
     if len(case.workloads) == 1:
@@ -132,16 +129,13 @@ def run_suite(
     repeat: int = DEFAULT_REPEAT,
     progress: Any = None,
     cases: tuple[PerfCase, ...] = CASES,
-    engine: str = "event",
 ) -> dict[str, Any]:
     """Run the matrix and return the (unserialized) results document.
 
     ``progress`` is an optional ``print``-like callable for live output.
     Deterministic facts (digest, cycles, events) must agree across the
     ``repeat`` runs of a case — disagreement means the simulator itself
-    is non-deterministic, and raises immediately. ``engine`` selects the
-    simulation engine; digests are engine-invariant, so results produced
-    under either engine compare against the same baseline.
+    is non-deterministic, and raises immediately.
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
@@ -154,7 +148,7 @@ def run_suite(
         wall = math.inf
         facts: dict[str, Any] | None = None
         for _ in range(repeat):
-            run_wall, run_facts = _run_case_once(case, engine)
+            run_wall, run_facts = _run_case_once(case)
             if facts is None:
                 facts = run_facts
             elif facts != run_facts:
@@ -185,7 +179,6 @@ def run_suite(
     composite = math.exp(sum(math.log(s) for s in scores) / len(scores))
     return {
         "schema": SCHEMA,
-        "engine": engine,
         "spin": {
             "mops": round(spin, 3),
             "iterations": SPIN_ITERATIONS,

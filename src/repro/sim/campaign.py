@@ -54,10 +54,9 @@ CACHE_VERSION = 2
 def config_digest(config: SystemConfig) -> str:
     """Process-stable digest of a :class:`SystemConfig`.
 
-    The ``engine`` field is excluded: both engines produce byte-identical
-    results, so cached campaign entries, warm images and snapshots are
-    valid across engines (and configs predating the field keep their
-    digests).
+    The inert ``engine`` field is excluded, so configs that name an
+    engine and configs predating the field share one digest (cached
+    campaign entries, warm images and snapshots stay valid).
     """
     projection = _jsonable(config)
     projection.pop("engine", None)

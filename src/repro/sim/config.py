@@ -20,6 +20,9 @@ __all__ = ["SystemConfig", "MECHANISMS"]
 #: twelve pre-plugin names come first, in their historical order.
 MECHANISMS = mechanism_names()
 
+#: Values :attr:`SystemConfig.engine` accepts (the field is inert).
+ENGINE_NAMES = ("event", "batch")
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -92,11 +95,11 @@ class SystemConfig:
     #: full command stream can be replayed/validated after the run.
     record_commands: bool = False
     seed: int = 1
-    #: Simulation engine: 'event' (the reference step loop) or 'batch'
-    #: (table-driven, numpy-vectorized warm-up and batched min-wake
-    #: stepping). Both produce byte-identical telemetry digests; the
-    #: choice is a performance knob only and is therefore excluded from
-    #: config/campaign digests.
+    #: Inert: the simulator has one timed loop and one pre-warm, and
+    #: this field selects nothing. It is kept (validated against
+    #: ``ENGINE_NAMES`` and excluded from config, task and warm-up
+    #: digests) so configs that still name an engine, pickled ones
+    #: included, keep loading with unchanged digests.
     engine: str = "event"
 
     def __post_init__(self) -> None:
@@ -121,8 +124,6 @@ class SystemConfig:
                 "check_mode must be 'strict' or 'report', "
                 f"got {self.check_mode!r}"
             )
-        from repro.engine import ENGINE_NAMES
-
         if self.engine not in ENGINE_NAMES:
             raise ConfigError(
                 f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"

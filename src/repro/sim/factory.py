@@ -25,22 +25,10 @@ __all__ = [
     "build_retention",
     "retention_model",
     "build_mechanism",
-    "build_engine",
     "final_timing",
     "weak_row_set",
     "seed_checker_remaps",
 ]
-
-
-def build_engine(config: SystemConfig, system):
-    """The simulation engine ``config`` selects, bound to ``system``.
-
-    ``getattr`` default: configs pickled before the engine field existed
-    (old snapshots, campaign queues) run on the reference engine.
-    """
-    from repro.engine import get_engine
-
-    return get_engine(getattr(config, "engine", "event"))(system)
 
 
 def base_timing(config: SystemConfig) -> TimingParameters:

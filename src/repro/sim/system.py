@@ -8,7 +8,6 @@ methodology), and assembles a :class:`~repro.sim.metrics.SimResult`.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import heapq
 from pathlib import Path
@@ -30,6 +29,7 @@ from repro.mech import get_plugin
 from repro.sim import factory
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
+from repro.sim.prewarm import warm_llc
 from repro.trace.stream import TraceStream
 
 __all__ = ["System"]
@@ -56,7 +56,8 @@ class _EventQueue:
     therefore only ever holds three callable shapes: a
     :class:`repro.cpu.core._MemOp`, a
     :class:`repro.controller.request.MemRequest`, or the telemetry
-    epoch sampler bound method.
+    epoch sampler bound method. :meth:`System._run_until` pops due
+    events off ``_heap`` inline.
     """
 
     __slots__ = ("_heap", "_seq")
@@ -73,13 +74,6 @@ class _EventQueue:
     def next_time(self) -> int:
         """Timestamp of the earliest pending event (IDLE if none)."""
         return self._heap[0][0] if self._heap else IDLE
-
-    def run_until(self, now: int) -> None:
-        """Fire every event scheduled at or before ``now``."""
-        heap = self._heap
-        while heap and heap[0][0] <= now:
-            when, _, fn = heapq.heappop(heap)
-            fn(when)
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -446,15 +440,11 @@ class System:
                 trace_capacity=config.telemetry_trace_capacity,
             )
         self._measure_start: int | None = None
-        # Flat wake-source tuple for the _step() hot loop: the component
-        # set is fixed after construction, so the per-step candidate list
-        # is replaced by an allocation-free scan over this tuple.
+        # Flat wake-source tuple for the timed loop: the component set is
+        # fixed after construction, so the per-step candidate list is
+        # replaced by an allocation-free scan over this tuple.
         self._tickables: tuple = (*self.cores, *self.controllers)
         self.now = 0
-        #: The simulation engine driving the phase loops. Built last: the
-        #: batch engine compiles timing tables from the final (mechanism-
-        #: adjusted) timing parameters.
-        self.engine = factory.build_engine(config, self)
 
     def check_report(self, finalize: bool = True):
         """Merged conformance report across channels (requires check=True).
@@ -480,26 +470,58 @@ class System:
     # ------------------------------------------------------------------
     # Simulation loop
     # ------------------------------------------------------------------
-    def _step(self) -> None:
+    def _run_until(
+        self,
+        done: Callable[[], bool],
+        max_cycles: int | None,
+        phase: str,
+        between: Callable[[], None] | None = None,
+    ) -> None:
+        """Step the timed simulation until ``done()`` holds.
+
+        Each step advances ``now`` to the min-wake horizon (the earliest
+        pending event or component wake), fires every event due by then,
+        and ticks each due core, then each due controller. That order is
+        fixed: ticks have side effects (row-timeout precharges,
+        drain-mode flips, refresh scheduling), so none may be skipped or
+        reordered. After each step the ``max_cycles`` limit is checked,
+        then ``between()`` runs (checkpoint and snapshot saving), so
+        snapshots are only ever taken between steps.
+        """
         # Allocation-free min-wake scan. With at most a handful of cores
         # and controllers, an inline pass over the precomputed tuple beats
-        # both the per-step list build it replaces and a lazily repaired
-        # heap (whose invariant every MemoryPort callback would disturb).
-        t = self.events.next_time()
-        for component in self._tickables:
-            wake = component.next_wake
-            if wake < t:
-                t = wake
-        if t >= IDLE:
-            raise ReproError(self._deadlock_message())
-        now = self.now = max(self.now, t)
-        self.events.run_until(now)
-        for core in self.cores:
-            if core.next_wake <= now:
-                core.next_wake = core.tick(now)
-        for controller in self.controllers:
-            if controller.next_wake <= now:
-                controller.next_wake = controller.tick(now)
+        # both a per-step list build and a lazily repaired heap (whose
+        # invariant every MemoryPort callback would disturb).
+        cores = self.cores
+        controllers = self.controllers
+        tickables = self._tickables
+        heap = self.events._heap
+        pop = heapq.heappop
+        limit = IDLE if max_cycles is None else max_cycles
+        while not done():
+            t = heap[0][0] if heap else IDLE
+            for component in tickables:
+                wake = component.next_wake
+                if wake < t:
+                    t = wake
+            if t >= IDLE:
+                raise ReproError(self._deadlock_message())
+            if t > self.now:
+                self.now = t
+            now = self.now
+            while heap and heap[0][0] <= now:
+                when, _, fn = pop(heap)
+                fn(when)
+            for core in cores:
+                if core.next_wake <= now:
+                    core.next_wake = core.tick(now)
+            for controller in controllers:
+                if controller.next_wake <= now:
+                    controller.next_wake = controller.tick(now)
+            if now > limit:
+                raise ReproError(f"{phase} exceeded max_cycles")
+            if between is not None:
+                between()
 
     def _deadlock_message(self) -> str:
         """Diagnostic for a stuck simulation: every component's wake time."""
@@ -525,75 +547,14 @@ class System:
         for the paper's 100M-instruction cache warm-up, which a Python
         cycle simulator cannot afford to execute in timed mode. The
         records consumed here simply become part of the (untimed) past.
-
-        Delegates to the configured engine: the batch engine replaces
-        the scalar record loop with a vectorized kernel leaving behind
-        byte-identical LLC/page-table/RNG state.
+        The vectorized kernel is :func:`repro.sim.prewarm.warm_llc`.
         """
-        self.engine.prewarm(accesses_per_core)
-
-    def _prewarm_scalar(self, accesses_per_core: int) -> None:
-        """The reference record-at-a-time warm loop (see :meth:`prewarm`)."""
-        from itertools import chain, cycle, islice
-
-        from repro.cpu.translation import ASID_SHIFT, PAGE_MASK, PAGE_SHIFT
-
-        line_mask = ~(self.llc.config.line_bytes - 1)
-        translate = self.vm.translate
-        page_table = self.vm.page_table
-        warm = self.llc.warm
-        streams = [
-            (core.core_id, core.core_id << ASID_SHIFT, core.trace)
-            for core in self.cores
-        ]
-        # Records are pulled in chunks (C-level islice into a list) rather
-        # than one next() per access: generator resumption dominates the
-        # scalar loop. The warm() call order — strict round-robin across
-        # cores by access index — is preserved exactly; it determines the
-        # LLC's LRU state and therefore the run's telemetry digest.
-        chunk = 8192
-        remaining = accesses_per_core
-        while remaining:
-            n = min(chunk, remaining)
-            remaining -= n
-            # TraceStream exposes take() so its consumed count stays exact
-            # without paying a Python-level __next__ per record here.
-            batches = [
-                take(n) if (take := getattr(trace, "take", None)) is not None
-                else list(islice(trace, n))
-                for _, _, trace in streams
-            ]
-            if not any(batches):
-                break
-            if len(batches) == 1:
-                pairs = zip(cycle(streams), batches[0])
-            elif all(len(batch) == n for batch in batches):
-                pairs = zip(
-                    cycle(streams), chain.from_iterable(zip(*batches))
-                )
-            else:
-                # Ragged tail: some (finite) trace ran dry mid-chunk. The
-                # scalar order skips exhausted streams and keeps going.
-                pairs = (
-                    (meta, batch[i])
-                    for i in range(n)
-                    for meta, batch in zip(streams, batches)
-                    if i < len(batch)
-                )
-            for (core_id, asid_base, _), record in pairs:
-                vaddr = record[1]    # TraceRecord.vaddr
-                # Inlined page-table hit path (64 lines share a page, so
-                # nearly every probe hits); misses take the allocating
-                # translate() call.
-                frame = page_table.get(asid_base | (vaddr >> PAGE_SHIFT))
-                if frame is None:
-                    line = translate(core_id, vaddr) & line_mask
-                else:
-                    line = (
-                        (frame << PAGE_SHIFT) | (vaddr & PAGE_MASK)
-                    ) & line_mask
-                warm(line, record[2])    # TraceRecord.is_write
-        self.llc.reset_stats()
+        if accesses_per_core < 0:
+            raise ConfigError("prewarm accesses must be >= 0")
+        warm_llc(
+            self.llc, self.vm, [core.trace for core in self.cores],
+            accesses_per_core,
+        )
 
     def run(
         self,
@@ -615,8 +576,8 @@ class System:
         core runs for ``instructions`` more; the simulation stops when
         every core has retired its measured quota.
 
-        Snapshot hooks (all zero-cost when left at their defaults — the
-        hot loop pays one ``is not None`` test per feature per step):
+        Snapshot hooks (near zero-cost when left at their defaults — the
+        timed loop pays one ``is not None`` test per step):
 
         - ``warm_image``: load a pre-built functional warm image
           (:meth:`save_warm_image`) instead of running ``prewarm``.
@@ -629,6 +590,8 @@ class System:
         """
         if instructions < 1 or warmup_instructions < 0:
             raise ConfigError("invalid instruction counts")
+        if prewarm_accesses < 0:
+            raise ConfigError("prewarm accesses must be >= 0")
         if checkpoint_path is not None and checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
         if (snapshot_at_cycle is None) != (snapshot_path is None):
@@ -678,74 +641,44 @@ class System:
         derived from the state itself (``_measure_start is None`` means
         the warm-up loop still has work), so restoring a checkpoint and
         calling this produces the exact step sequence of the original
-        run. Snapshots are only ever taken *between* ``_step()`` calls,
-        where every component invariant holds.
-
-        With both snapshot features off the loops below are the exact
-        seed hot loops — the feature test happens once out here, not per
-        step, so disabled snapshotting is literally zero-cost (the
-        perf-regression gate enforces this).
+        run. Checkpoints and the one-shot snapshot are saved by the
+        loop's between-steps hook; without either the hook is ``None``.
         """
-        snapshotting = (
-            checkpoint_path is not None or snapshot_at_cycle is not None
-        )
-        run_state = None
-        next_checkpoint = 0
-        if snapshotting:
-            run_state = {
-                "instructions": instructions,
-                "warmup_instructions": warmup_instructions,
-                "max_cycles": max_cycles,
-                "checkpoint_every": (
-                    checkpoint_every if checkpoint_path is not None else None
-                ),
-            }
-        if checkpoint_path is not None:
-            next_checkpoint = self.now + checkpoint_every
+        between = None
+        if checkpoint_path is not None or snapshot_at_cycle is not None:
+            between = self._snapshot_hook(
+                {
+                    "instructions": instructions,
+                    "warmup_instructions": warmup_instructions,
+                    "max_cycles": max_cycles,
+                    "checkpoint_every": (
+                        checkpoint_every
+                        if checkpoint_path is not None
+                        else None
+                    ),
+                },
+                checkpoint_path,
+                checkpoint_every,
+                snapshot_at_cycle,
+                snapshot_path,
+            )
+        cores = self.cores
         if self._measure_start is None:
-            if snapshotting:
-                # Phase 1, instrumented: the shared _step() loop for every
-                # engine, so checkpoint cadence (and therefore checkpoint
-                # contents) is engine-invariant by construction.
-                while any(
-                    core.retired < warmup_instructions for core in self.cores
-                ):
-                    self._step()
-                    if max_cycles is not None and self.now > max_cycles:
-                        raise ReproError("warm-up exceeded max_cycles")
-                    if (checkpoint_path is not None
-                            and self.now >= next_checkpoint):
-                        self.save_snapshot(
-                            checkpoint_path, run_state=run_state
-                        )
-                        next_checkpoint = self.now + checkpoint_every
-                    if (snapshot_at_cycle is not None
-                            and self.now >= snapshot_at_cycle):
-                        self.save_snapshot(
-                            snapshot_path, run_state=run_state
-                        )
-                        snapshot_at_cycle = None
-            else:
-                # Phase 1, bare: the engine's warm-up driver.
-                self.engine.run_warmup(warmup_instructions, max_cycles)
+            self._run_until(
+                lambda: all(
+                    core.retired >= warmup_instructions for core in cores
+                ),
+                max_cycles,
+                "warm-up",
+                between,
+            )
             self._begin_measurement(instructions)
-        if snapshotting:
-            # Phase 2, instrumented: checkpoint/snapshot between steps.
-            while not all(core.done for core in self.cores):
-                self._step()
-                if max_cycles is not None and self.now > max_cycles:
-                    raise ReproError("measurement exceeded max_cycles")
-                if (checkpoint_path is not None
-                        and self.now >= next_checkpoint):
-                    self.save_snapshot(checkpoint_path, run_state=run_state)
-                    next_checkpoint = self.now + checkpoint_every
-                if (snapshot_at_cycle is not None
-                        and self.now >= snapshot_at_cycle):
-                    self.save_snapshot(snapshot_path, run_state=run_state)
-                    snapshot_at_cycle = None
-        else:
-            # Phase 2, bare: the engine's measurement driver.
-            self.engine.run_measured(max_cycles)
+        self._run_until(
+            lambda: all(core.done for core in cores),
+            max_cycles,
+            "measurement",
+            between,
+        )
         result = self._collect(instructions)
         if checkpoint_path is not None:
             # The run completed: a leftover checkpoint would make a later
@@ -753,6 +686,34 @@ class System:
             # recomputing (correct but surprising) — remove it.
             Path(checkpoint_path).unlink(missing_ok=True)
         return result
+
+    def _snapshot_hook(
+        self,
+        run_state: dict,
+        checkpoint_path: "str | Path | None",
+        checkpoint_every: int,
+        snapshot_at_cycle: int | None,
+        snapshot_path: "str | Path | None",
+    ) -> Callable[[], None]:
+        """The between-steps hook saving checkpoints, then the snapshot.
+
+        The checkpoint cadence counts from the current cycle and carries
+        across the warm-up/measurement boundary; the one-shot snapshot
+        is saved the first time the clock reaches ``snapshot_at_cycle``.
+        """
+        next_checkpoint = self.now + checkpoint_every
+
+        def between() -> None:
+            nonlocal next_checkpoint, snapshot_at_cycle
+            if checkpoint_path is not None and self.now >= next_checkpoint:
+                self.save_snapshot(checkpoint_path, run_state=run_state)
+                next_checkpoint = self.now + checkpoint_every
+            if (snapshot_at_cycle is not None
+                    and self.now >= snapshot_at_cycle):
+                self.save_snapshot(snapshot_path, run_state=run_state)
+                snapshot_at_cycle = None
+
+        return between
 
     def _begin_measurement(self, instructions: int) -> None:
         self._measure_start = self.now
@@ -1047,7 +1008,6 @@ class System:
         cls,
         path: "str | Path",
         config: SystemConfig | None = None,
-        engine: str | None = None,
     ) -> "tuple[System, dict | None]":
         from repro.sim.campaign import config_digest
         from repro.snapshot.container import read_snapshot
@@ -1059,14 +1019,6 @@ class System:
                 f"{header.get('kind')!r} (warm images restore via "
                 "load_warm_image)"
             )
-        saved_config = payload["config"]
-        if engine is not None:
-            # Cross-engine restore: the engine is excluded from config
-            # digests, so a snapshot taken under either engine resumes
-            # under either. replace() only reads fields *not* being
-            # overridden off the old instance, so configs pickled before
-            # the engine field existed restore cleanly too.
-            saved_config = dataclasses.replace(saved_config, engine=engine)
         if config is not None:
             expected = config_digest(config)
             if expected != header["config_digest"]:
@@ -1083,7 +1035,7 @@ class System:
             )
             for core_state in state["cores"]
         ]
-        system = cls(saved_config, traces)
+        system = cls(payload["config"], traces)
         system.load_state_dict(state)
         return system, payload.get("run")
 
@@ -1092,7 +1044,6 @@ class System:
         cls,
         path: "str | Path",
         config: SystemConfig | None = None,
-        engine: str | None = None,
     ) -> "System":
         """Rebuild a system from a full snapshot.
 
@@ -1100,10 +1051,8 @@ class System:
         (geometry, retention profiling, boot-time remaps), then the saved
         state overwrites everything mutable. Passing ``config`` asserts
         the snapshot is compatible with it (:class:`ConfigError` if not).
-        ``engine`` overrides the saved config's engine choice — digests
-        are engine-invariant, so any snapshot restores under any engine.
         """
-        system, _ = cls._restore_with_run(path, config, engine=engine)
+        system, _ = cls._restore_with_run(path, config)
         return system
 
     @classmethod
@@ -1111,7 +1060,6 @@ class System:
         cls,
         path: "str | Path",
         checkpoint_every: int | None = None,
-        engine: str | None = None,
     ) -> SimResult:
         """Continue a checkpointed run to completion.
 
@@ -1119,10 +1067,9 @@ class System:
         :meth:`run` (it carries the loop parameters). Checkpointing
         continues into the same file — at the saved cadence, or at
         ``checkpoint_every`` if given — and the file is removed when the
-        run completes. ``engine`` optionally switches the engine the
-        continuation runs on (the result is engine-invariant).
+        run completes.
         """
-        system, run_state = cls._restore_with_run(path, engine=engine)
+        system, run_state = cls._restore_with_run(path)
         if run_state is None:
             raise SnapshotError(
                 f"{path}: snapshot carries no run state and cannot be "

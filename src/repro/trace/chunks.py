@@ -9,16 +9,16 @@ records eagerly:
   lazily, one chunk at a time, exactly as the old per-record generators
   did;
 * :meth:`take_arrays` hands the (vaddr, is_write) columns of the next
-  ``n`` records to vectorized consumers — the batch engine's functional
-  prewarm — without ever constructing :class:`TraceRecord` objects;
+  ``n`` records to vectorized consumers — the functional pre-warm
+  kernel — without ever constructing :class:`TraceRecord` objects;
 * :meth:`skip` fast-forwards past a consumed prefix (snapshot restore)
   at chunk granularity, skipping both record construction and the
   per-chunk ``tolist`` decode.
 
 All three views consume the *same* underlying chunk stream, so the RNG
 draw sequence — and therefore the trace content — is identical no matter
-how a trace is consumed. That equivalence is what lets the batch and
-event simulation engines produce byte-identical telemetry digests.
+how a trace is consumed. That equivalence is what lets the vectorized
+pre-warm leave exactly the state a record-at-a-time warm loop would.
 
 A chunk is a ``(bubbles, vaddrs, writes, pcs)`` tuple of equal-length
 1-D arrays (``int64``, ``int64``, ``bool``, ``int64``). Chunks may have

@@ -69,17 +69,12 @@ class TraceStream:
         self.consumed += len(batch)
         return batch
 
-    @property
-    def supports_arrays(self) -> bool:
-        """True when the wrapped trace exposes array-chunk views."""
-        return hasattr(self._it, "take_arrays")
-
     def take_arrays(self, n):
         """The (vaddrs, writes) columns of the next ``n`` records.
 
         Returns ``None`` when the wrapped iterator has no array view
-        (callers fall back to the record path). The consumed count stays
-        exact either way.
+        (the pre-warm kernel then reads records through :meth:`take`).
+        The consumed count stays exact either way.
         """
         take_arrays = getattr(self._it, "take_arrays", None)
         if take_arrays is None:

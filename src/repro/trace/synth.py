@@ -4,8 +4,8 @@ Each generator returns an infinite :class:`~repro.trace.chunks.ChunkTrace`
 of :class:`~repro.cpu.core.TraceRecord` tuples. All randomness flows
 through a ``numpy.random.Generator`` seeded by the caller, so every trace
 is reproducible. Internally the patterns are *chunk producers*: they draw
-and synthesize whole column arrays per chunk, which the batch simulation
-engine consumes directly (:meth:`ChunkTrace.take_arrays`) while record
+and synthesize whole column arrays per chunk, which the functional
+pre-warm consumes directly (:meth:`ChunkTrace.take_arrays`) while record
 consumers decode lazily. The RNG draw sequence per chunk is part of each
 pattern's contract — it must not depend on how the trace is consumed.
 

@@ -1,32 +1,66 @@
-"""Vectorized pre-warm equivalence: the batch kernel vs the scalar loop.
+"""Vectorized pre-warm equivalence: the warm kernel vs a scalar oracle.
 
-``BatchEngine.prewarm`` simulates the LLC's exact-LRU automaton across
-all sets in parallel and allocates page frames in bulk. Its contract is
-state identity: after warming, the LLC set dicts (tags, dirty bits,
-LRU *key order*) and the virtual-memory state (page table, allocator
-RNG position) must be byte-equal to what the scalar reference loop
-produces — that state seeds the timed run, so any divergence would
-surface as a digest change downstream.
+``System.prewarm`` simulates the LLC's exact-LRU automaton across all
+sets in parallel and allocates page frames in bulk. Its contract is
+state identity: after warming, the LLC set dicts (tags, dirty and
+prefetched bits, LRU *key order*) and the virtual-memory state (page
+table, allocator RNG position) must equal what the record-at-a-time
+loop below leaves behind — that state seeds the timed run, so any
+divergence would surface as a digest change downstream.
 """
 
 import pytest
 
 from repro.sim.config import SystemConfig
+from repro.sim.prewarm import _CHUNK_RECORDS
 from repro.sim.system import System
 from repro.trace.stream import TraceStream
+from repro.trace.workloads import workload
 
 
-def warmed_state(engine, workloads, seed, accesses, **extra):
-    config = SystemConfig(
-        cores=len(workloads), seed=seed, engine=engine, **extra
-    )
+def _prewarm_scalar(system, accesses_per_core):
+    """Reference warm loop: one translate + ``Llc.warm`` per record.
+
+    Strict round-robin across cores by access index; a finite trace
+    that runs dry is skipped while the others keep going.
+    """
+    line_mask = ~(system.llc.config.line_bytes - 1)
+    traces = [core.trace for core in system.cores]
+    live = list(range(len(traces)))
+    for _ in range(accesses_per_core):
+        for core in list(live):
+            record = next(traces[core], None)
+            if record is None:
+                live.remove(core)
+                continue
+            line = system.vm.translate(core, record.vaddr) & line_mask
+            system.llc.warm(line, record.is_write)
+        if not live:
+            break
+    system.llc.reset_stats()
+
+
+def build(workloads, seed, **extra):
+    config = SystemConfig(cores=len(workloads), seed=seed, **extra)
     traces = [
         TraceStream(name, seed + core)
         for core, name in enumerate(workloads)
     ]
-    system = System(config, traces)
-    system.prewarm(accesses)
-    return system
+    return System(config, traces)
+
+
+def warmed_pair(workloads, seed, accesses):
+    """(oracle-warmed, kernel-warmed) systems over identical inputs."""
+    oracle = build(workloads, seed)
+    _prewarm_scalar(oracle, accesses)
+    kernel = build(workloads, seed)
+    kernel.prewarm(accesses)
+    return oracle, kernel
+
+
+def assert_same_state(oracle, kernel):
+    assert kernel.llc.state_dict() == oracle.llc.state_dict()
+    assert kernel.vm.state_dict() == oracle.vm.state_dict()
 
 
 WORKLOAD_CASES = [
@@ -42,47 +76,83 @@ WORKLOAD_CASES = [
 class TestWarmStateEquivalence:
     @pytest.mark.parametrize("workloads,seed", WORKLOAD_CASES)
     def test_llc_and_vm_state_identical(self, workloads, seed):
-        event = warmed_state("event", workloads, seed, 30_000)
-        batch = warmed_state("batch", workloads, seed, 30_000)
-        assert batch.llc.state_dict() == event.llc.state_dict()
-        assert batch.vm.state_dict() == event.vm.state_dict()
+        oracle, kernel = warmed_pair(workloads, seed, 30_000)
+        assert_same_state(oracle, kernel)
         # Trace cursors must agree too — the timed phase continues from
         # exactly where pre-warm stopped consuming.
-        for ec, bc in zip(event.cores, batch.cores):
-            assert bc.trace.state_dict() == ec.trace.state_dict()
+        for oc, kc in zip(oracle.cores, kernel.cores):
+            assert kc.trace.state_dict() == oc.trace.state_dict()
 
     def test_lru_key_order_is_preserved(self):
         """Snapshot byte-identity depends on dict insertion order, not
-        just set membership: keys must be LRU-first in both engines."""
-        event = warmed_state("event", ("random",), 13, 50_000)
-        batch = warmed_state("batch", ("random",), 13, 50_000)
-        for es, bs in zip(event.llc._sets, batch.llc._sets):
-            assert list(bs.items()) == list(es.items())
+        just set membership: keys must be LRU-first."""
+        oracle, kernel = warmed_pair(("random",), 13, 50_000)
+        for os_, ks in zip(oracle.llc._sets, kernel.llc._sets):
+            assert list(ks.items()) == list(os_.items())
 
     def test_chunk_boundary_invariance(self):
-        """Warm counts straddling the batch chunk size hit the
-        multi-chunk path; state must still match the scalar loop."""
-        from repro.engine.batch import _PREWARM_CHUNK as CHUNK
-
-        for accesses in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7):
-            event = warmed_state("event", ("libq",), 1, accesses)
-            batch = warmed_state("batch", ("libq",), 1, accesses)
-            assert batch.llc.state_dict() == event.llc.state_dict()
-            assert batch.vm.state_dict() == event.vm.state_dict()
+        """Warm counts straddling the kernel chunk size hit the
+        multi-chunk path; state must still match the oracle."""
+        chunk = _CHUNK_RECORDS
+        for accesses in (chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
+            assert_same_state(*warmed_pair(("libq",), 1, accesses))
 
     def test_stats_reset_after_warm(self):
-        batch = warmed_state("batch", ("libq",), 1, 20_000)
-        assert batch.llc.hits == 0
-        assert batch.llc.misses == 0
-        assert batch.llc.writebacks == 0
+        system = build(("libq",), 1)
+        system.prewarm(20_000)
+        assert system.llc.hits == 0
+        assert system.llc.misses == 0
+        assert system.llc.writebacks == 0
 
-    def test_double_prewarm_falls_back_to_scalar(self):
-        """A second warm sees a non-empty LLC: the vectorized kernel's
-        fresh-state precondition fails and the scalar path must take
-        over, keeping both engines equivalent even then."""
-        event = warmed_state("event", ("libq",), 1, 10_000)
-        batch = warmed_state("batch", ("libq",), 1, 10_000)
-        event.prewarm(10_000)
-        batch.prewarm(10_000)
-        assert batch.llc.state_dict() == event.llc.state_dict()
-        assert batch.vm.state_dict() == event.vm.state_dict()
+    def test_double_prewarm_matches_scalar(self):
+        """A second warm starts from a populated LLC: the kernel seeds
+        its LRU state from the live sets and continues from there."""
+        oracle, kernel = warmed_pair(("libq",), 1, 10_000)
+        _prewarm_scalar(oracle, 10_000)
+        kernel.prewarm(10_000)
+        assert_same_state(oracle, kernel)
+
+    def test_warm_hit_clears_prefetched_bit(self):
+        """Prefetched lines already resident keep their bit until a warm
+        access touches them, exactly as ``Llc.warm`` clears it."""
+        systems = []
+        for _ in range(2):
+            system = build(("mcf",), 3)
+            system.prewarm(5_000)
+            for entries in system.llc._sets[::3]:
+                for entry in entries.values():
+                    entry[1] = True
+            systems.append(system)
+        oracle, kernel = systems
+        _prewarm_scalar(oracle, 20_000)
+        kernel.prewarm(20_000)
+        assert_same_state(oracle, kernel)
+        assert any(
+            entry[1]
+            for entries in kernel.llc._sets
+            for entry in entries.values()
+        )
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_plain_iterator_traces(self, cores):
+        """Traces without an array view (plain record iterators, here
+        with one finite stream running dry mid-chunk) go through the
+        record path and land on the oracle's state."""
+        names = ("libq", "random", "mcf")[:cores]
+
+        def traces():
+            out = []
+            for core, name in enumerate(names):
+                records = workload(name).trace(5 + core)
+                if core == cores - 1:
+                    out.append(iter([next(records) for _ in range(7_000)]))
+                else:
+                    out.append(record for record in records)
+            return out
+
+        config = SystemConfig(cores=cores, seed=5)
+        oracle = System(config, traces())
+        _prewarm_scalar(oracle, 12_000)
+        kernel = System(config, traces())
+        kernel.prewarm(12_000)
+        assert_same_state(oracle, kernel)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.dram.commands import CommandKind
 from repro.dram.timing import TimingParameters
-from repro.engine.tables import (
+from repro.dram.tables import (
     COMMAND_LEGALITY,
     compile_act_variants,
     compile_timing_tables,

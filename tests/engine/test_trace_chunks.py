@@ -1,11 +1,11 @@
 """Chunk-array trace production vs. the scalar reference generators.
 
-The batch engine consumes traces through :meth:`ChunkTrace.take_arrays`;
-record consumers use ``next()``/``take``. Both must see exactly the
-record sequence the original per-record generators produced — same RNG
-draw order, same values, same Python types. The reference
-implementations below are verbatim copies of the pre-chunk generator
-bodies.
+The functional pre-warm consumes traces through
+:meth:`ChunkTrace.take_arrays`; record consumers use ``next()``/``take``.
+Both must see exactly the record sequence the original per-record
+generators produced — same RNG draw order, same values, same Python
+types. The reference implementations below are verbatim copies of the
+pre-chunk generator bodies.
 """
 
 import itertools

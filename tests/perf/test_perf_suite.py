@@ -122,7 +122,7 @@ class TestDeterminismGuard:
             ]
         )
         monkeypatch.setattr(
-            suite_mod, "_run_case_once", lambda case, engine: next(facts)
+            suite_mod, "_run_case_once", lambda case: next(facts)
         )
         with pytest.raises(RuntimeError, match="non-deterministic"):
             suite_mod.run_suite(repeat=2, cases=TINY)

@@ -42,6 +42,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             System(SystemConfig(cores=2), [workload("libq").trace(0)])
 
+    def test_invalid_run_lengths_rejected(self):
+        system = System(SystemConfig(), [workload("libq").trace(0)])
+        with pytest.raises(ConfigError, match="instruction counts"):
+            system.run(instructions=0)
+        with pytest.raises(ConfigError, match="instruction counts"):
+            system.run(warmup_instructions=-1)
+        with pytest.raises(ConfigError, match="prewarm"):
+            system.run(prewarm_accesses=-1)
+        with pytest.raises(ConfigError, match="prewarm"):
+            system.prewarm(-1)
+
 
 class TestSingleCoreRuns:
     def test_baseline_run_completes(self):
