@@ -20,7 +20,7 @@ from typing import Callable
 from repro.controller.mechanism import ActivationPlan, Mechanism, NoMechanism
 from repro.controller.request import MemRequest, RequestType
 from repro.controller.scheduler import FrFcfsCap, Scheduler
-from repro.dram.commands import Command, CommandKind, RowId
+from repro.dram.commands import Command, CommandKind
 from repro.dram.device import DramChannel, IssueResult
 from repro.dram.timing import REF_COMMANDS_PER_WINDOW
 from repro.errors import ConfigError
@@ -30,6 +30,10 @@ __all__ = ["ControllerConfig", "ChannelController"]
 
 #: Sentinel wake time for "nothing to do until an external event".
 IDLE = 1 << 62
+
+#: Command classes of a scheduling candidate: the request needs an
+#: activation, its column access, or a precharge of a conflicting row.
+_ACT, _COL, _PRE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,13 @@ class ChannelController:
         self.scheduler = (
             scheduler if scheduler is not None else FrFcfsCap(self.config.fr_fcfs_cap)
         )
+        # The scheduling pass applies the policy's hit_cap inline; an
+        # overridden ranked() would be silently ignored.
+        if type(self.scheduler).ranked is not Scheduler.ranked:
+            raise ConfigError(
+                f"scheduler {type(self.scheduler).__name__} overrides "
+                "ranked(); express the policy through hit_cap instead"
+            )
         self.schedule_event = schedule_event
         self.refresh_enabled = refresh_enabled
         # Construction-time override detection: mechanisms that pace
@@ -306,42 +317,89 @@ class ChannelController:
 
         Returns ``(issued, earliest)`` where ``earliest`` is the soonest
         time any evaluated candidate could have issued (IDLE if none).
+
+        One scan in arrival order applies the scheduler's ``hit_cap``
+        (the order of :meth:`Scheduler.ranked`): a row hit whose bank
+        streak is below the cap is probed as the scan reaches it, every
+        other request is deferred and probed after the scan, in arrival
+        order. Under FCFS (cap 0) nothing is promoted, so each request
+        is probed as the scan reaches it. A probe's readiness is the
+        maximum of the channel bound of its command class, evaluated
+        once per pass, and its bank slot's bound, memoized per
+        ``(bank, subarray, class)``: bank and channel state cannot change
+        before the pass ends, since issuing ends it.
         """
         idle = self._idle_pass
         if idle is not None and idle[0] == self._version and idle[1] is queue:
-            for request, command, earliest in idle[2]:
+            for request, subarray, kind, earliest in idle[2]:
                 if earliest <= now:
-                    self._issue_for_request(request, command, now)
+                    self._issue_candidate(request, subarray, kind, now)
                     return True, now
             return False, idle[3]
 
-        earliest_any = IDLE
+        act_bound, rd_bound, wr_bound, pre_bound = self.channel.channel_bounds()
+        # A queue holds one request type: its column accesses share a bound.
+        col_bound = rd_bound if queue is self.read_q else wr_bound
+        hit_cap = self.scheduler.hit_cap
         window = self.config.scheduler_window
-        candidates: list[tuple] = []
-        # Bank state cannot change between ranking and candidate
-        # evaluation (issuing returns immediately below), so the
-        # (service row, open rows) pair the ranking probe computes is
-        # still valid when the candidate is evaluated — memoize it per
-        # request instead of recomputing in _next_command.
         service_row = self.mechanism.service_row
-        open_rows_of = self._open_rows
-        rowinfo: dict[int, tuple] = {}
-
-        def is_hit(request: MemRequest) -> bool:
-            bank = request.location.bank
-            srow = service_row(bank, request.location.row)
-            open_rows = open_rows_of(bank, srow)
-            rowinfo[id(request)] = (srow, open_rows)
-            return open_rows is not None and srow in open_rows
-
-        for request in self.scheduler.ranked(queue, is_hit, self._streak_of):
-            command, earliest = self._next_command(
-                request, rowinfo.get(id(request))
-            )
+        banks = self.channel.banks
+        salp = self._salp
+        hit_streak = self.hit_streak
+        readiness: dict[tuple, int] = {}
+        candidates: list[tuple] = []
+        deferred: list[tuple] = []
+        earliest_any = IDLE
+        total = len(queue)
+        scanned = 0
+        replayed = 0
+        while True:
+            if scanned < total:
+                request = queue[scanned]
+                scanned += 1
+                location = request.location
+                bank = location.bank
+                srow = service_row(bank, location.row)
+                if salp:
+                    subarray = srow.subarray
+                    slot = banks[bank].subarrays[subarray]
+                else:
+                    subarray = None
+                    slot = banks[bank]
+                open_rows = slot.open_rows
+                if open_rows is None:
+                    kind = _ACT
+                elif srow in open_rows:
+                    kind = _COL
+                else:
+                    kind = _PRE
+                if hit_cap and (kind != _COL or hit_streak[bank] >= hit_cap):
+                    deferred.append((request, bank, subarray, slot, kind))
+                    continue
+            elif replayed < len(deferred):
+                request, bank, subarray, slot, kind = deferred[replayed]
+                replayed += 1
+            else:
+                break
+            key = (bank, subarray, kind)
+            earliest = readiness.get(key)
+            if earliest is None:
+                if kind == _COL:
+                    bound = slot.earliest_col()
+                    earliest = col_bound
+                elif kind == _PRE:
+                    bound = slot.earliest_pre()
+                    earliest = pre_bound
+                else:
+                    bound = slot.earliest_act()
+                    earliest = act_bound
+                if bound > earliest:
+                    earliest = bound
+                readiness[key] = earliest
             if earliest <= now:
-                self._issue_for_request(request, command, now)
+                self._issue_candidate(request, subarray, kind, now)
                 return True, now
-            candidates.append((request, command, earliest))
+            candidates.append((request, subarray, kind, earliest))
             if earliest < earliest_any:
                 earliest_any = earliest
             if len(candidates) >= window:
@@ -349,62 +407,21 @@ class ChannelController:
         self._idle_pass = (self._version, queue, candidates, earliest_any)
         return False, earliest_any
 
-    def _streak_of(self, request: MemRequest) -> int:
-        return self.hit_streak[request.location.bank]
-
-    def _next_command(
-        self, request: MemRequest, rowinfo: tuple | None = None
-    ) -> tuple[Command | None, int]:
-        """The next DRAM command needed to advance ``request``, and the
-        earliest cycle it can issue.
-
-        The command is ``None`` when the request needs an activation:
-        every activation kind shares the readiness bounds of
-        :meth:`DramChannel.earliest_act`, so the mechanism's plan is
-        requested only for the one activation that issues (see
-        :meth:`_issue_for_request`). ``rowinfo`` is an optional
-        ``(service row, open rows)`` pair memoized by the ranking probe
-        within the same scheduling pass.
-        """
-        bank = request.location.bank
-        if rowinfo is not None:
-            srow, open_rows = rowinfo
-        else:
-            srow = self.mechanism.service_row(bank, request.location.row)
-            open_rows = self._open_rows(bank, srow)
-        if open_rows is None:
-            return None, self.channel.earliest_act(bank, srow.subarray)
-        if srow in open_rows:
-            subarray = srow.subarray if self._salp else None
-            cached = request.col_cmd
-            if cached is not None and cached[0] == subarray:
-                command = cached[1]
-            else:
-                command = Command(
-                    CommandKind.RD
-                    if request.type is RequestType.READ
-                    else CommandKind.WR,
-                    bank=bank,
-                    col=request.location.col,
-                    subarray=subarray,
-                )
-                request.col_cmd = (subarray, command)
-        else:
-            command = self._pre_command(bank, srow.subarray)
-        return command, self.channel.earliest_issue(command)
-
-    def _issue_for_request(
-        self, request: MemRequest, command: Command | None, now: int
+    def _issue_candidate(
+        self, request: MemRequest, subarray: int | None, kind: int, now: int
     ) -> None:
-        """Issue ``command`` (``None``: an activation) for ``request``.
+        """Issue the next command of ``request`` — an activation
+        (``_ACT``), its column access (``_COL``) or a precharge of the
+        conflicting row (``_PRE``) — in the service row's ``subarray``
+        (``None`` unless SALP).
 
         Activations are planned here, at issue time: ``plan_activation``
         must be side-effect free and target the service row's subarray
-        (the one :meth:`_next_command` probed); mechanisms mutate their
+        (the slot the scheduling pass probed); mechanisms mutate their
         state only in ``on_activate``.
         """
         bank = request.location.bank
-        if command is None:
+        if kind == _ACT:
             plan = self.mechanism.plan_activation(
                 bank, request.location.row, now
             )
@@ -416,20 +433,32 @@ class ChannelController:
                 self.stats["restore_activations"] += 1
             self.mechanism.on_activate(bank, plan, now)
             return
-        kind = command.kind
-        if kind is CommandKind.PRE:
-            result = self._issue(command, now)
+        if kind == _PRE:
+            result = self._issue(self._pre_command(bank, subarray), now)
             self.hit_streak[bank] = 0
             self.stats["row_conflicts"] += 1
             assert result.precharge is not None
             self.mechanism.on_precharge(bank, result.precharge, now)
             return
+        cached = request.col_cmd
+        if cached is not None and cached[0] == subarray:
+            command = cached[1]
+        else:
+            command = Command(
+                CommandKind.RD
+                if request.type is RequestType.READ
+                else CommandKind.WR,
+                bank=bank,
+                col=request.location.col,
+                subarray=subarray,
+            )
+            request.col_cmd = (subarray, command)
         result = self._issue(command, now)
         self.hit_streak[bank] += 1
         self.bank_last_use[bank] = now
         self.stats["row_hits"] += 1
         self._dequeue(request)
-        if kind is CommandKind.RD:
+        if command.kind is CommandKind.RD:
             self.stats["reads_served"] += 1
             self._complete(request, result.data_at)
         else:
@@ -521,12 +550,19 @@ class ChannelController:
         if scan is not None and scan[0] == self._version and now < scan[1]:
             return scan[1]
         next_expiry = IDLE
+        timeout = self.row_timeout
+        pending = self.bank_pending
+        last_use = self.bank_last_use
+        salp = self._salp
         for bank_index, bank in enumerate(self.channel.banks):
-            if not bank.is_open:
+            if pending[bank_index]:
                 continue
-            if self._bank_has_pending(bank_index):
+            if salp:
+                if not bank.is_open:
+                    continue
+            elif bank.open_rows is None:
                 continue
-            expiry = self.bank_last_use[bank_index] + self.row_timeout
+            expiry = last_use[bank_index] + timeout
             if expiry > now:
                 next_expiry = min(next_expiry, expiry)
                 continue
@@ -539,9 +575,6 @@ class ChannelController:
         self._timeout_scan = (self._version, next_expiry)
         return next_expiry
 
-    def _bank_has_pending(self, bank_index: int) -> bool:
-        return self.bank_pending[bank_index] > 0
-
     def _issue_pre(self, pre: Command, now: int) -> None:
         result = self._issue(pre, now)
         self.hit_streak[pre.bank] = 0
@@ -551,13 +584,7 @@ class ChannelController:
     # ------------------------------------------------------------------
     # SALP-aware helpers
     # ------------------------------------------------------------------
-    def _open_rows(self, bank_index: int, srow: RowId):
-        bank = self.channel.banks[bank_index]
-        if self._salp:
-            return bank.subarrays[srow.subarray].open_rows
-        return bank.open_rows
-
-    def _pre_command(self, bank_index: int, subarray: int) -> Command:
+    def _pre_command(self, bank_index: int, subarray: int | None) -> Command:
         if self._salp:
             key = (bank_index, subarray)
             command = self._salp_pre_cmds.get(key)

@@ -85,21 +85,54 @@ class AddressMapper:
             + self.row_bits
         )
 
+    def __post_init__(self) -> None:
+        # decode() runs on every memory request: resolve its shift/mask
+        # plan once. Not a dataclass field, so equality, hashing and
+        # repr still see only the geometry.
+        geo = self.geometry
+        object.__setattr__(self, "_decode_plan", (
+            geo.capacity_bytes,
+            self.offset_bits,
+            geo.channels - 1,
+            self.channel_bits,
+            geo.columns_per_row - 1,
+            self.col_bits,
+            geo.banks_per_rank - 1,
+            self.bank_bits,
+            geo.ranks_per_channel - 1,
+            self.rank_bits,
+            geo.rows_per_bank - 1,
+        ))
+
     def decode(self, address: int) -> DramAddress:
-        """Map a physical byte address to its DRAM coordinates."""
-        if address < 0:
-            raise ConfigError(f"address must be non-negative, got {address}")
-        value = address >> self.offset_bits
-        channel = value & (self.geometry.channels - 1)
-        value >>= self.channel_bits
-        col = value & (self.geometry.columns_per_row - 1)
-        value >>= self.col_bits
-        bank = value & (self.geometry.banks_per_rank - 1)
-        value >>= self.bank_bits
-        rank = value & (self.geometry.ranks_per_channel - 1)
-        value >>= self.rank_bits
-        row = value & (self.geometry.rows_per_bank - 1)
-        return DramAddress(channel=channel, rank=rank, bank=bank, row=row, col=col)
+        """Map a physical byte address to its DRAM coordinates.
+
+        Raises :class:`ConfigError` for a negative address or one at or
+        beyond the geometry's capacity, which would otherwise alias onto
+        a low row.
+        """
+        (capacity, offset_bits, channel_mask, channel_bits, col_mask,
+         col_bits, bank_mask, bank_bits, rank_mask, rank_bits,
+         row_mask) = self._decode_plan
+        if not 0 <= address < capacity:
+            if address < 0:
+                raise ConfigError(
+                    f"address must be non-negative, got {address}"
+                )
+            raise ConfigError(
+                f"address {address:#x} is beyond the {capacity:#x}-byte "
+                "capacity"
+            )
+        value = address >> offset_bits
+        channel = value & channel_mask
+        value >>= channel_bits
+        col = value & col_mask
+        value >>= col_bits
+        bank = value & bank_mask
+        value >>= bank_bits
+        rank = value & rank_mask
+        value >>= rank_bits
+        return DramAddress(channel, rank, bank, value & row_mask, col)
 
     def encode(self, location: DramAddress) -> int:
         """Map DRAM coordinates back to a physical byte address."""

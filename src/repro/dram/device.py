@@ -231,26 +231,63 @@ class DramChannel:
     # ------------------------------------------------------------------
     # Earliest-issue computation
     # ------------------------------------------------------------------
-    def earliest_act(self, bank: int, subarray: int) -> int:
-        """Earliest cycle at which any activation of ``bank`` can issue.
+    def channel_bounds(self) -> tuple[int, int, int, int]:
+        """Channel-scope readiness bounds ``(act, rd, wr, pre)``.
 
-        Every activation kind (``ACT``, ``ACT-c``, ``ACT-t``) shares these
-        bounds: the command bus, the refresh blackout, the bank's — for
-        SALP, the ``subarray`` slot's — ``ready_act``, tRRD and tFAW.
-        ``subarray`` is ignored for conventional banks. The controller
-        probes readiness through this method so that it can defer
-        building an activation plan until one actually issues.
-
-        Raises :class:`ProtocolError` if the bank (slot) is open.
+        Every command waits for the command bus and the refresh
+        blackout; ``act`` adds tRRD and tFAW, ``rd`` and ``wr`` add the
+        read/write turnarounds, ``pre`` adds nothing. A command's
+        earliest issue cycle is the maximum of its bound here and its
+        bank slot's (``earliest_act``/``earliest_col``/``earliest_pre``),
+        so a caller probing many commands in one channel state can
+        compute these once and combine them with per-slot bounds.
         """
-        # Inline comparisons instead of max() calls: this and
-        # earliest_issue() are the hottest functions in the timed phase
-        # (several calls per scheduling pass), and the builtin-call
-        # overhead is measurable.
+        # Inline comparisons instead of max() calls: this runs on every
+        # scheduling pass and the builtin-call overhead is measurable.
         earliest = self.cmd_bus_free
         bound = self.ref_busy_until
         if bound > earliest:
             earliest = bound
+        act = rd = wr = earliest
+        last_act = self.last_act_time
+        if last_act != _FAR_PAST:
+            bound = last_act + self.timing.trrd
+            if bound > act:
+                act = bound
+        if len(self.act_history) == 4:
+            bound = self.act_history[0] + self.timing.tfaw
+            if bound > act:
+                act = bound
+        last_rd = self.last_rd_issue
+        if last_rd != _FAR_PAST:
+            bound = last_rd + self._rd_after_rd
+            if bound > rd:
+                rd = bound
+            bound = last_rd + self._wr_after_rd
+            if bound > wr:
+                wr = bound
+        last_wr = self.last_wr_issue
+        if last_wr != _FAR_PAST:
+            bound = last_wr + self._rd_after_wr
+            if bound > rd:
+                rd = bound
+            bound = last_wr + self._wr_after_wr
+            if bound > wr:
+                wr = bound
+        return act, rd, wr, earliest
+
+    def earliest_act(self, bank: int, subarray: int) -> int:
+        """Earliest cycle at which any activation of ``bank`` can issue.
+
+        Every activation kind (``ACT``, ``ACT-c``, ``ACT-t``) shares these
+        bounds: the channel-scope ``act`` bound of :meth:`channel_bounds`
+        and the bank's — for SALP, the ``subarray`` slot's — ``ready_act``.
+        ``subarray`` is ignored for conventional banks. The controller
+        probes readiness through these bounds so that it can defer
+        building an activation plan until one actually issues.
+
+        Raises :class:`ProtocolError` if the bank (slot) is open.
+        """
         try:
             slot = self.banks[bank]
         except IndexError:
@@ -260,19 +297,9 @@ class DramChannel:
             ) from None
         if self.salp:
             slot = slot.slot(subarray)  # type: ignore[union-attr]
-        bound = slot.earliest_act()  # type: ignore[union-attr]
-        if bound > earliest:
-            earliest = bound
-        last_act = self.last_act_time
-        if last_act != _FAR_PAST:
-            bound = last_act + self.timing.trrd
-            if bound > earliest:
-                earliest = bound
-        if len(self.act_history) == 4:
-            bound = self.act_history[0] + self.timing.tfaw
-            if bound > earliest:
-                earliest = bound
-        return earliest
+        earliest = slot.earliest_act()  # type: ignore[union-attr]
+        bound = self.channel_bounds()[0]
+        return bound if bound > earliest else earliest
 
     def earliest_issue(self, command: Command, honor_full_tras: bool = False) -> int:
         """Earliest cycle at which ``command`` satisfies every constraint.
@@ -283,58 +310,32 @@ class DramChannel:
         kind = command.kind
         if kind in _ACTIVATION_KINDS:
             return self.earliest_act(command.bank, command.rows[0].subarray)
-        earliest = self.cmd_bus_free
-        bound = self.ref_busy_until
-        if bound > earliest:
-            earliest = bound
+        _, rd, wr, earliest = self.channel_bounds()
         if kind is CommandKind.RD:
             bound = self._bank_slot(command).earliest_col()
-            if bound > earliest:
-                earliest = bound
-            last_rd = self.last_rd_issue
-            if last_rd != _FAR_PAST:
-                bound = last_rd + self._rd_after_rd
-                if bound > earliest:
-                    earliest = bound
-            last_wr = self.last_wr_issue
-            if last_wr != _FAR_PAST:
-                bound = last_wr + self._rd_after_wr
-                if bound > earliest:
-                    earliest = bound
+            earliest = rd
         elif kind is CommandKind.WR:
             bound = self._bank_slot(command).earliest_col()
-            if bound > earliest:
-                earliest = bound
-            last_wr = self.last_wr_issue
-            if last_wr != _FAR_PAST:
-                bound = last_wr + self._wr_after_wr
-                if bound > earliest:
-                    earliest = bound
-            last_rd = self.last_rd_issue
-            if last_rd != _FAR_PAST:
-                bound = last_rd + self._wr_after_rd
-                if bound > earliest:
-                    earliest = bound
+            earliest = wr
         elif kind is CommandKind.PRE:
             bound = self._bank_slot(command).earliest_pre(honor_full_tras)
-            if bound > earliest:
-                earliest = bound
         elif kind is CommandKind.REF:
             for bank in self.banks:
                 if bank.is_open:
                     raise ProtocolError("REF requires all banks precharged")
+            bound = earliest
             if self.salp:
                 for bank in self.banks:
                     for slot in bank.subarrays.values():  # type: ignore[union-attr]
-                        if slot.ready_act > earliest:
-                            earliest = slot.ready_act
+                        if slot.ready_act > bound:
+                            bound = slot.ready_act
             else:
                 for bank in self.banks:
-                    if bank.ready_act > earliest:  # type: ignore[union-attr]
-                        earliest = bank.ready_act
+                    if bank.ready_act > bound:  # type: ignore[union-attr]
+                        bound = bank.ready_act
         else:  # pragma: no cover - enum is exhaustive
             raise ProtocolError(f"unknown command kind {kind}")
-        return earliest
+        return bound if bound > earliest else earliest
 
     # ------------------------------------------------------------------
     # Command issue

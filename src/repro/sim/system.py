@@ -180,7 +180,8 @@ class MemoryPort:
             self.demand_misses_per_core[core_id] += 1
             self._maybe_prefetch(core_id, pc, vaddr, now)
             return "miss"
-        controller = system.controller_for(line)
+        location = system.mapper.decode(line)
+        controller = system.controllers[location.channel]
         if not controller.can_accept(RequestType.READ):
             return "stall"
         victim = system.llc.peek_victim(line)
@@ -195,7 +196,7 @@ class MemoryPort:
         request = MemRequest(
             RequestType.READ,
             line,
-            system.mapper.decode(line),
+            location,
             core_id=core_id,
             callback=self._fill_done,
         )
@@ -235,10 +236,9 @@ class MemoryPort:
         the LLC model does not carry data.
         """
         system = self.system
-        controller = system.controller_for(address)
-        request = MemRequest(
-            RequestType.WRITE, address, system.mapper.decode(address)
-        )
+        location = system.mapper.decode(address)
+        controller = system.controllers[location.channel]
+        request = MemRequest(RequestType.WRITE, address, location)
         if controller.enqueue(request, now):
             controller.next_wake = min(controller.next_wake, now)
         else:
@@ -253,14 +253,15 @@ class MemoryPort:
             line = system.vm.translate(core_id, target_vaddr) & self._line_mask
             if system.llc.contains(line) or line in self._outstanding:
                 continue
-            controller = system.controller_for(line)
+            location = system.mapper.decode(line)
+            controller = system.controllers[location.channel]
             if not controller.can_accept(RequestType.READ):
                 continue
             self._outstanding[line] = [True]
             request = MemRequest(
                 RequestType.READ,
                 line,
-                system.mapper.decode(line),
+                location,
                 core_id=core_id,
                 callback=self._fill_done,
                 is_prefetch=True,

@@ -1,5 +1,7 @@
 """Tests for the FR-FCFS / FR-FCFS-Cap scheduling policies."""
 
+import math
+
 import pytest
 
 from repro.controller import FrFcfs, FrFcfsCap, MemRequest, RequestType, Scheduler
@@ -68,3 +70,20 @@ class TestFrFcfsCap:
     def test_rejects_zero_cap(self):
         with pytest.raises(ConfigError):
             FrFcfsCap(cap=0)
+
+
+class TestHitCap:
+    def test_policies_are_their_hit_cap(self):
+        assert Scheduler().hit_cap == 0
+        assert FrFcfs().hit_cap == math.inf
+        assert FrFcfsCap(cap=3).hit_cap == 3
+
+    def test_ranked_derives_from_hit_cap(self):
+        requests = [req(i * 4096, i) for i in range(3)]
+        hits = {requests[2]}
+        scheduler = Scheduler()
+        scheduler.hit_cap = 2
+        order = ranked_list(
+            scheduler, requests, hits, streaks={requests[2]: 1}
+        )
+        assert order == [requests[2], requests[0], requests[1]]

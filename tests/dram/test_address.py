@@ -36,6 +36,15 @@ class TestDecode:
         with pytest.raises(ConfigError):
             mapper.decode(-1)
 
+    def test_address_beyond_capacity_rejected(self, mapper):
+        """Decoding must not alias an out-of-range address onto low rows."""
+        capacity = mapper.geometry.capacity_bytes
+        assert mapper.decode(capacity - 1).row == mapper.geometry.rows_per_bank - 1
+        with pytest.raises(ConfigError):
+            mapper.decode(capacity)
+        with pytest.raises(ConfigError):
+            mapper.decode(capacity + 4 * mapper.geometry.line_size_bytes)
+
 
 class TestRoundTrip:
     @given(st.integers(min_value=0, max_value=(1 << 34) - 1))
