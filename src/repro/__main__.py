@@ -9,9 +9,6 @@ Subcommands:
   figure; optionally export the registry JSON and a command trace JSONL.
 * ``campaign`` — sweep workloads × mechanisms on a parallel, cached,
   fault-tolerant worker pool (``repro.exec``) and print a result table.
-* ``cluster`` — distribute a campaign across hosts (``repro.cluster``):
-  ``serve`` a coordinator, attach pull-based ``work``-ers, ``submit``
-  extra tasks to a live campaign, and watch fleet ``status``.
 * ``check`` — run the protocol-conformance oracle (``repro.check``) over
   seeded random scenarios, one reproduced counterexample, or the perf
   matrix; exits non-zero on any violation.
@@ -204,12 +201,6 @@ def _matrix_tasks(args: argparse.Namespace, **extra_run_kwargs) -> list:
     """Build the workloads x mechanisms TaskSpec matrix from CLI args."""
     from repro.exec import TaskSpec
 
-    unknown = sorted(set(args.workload) - set(WORKLOADS))
-    if unknown:
-        raise SystemExit(
-            f"unknown workload(s): {', '.join(unknown)} "
-            f"(see: python -m repro workloads)"
-        )
     run_kwargs = dict(
         instructions=args.instructions,
         warmup_instructions=args.warmup,
@@ -292,220 +283,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"cache dir={directory}"
         )
     return 1 if failed else 0
-
-
-def _connect_endpoint(value: str) -> "tuple[str, int]":
-    """argparse type for ``--connect HOST:PORT``."""
-    host, _, port = value.rpartition(":")
-    if not port.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {value!r}"
-        )
-    return (host or "127.0.0.1", int(port))
-
-
-def _build_cluster_warm_images(state, store, prewarm_accesses: int) -> None:
-    """Build shared warm images for every forkable pending-task group."""
-    from repro.cluster.state import PENDING
-    from repro.exec.task import TaskSpec
-    from repro.snapshot.warm import build_warm_image, fork_groups
-
-    entries = [e for e in state.tasks.values() if e.state == PENDING]
-    specs = [TaskSpec.from_wire(e.wire) for e in entries]
-    for group in fork_groups(specs, prewarm_accesses):
-        image = store.warm_path(group.filename)
-        if not image.is_file():
-            if len(group.indices) < 2:
-                continue  # a lone task amortizes nothing
-            sample = specs[group.indices[0]]
-            print(
-                f"building warm image {group.filename} "
-                f"({len(group.indices)} task(s), "
-                f"{prewarm_accesses} accesses)...",
-                flush=True,
-            )
-            build_warm_image(
-                image, sample.names, sample.config, seed=sample.seed,
-                kind=sample.kind, prewarm_accesses=prewarm_accesses,
-            )
-        for index in group.indices:
-            state.set_warm(entries[index].digest, {
-                "image": group.filename,
-                "warm_digest": group.warm_digest,
-            })
-
-
-def _cmd_cluster_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    from pathlib import Path
-
-    from repro.cluster import CampaignState, Coordinator, ResultStore
-    from repro.exec import RunJournal, read_journal
-
-    store = ResultStore(args.store)
-    journal = None
-    events: list = []
-    if args.journal is not None:
-        path = Path(args.journal)
-        if path.exists():
-            events = read_journal(path)
-        journal = RunJournal(path)
-    state_kwargs = dict(
-        lease_timeout_s=args.lease_timeout,
-        max_attempts=args.retries + 1,
-        journal=journal,
-    )
-    if events:
-        state = CampaignState.replay(events, **state_kwargs)
-        counts = state.counts()
-        print(
-            f"journal replay: {len(state.tasks)} task(s) restored "
-            f"({counts['done']} done, {counts['failed']} failed)"
-        )
-    else:
-        state = CampaignState(**state_kwargs)
-    added = sum(
-        1 for spec in _matrix_tasks(args) if state.add_task(spec.to_wire())
-    )
-    if not state.tasks:
-        print(
-            "no tasks: name workloads, or point --journal at an "
-            "existing campaign journal",
-            file=sys.stderr,
-        )
-        if journal is not None:
-            journal.close()
-        return 2
-    coordinator = Coordinator(
-        state, store, host=args.host, port=args.port,
-        exit_when_done=args.exit_when_done,
-    )
-    pruned = coordinator.prune_against_store()
-    if args.fork_warm:
-        _build_cluster_warm_images(state, store, args.prewarm_accesses)
-
-    async def _serve() -> dict:
-        await coordinator.start()
-        counts = state.counts()
-        print(
-            f"coordinator on {coordinator.host}:{coordinator.port}: "
-            f"{len(state.tasks)} task(s) ({added} new, "
-            f"{counts['done']} done, {pruned} adopted from store)",
-            flush=True,
-        )
-        return await coordinator.serve()
-
-    try:
-        snapshot = asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("interrupted; the journal and store keep the campaign "
-              "resumable")
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    remaining = snapshot["pending"] + snapshot["leased"]
-    print(
-        f"campaign: {snapshot['done']}/{snapshot['total']} done, "
-        f"{snapshot['failed']} failed, steals={snapshot['steals']} "
-        f"retries={snapshot['retries']} expired={snapshot['expired']} "
-        f"late={snapshot['late_results']}"
-    )
-    return 1 if snapshot["failed"] or remaining else 0
-
-
-def _cmd_cluster_work(args: argparse.Namespace) -> int:
-    import asyncio
-    import tempfile
-
-    from repro.cluster import ClusterWorker
-    from repro.errors import ClusterError
-
-    host, port = args.connect
-    store_dir = args.store or tempfile.mkdtemp(prefix="repro-worker-")
-    worker = ClusterWorker(
-        host, port, store_dir,
-        worker_id=args.id,
-        jobs=args.jobs,
-        retries=args.retries,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        log=lambda line: print(line, flush=True),
-    )
-    try:
-        done = asyncio.run(worker.run())
-    except KeyboardInterrupt:
-        return 130
-    except ClusterError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(
-        f"worker {worker.worker_id}: delivered {done} computed + "
-        f"{worker.cached_tasks} cached result(s); store={store_dir}"
-    )
-    return 0
-
-
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cluster import get_status
-    from repro.errors import ClusterError
-
-    host, port = args.connect
-    try:
-        status = get_status(host, port, timeout_s=args.timeout)
-    except ClusterError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(status.payload, sort_keys=True, indent=2))
-    else:
-        print(status.render())
-    return 0
-
-
-def _cmd_cluster_submit(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.cluster.protocol import read_frame, send_frame
-    from repro.errors import ClusterError
-
-    host, port = args.connect
-    tasks = _matrix_tasks(args)
-
-    async def _submit() -> "dict | None":
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            await send_frame(writer, {
-                "type": "submit",
-                "tasks": [spec.to_wire() for spec in tasks],
-            })
-            return await read_frame(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    try:
-        reply = asyncio.run(_submit())
-    except (ConnectionError, OSError, ClusterError) as error:
-        print(
-            f"error: cannot reach coordinator at {host}:{port}: {error}",
-            file=sys.stderr,
-        )
-        return 1
-    if reply is None or reply.get("type") != "ack":
-        print(f"error: unexpected reply {reply!r}", file=sys.stderr)
-        return 1
-    added = reply.get("added", 0)
-    print(
-        f"submitted {len(tasks)} task(s); {added} new, "
-        f"{len(tasks) - added} already known"
-    )
-    return 0
 
 
 def _diff_values(path: str, a, b, lines: list) -> None:
@@ -1176,40 +953,6 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_matrix_args(parser, workloads_required: bool = True) -> None:
-    """Attach the shared workloads x mechanisms task-matrix options."""
-    if workloads_required:
-        parser.add_argument(
-            "workload", nargs="+", choices=sorted(WORKLOADS),
-            metavar="workload",
-        )
-    else:
-        # No ``choices`` here: argparse (< 3.12) rejects the empty
-        # default of an optional positional against them. Validated in
-        # _matrix_tasks instead.
-        parser.add_argument("workload", nargs="*", metavar="workload")
-    parser.add_argument(
-        "--mechanisms", nargs="+", default=["baseline", "crow-cache"],
-        metavar="MECH",
-        help="mechanisms to sweep (default: baseline crow-cache; "
-             "`repro mechanisms` lists the registry)",
-    )
-    parser.add_argument(
-        "--mix", action="store_true",
-        help="treat the workload list as one multiprogrammed mix "
-             "(default: one single-core task per workload)",
-    )
-    parser.add_argument(
-        "--telemetry", action="store_true",
-        help="collect telemetry per task (digests appear in the journal)",
-    )
-    parser.add_argument("--instructions", type=int, default=40_000)
-    parser.add_argument("--warmup", type=int, default=15_000)
-    parser.add_argument("--density", type=int, default=8,
-                        choices=(8, 16, 32, 64))
-    parser.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the CLI."""
     parser = argparse.ArgumentParser(
@@ -1275,7 +1018,29 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a workloads x mechanisms sweep on a parallel worker pool",
     )
-    _add_matrix_args(camp)
+    camp.add_argument(
+        "workload", nargs="+", choices=sorted(WORKLOADS), metavar="workload",
+    )
+    camp.add_argument(
+        "--mechanisms", nargs="+", default=["baseline", "crow-cache"],
+        metavar="MECH",
+        help="mechanisms to sweep (default: baseline crow-cache; "
+             "`repro mechanisms` lists the registry)",
+    )
+    camp.add_argument(
+        "--mix", action="store_true",
+        help="treat the workload list as one multiprogrammed mix "
+             "(default: one single-core task per workload)",
+    )
+    camp.add_argument(
+        "--telemetry", action="store_true",
+        help="collect telemetry per task (digests appear in the journal)",
+    )
+    camp.add_argument("--instructions", type=int, default=40_000)
+    camp.add_argument("--warmup", type=int, default=15_000)
+    camp.add_argument("--density", type=int, default=8,
+                      choices=(8, 16, 32, 64))
+    camp.add_argument("--seed", type=int, default=0)
     camp.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (default: CPU count; 1 = serial in-process)",
@@ -1311,121 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
              "DIR (functional warm-up runs once per config prefix)",
     )
     camp.set_defaults(func=_cmd_campaign)
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="distribute a campaign across hosts: coordinator, "
-             "pull-based workers, live fleet status",
-    )
-    csub = cluster.add_subparsers(dest="action", required=True)
-
-    serve = csub.add_parser(
-        "serve",
-        help="own a campaign: journal its state, lease tasks to workers",
-    )
-    _add_matrix_args(serve, workloads_required=False)
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="listen address (default: 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=0,
-        help="listen port (default: 0 = pick a free port and print it)",
-    )
-    serve.add_argument(
-        "--store", required=True, metavar="DIR",
-        help="content-addressed result + warm-image store",
-    )
-    serve.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="JSONL campaign journal; an existing file is replayed so a "
-             "restarted coordinator resumes where it died",
-    )
-    serve.add_argument(
-        "--lease-timeout", type=float, default=15.0, metavar="SECONDS",
-        help="revoke a lease whose heartbeat is older than this "
-             "(default: 15)",
-    )
-    serve.add_argument(
-        "--retries", type=int, default=2,
-        help="extra attempts per task after a failure (default: 2)",
-    )
-    serve.add_argument(
-        "--exit-when-done", action="store_true",
-        help="stop serving once every task is done or failed",
-    )
-    serve.add_argument(
-        "--fork-warm", action="store_true",
-        help="build shared warm images into the store; workers fork "
-             "mechanism variants from them instead of re-warming",
-    )
-    serve.add_argument(
-        "--prewarm-accesses", type=int, default=200_000, metavar="N",
-        help="functional pre-warm length for --fork-warm "
-             "(default: 200000)",
-    )
-    serve.set_defaults(func=_cmd_cluster_serve)
-
-    work = csub.add_parser(
-        "work", help="pull and execute leases from a coordinator"
-    )
-    work.add_argument(
-        "--connect", type=_connect_endpoint, required=True,
-        metavar="HOST:PORT", help="coordinator endpoint",
-    )
-    work.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="local result cache (default: fresh temp dir); point "
-             "workers on one host at the same DIR to share results",
-    )
-    work.add_argument(
-        "--id", default=None, metavar="NAME",
-        help="worker name in fleet status (default: <hostname>-<pid>)",
-    )
-    work.add_argument(
-        "--jobs", type=int, default=1,
-        help="runner slots (default: 1 = in-process execution)",
-    )
-    work.add_argument(
-        "--retries", type=int, default=0,
-        help="local attempts before reporting failure (default: 0 — "
-             "the coordinator already retries across the fleet)",
-    )
-    work.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="checkpoint running tasks into DIR; re-leased tasks "
-             "resume from the latest checkpoint on this host",
-    )
-    work.add_argument(
-        "--checkpoint-every", type=int, default=50_000, metavar="CYCLES",
-        help="checkpoint cadence in memory cycles (default: 50000)",
-    )
-    work.set_defaults(func=_cmd_cluster_work)
-
-    status = csub.add_parser(
-        "status", help="print a live fleet + campaign status report"
-    )
-    status.add_argument(
-        "--connect", type=_connect_endpoint, required=True,
-        metavar="HOST:PORT", help="coordinator endpoint",
-    )
-    status.add_argument(
-        "--timeout", type=float, default=5.0, metavar="SECONDS",
-        help="status fetch timeout (default: 5)",
-    )
-    status.add_argument(
-        "--json", action="store_true",
-        help="print the raw status payload as JSON",
-    )
-    status.set_defaults(func=_cmd_cluster_status)
-
-    submit = csub.add_parser(
-        "submit", help="add a task matrix to a running campaign"
-    )
-    submit.add_argument(
-        "--connect", type=_connect_endpoint, required=True,
-        metavar="HOST:PORT", help="coordinator endpoint",
-    )
-    _add_matrix_args(submit)
-    submit.set_defaults(func=_cmd_cluster_submit)
 
     snap = sub.add_parser(
         "snapshot",

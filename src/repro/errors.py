@@ -15,8 +15,6 @@ __all__ = [
     "ConformanceError",
     "ProbeError",
     "SnapshotError",
-    "ClusterError",
-    "StoreMismatchError",
     "EstimateError",
 ]
 
@@ -110,18 +108,6 @@ class SnapshotError(ReproError):
     """
 
 
-class ClusterError(ReproError):
-    """A distributed-campaign operation failed.
-
-    Raised by :mod:`repro.cluster` for malformed or oversized wire
-    frames, unknown message types, wire payloads whose content digest
-    does not match their claimed task identity, and store entries that
-    cannot be served. Protocol-*content* disagreements between two
-    computations of the same task raise the stricter
-    :class:`StoreMismatchError` instead.
-    """
-
-
 class EstimateError(ReproError):
     """An energy/area estimation query could not be served.
 
@@ -139,25 +125,3 @@ class EstimateError(ReproError):
         super().__init__(message)
         self.query = query
         self.reasons = tuple(reasons)
-
-
-class StoreMismatchError(ClusterError):
-    """Two results for the same task digest disagree.
-
-    The content-addressed store never silently overwrites: when a newly
-    computed result's telemetry digest differs from an already-cached
-    copy under the same task digest, determinism itself is broken
-    (corrupt cache, diverging simulator builds across the fleet) and the
-    conflict surfaces as this structured error. ``task_digest``,
-    ``cached`` and ``computed`` carry the two fingerprints.
-    """
-
-    def __init__(self, task_digest: str, cached, computed) -> None:
-        super().__init__(
-            f"result conflict for task {task_digest}: cached telemetry "
-            f"digest {cached!r} != newly computed {computed!r}; refusing "
-            "to overwrite"
-        )
-        self.task_digest = task_digest
-        self.cached = cached
-        self.computed = computed

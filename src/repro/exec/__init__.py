@@ -14,8 +14,10 @@ into first-class campaigns:
   engine events;
 * :class:`ParallelCampaign` — the runner composed with the
   :class:`~repro.sim.campaign.Campaign` disk cache: hits are read back,
-  only misses reach the pool, and results are byte-identical to a serial
-  run.
+  only misses reach the pool, and results (and their telemetry
+  digests) are identical to a serial run's. Cache files need not be
+  byte-identical: a result that crosses the process boundary is pickled
+  again.
 
 Quickstart::
 

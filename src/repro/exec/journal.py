@@ -6,8 +6,7 @@ The format is append-only and durable per event — by default each record
 is flushed *and fsynced*, so a journal survives not just a killed
 campaign process but a host power loss, and tells you exactly how far
 the run got; it is also the machine-readable record later tooling
-(dashboards, flaky-task triage, the cluster coordinator's replay)
-consumes.
+(dashboards, flaky-task triage) consumes.
 
 Two scale options relax the defaults for million-record campaigns, both
 opt-in and both round-trippable through :func:`read_journal`:

@@ -180,8 +180,8 @@ class ParallelCampaign:
         forks from that image instead of re-warming. A ``warm_fork``
         journal event records the image, the build wall-clock and the
         fork count. Groups of one spec with no pre-built image gain
-        nothing from forking and run cold. Results are byte-identical to
-        :meth:`run` either way.
+        nothing from forking and run cold. Results and telemetry digests
+        are identical to :meth:`run`'s either way.
         """
         import dataclasses
 

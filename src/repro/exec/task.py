@@ -11,8 +11,6 @@ all agree on task identity.
 
 from __future__ import annotations
 
-import base64
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -36,8 +34,8 @@ class TaskSpec:
     #: Kinds this spec class accepts; subclasses (e.g. probe campaigns)
     #: narrow it to their own kind namespace.
     VALID_KINDS: ClassVar[tuple[str, ...]] = KINDS
-    #: Result type tasks of this class produce; the campaign cache and
-    #: the cluster store validate entries against it.
+    #: Result type tasks of this class produce; the campaign cache
+    #: validates entries against it.
     result_type: ClassVar[type] = SimResult
 
     kind: str                      # 'wl' (single-core) or 'mix'
@@ -63,6 +61,12 @@ class TaskSpec:
             raise ConfigError("a task needs at least one workload name")
         if self.kind == "wl" and len(self.names) != 1:
             raise ConfigError("'wl' tasks take exactly one workload name")
+        # System.run's rule, applied here so a campaign rejects a spec
+        # that can never succeed before any worker starts.
+        if self.kind in KINDS and (
+            self.instructions < 1 or self.warmup_instructions < 0
+        ):
+            raise ConfigError("invalid instruction counts")
         object.__setattr__(self, "names", tuple(self.names))
         # Paths must be plain strings: specs are pickled across process
         # boundaries and compared by value.
@@ -140,41 +144,6 @@ class TaskSpec:
             self.kind, self.names, self.config, self.instructions,
             self.warmup_instructions, self.seed,
         )
-
-    def to_wire(self) -> dict:
-        """JSON-safe wire form of this spec (cluster lease frames).
-
-        The pickled spec rides base64-encoded next to its content
-        digest; :meth:`from_wire` recomputes the digest on the far side,
-        so a corrupted or tampered payload can never masquerade as a
-        different task. Execution-plumbing fields (``warm_image``,
-        ``checkpoint_dir``) travel too but are digest-exempt, exactly as
-        they are locally.
-        """
-        return {
-            "digest": self.digest(),
-            "label": self.label,
-            "spec": base64.b64encode(pickle.dumps(self)).decode("ascii"),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "TaskSpec":
-        """Rebuild a spec from :meth:`to_wire`, verifying its digest."""
-        try:
-            spec = pickle.loads(base64.b64decode(wire["spec"]))
-        except Exception as exc:
-            raise ConfigError(f"undecodable task wire payload: {exc}")
-        if not isinstance(spec, cls):
-            raise ConfigError(
-                f"task wire payload is a {type(spec).__name__}, "
-                "not a TaskSpec"
-            )
-        if spec.digest() != wire.get("digest"):
-            raise ConfigError(
-                f"task wire digest mismatch: payload is "
-                f"{spec.digest()}, frame claims {wire.get('digest')!r}"
-            )
-        return spec
 
     def checkpoint_path(self) -> "Path | None":
         """Where this task's periodic checkpoint lives (digest-named)."""

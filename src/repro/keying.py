@@ -1,7 +1,7 @@
 """Stable content-keying helpers shared by every cache layer.
 
-Result caches (:mod:`repro.sim.campaign`), the cluster store and the
-estimator record cache (:mod:`repro.estimate`) all key entries by a
+The result cache (:mod:`repro.sim.campaign`) and the estimator record
+cache (:mod:`repro.estimate`) both key entries by a
 digest of a *value projection* of their inputs. The projection lives
 here, below all of them, so the layers cannot drift: a value that is
 safe to key in one cache is safe in every cache, and a value with no

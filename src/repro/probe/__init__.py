@@ -18,7 +18,7 @@ Layers:
 * :mod:`repro.probe.infer` — :class:`InferredProfile` (per-parameter
   confidence classes) and the structured ground-truth diff.
 * :mod:`repro.probe.campaign` — content-digested probe tasks that ride
-  the :mod:`repro.exec` cache and :mod:`repro.cluster` distribution.
+  the :mod:`repro.exec` cache.
 """
 
 from repro.probe.campaign import ProbeResult, ProbeSpec

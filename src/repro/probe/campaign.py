@@ -3,10 +3,9 @@
 A :class:`ProbeSpec` is a :class:`~repro.exec.task.TaskSpec` whose
 ``run()`` performs structure inference instead of a simulation, so probe
 campaigns ride the whole execution stack unchanged: the
-:class:`~repro.exec.parallel.ParallelCampaign` disk cache, the run
-journal, and :mod:`repro.cluster` distribution (specs pickle through the
-wire frames; the content digest folds in the probe-only fields, so a
-probe of channel 1 or a shadow-less probe can never alias a different
+:class:`~repro.exec.parallel.ParallelCampaign` disk cache and the run
+journal (the content digest folds in the probe-only fields, so a probe
+of channel 1 or a shadow-less probe can never alias a different
 campaign's cache entry).
 """
 
@@ -34,8 +33,7 @@ class ProbeResult:
     the session's command-budget telemetry export — the same
     ``telemetry``/``telemetry_digest()`` surface as
     :class:`~repro.sim.metrics.SimResult`, which is what the journal's
-    ``task_telemetry`` events and the cluster store's conflict checks
-    key on.
+    ``task_telemetry`` events key on.
     """
 
     profile: InferredProfile

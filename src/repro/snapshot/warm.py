@@ -66,9 +66,8 @@ class ForkGroup:
     """Specs that can fork from one shared warm image.
 
     ``name`` is the content-derived image file stem (callers append
-    ``.warm`` and a directory); local forking and the cluster's remote
-    warm-image transfer both address images by it, so an image built
-    anywhere in a fleet serves every compatible spec everywhere.
+    ``.warm`` and a directory), so one image serves every compatible
+    spec.
     """
 
     name: str                  # image file stem (hash of the group key)

@@ -1,12 +1,11 @@
-"""Headline telemetry summaries for journals and wire frames.
+"""Headline telemetry summaries for journals.
 
 A full telemetry export is large (every counter, histogram bucket and
-epoch sample in the system). Journals and cluster result frames want the
-opposite: a few headline fields plus the content digest that fingerprints
-the rest. :func:`headline_summary` is that projection, shared by
-:class:`~repro.exec.parallel.ParallelCampaign` (the ``task_telemetry``
-journal event) and the cluster worker's result frames, so local and
-distributed campaigns journal byte-identical summaries for the same run.
+epoch sample in the system). A journal wants the opposite: a few
+headline fields plus the content digest that fingerprints the rest.
+:func:`headline_summary` is that projection, used by
+:class:`~repro.exec.parallel.ParallelCampaign` for the
+``task_telemetry`` journal event.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The weak-row sets are the ground truth for CROW-ref remapping, the
 conformance checker's weak-row rules and the probe retention scans — if
-two processes (a coordinator and a worker, or two fleet nodes) derived
+two processes (a campaign and one of its pool workers) derived
 different sets from the same seed, every one of those layers would
 silently diverge. These tests pin the guarantee at the process boundary:
 a *fresh interpreter* must reproduce ``weak_set_digest`` byte-for-byte,

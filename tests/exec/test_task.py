@@ -28,6 +28,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TaskSpec(kind="wl", names=("libq", "mcf"))
 
+    @pytest.mark.parametrize("run", [
+        dict(instructions=0, warmup_instructions=0),
+        dict(instructions=1_000, warmup_instructions=-1),
+    ])
+    def test_invalid_run_lengths_rejected(self, run):
+        with pytest.raises(ConfigError, match="invalid instruction counts"):
+            TaskSpec.workload("libq", **run)
+        with pytest.raises(ConfigError, match="invalid instruction counts"):
+            TaskSpec.mix(["libq", "mcf"], **run)
+
     def test_names_normalized_to_tuple(self):
         spec = TaskSpec.mix(["libq", "mcf"])
         assert spec.names == ("libq", "mcf")

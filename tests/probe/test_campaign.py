@@ -1,10 +1,10 @@
-"""ProbeSpec through the execution stack: digests, cache, wire, store."""
+"""ProbeSpec through the execution stack: digests, execution, cache."""
 
 import pickle
 
 import pytest
 
-from repro.errors import ClusterError, ConfigError
+from repro.errors import ConfigError
 from repro.exec.parallel import ParallelCampaign
 from repro.probe.campaign import ProbeResult, ProbeSpec, execute_probe
 
@@ -48,13 +48,6 @@ class TestIdentity:
         with pytest.raises(ConfigError):
             spec_for(channel=-1)
 
-    def test_wire_round_trip_preserves_class_and_digest(self):
-        spec = spec_for("crow-cache", probe_banks=(0, 1))
-        rebuilt = ProbeSpec.from_wire(spec.to_wire())
-        assert isinstance(rebuilt, ProbeSpec)
-        assert rebuilt.digest() == spec.digest()
-        assert rebuilt.probe_banks == (0, 1)
-
 
 class TestExecution:
     def test_run_produces_verified_result(self):
@@ -88,26 +81,3 @@ class TestExecution:
             second.result.telemetry_digest()
             == first.result.telemetry_digest()
         )
-
-
-class TestResultStore:
-    def test_put_get_round_trip(self, tmp_path):
-        from repro.cluster.store import ResultStore
-
-        spec = spec_for(probe_banks=(0,))
-        result = spec.run()
-        store = ResultStore(tmp_path)
-        assert store.get_result(spec) is None
-        stored = store.put_result(spec, result)
-        assert stored.telemetry_digest() == result.telemetry_digest()
-        loaded = store.get_result(spec)
-        assert isinstance(loaded, ProbeResult)
-        assert loaded.telemetry_digest() == result.telemetry_digest()
-
-    def test_store_rejects_foreign_result_type(self, tmp_path):
-        from repro.cluster.store import ResultStore
-
-        spec = spec_for()
-        store = ResultStore(tmp_path)
-        with pytest.raises(ClusterError):
-            store.put_result(spec, object())

@@ -142,6 +142,19 @@ class TestCampaignCommand:
         assert "unknown mechanism 'magic'" in err
         assert "registered mechanisms" in err
 
+    def test_rejects_invalid_run_lengths_before_starting(
+        self, capsys, tmp_path
+    ):
+        journal = tmp_path / "journal.jsonl"
+        code = main([
+            "campaign", "libq", "--instructions", "0",
+            "--jobs", "2", "--retries", "2",
+            "--cache-dir", str(tmp_path), "--journal", str(journal),
+        ])
+        assert code == 2
+        assert "invalid instruction counts" in capsys.readouterr().err
+        assert not journal.exists()  # no pool, no attempts
+
     def test_serial_campaign(self, capsys, tmp_path):
         code = main([
             "campaign", "libq", "--jobs", "1",
