@@ -1,8 +1,8 @@
 """Shadow DRAM/CROW protocol-conformance oracle.
 
 :class:`ProtocolChecker` observes every :class:`~repro.dram.commands.Command`
-a channel issues (via the same observer tap the telemetry
-:class:`~repro.telemetry.EventTrace` uses) and independently re-derives,
+a channel issues (``observe`` is attached to the channel's observer bus,
+:meth:`~repro.dram.device.DramChannel.attach`) and independently re-derives,
 from the JEDEC-style timing parameters and the paper's CROW rules, whether
 each command was legal. It deliberately shares **no scheduling or
 earliest-issue code** with :mod:`repro.controller` or
@@ -143,6 +143,9 @@ class ProtocolChecker:
         self.mode = mode
         self.max_violations = max_violations
         self.report = CheckReport()
+        #: End cycle of the last :meth:`finalize` (wiring, not state: a
+        #: restored checker finalizes afresh).
+        self._finalized_at: int | None = None
 
         self._base = ActTimings(
             trcd=timing.trcd,
@@ -670,6 +673,7 @@ class ProtocolChecker:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self._finalized_at = None
         self._slots = {}
         for key, slot_state in state["slots"].items():
             slot = _ShadowSlot()
@@ -708,7 +712,12 @@ class ProtocolChecker:
         ``end_cycle`` elapsed cycles the stream must contain at least
         ``end_cycle / tREFI`` REF commands, minus the JEDEC postponement
         allowance — otherwise some rows outlive their refresh window.
+        A repeat call at the same ``end_cycle`` returns the report
+        unchanged; a later ``end_cycle`` checks again.
         """
+        if end_cycle == self._finalized_at:
+            return self.report
+        self._finalized_at = end_cycle
         if self.expect_refresh:
             required = end_cycle // self.timing.trefi - REFRESH_POSTPONE_SLACK
             if self._refs_seen < required:

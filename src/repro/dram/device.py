@@ -104,56 +104,30 @@ class DramChannel:
         # Statistics (consumed by the energy model and the metrics layer).
         self.counts = {kind: 0 for kind in CommandKind}
         self.busy_reads = 0
-        #: Optional command-stream recorder (repro.validation), telemetry
-        #: ring buffer (repro.telemetry.EventTrace) and conformance
-        #: checker (repro.check.ProtocolChecker).
-        #: Attach observers via plain assignment; the issue path checks
-        #: one combined ``_observed`` flag (the None-guards are hoisted
-        #: out of the per-command hot loop into the setters).
-        self._recorder = None
-        self._trace = None
-        self._checker = None
-        self._observed = False
+        #: Command observers, called ``observer(now, command)`` in attach
+        #: order after every accepted command (telemetry's
+        #: ``EventTrace.record_command``, the shadow
+        #: ``ProtocolChecker.observe``, test logs). The issue path tests
+        #: this one tuple, so an unobserved channel pays one attribute
+        #: test per command.
+        self._observers: tuple = ()
 
     # ------------------------------------------------------------------
-    # Observer hooks (telemetry / validation)
+    # Command observers
     # ------------------------------------------------------------------
-    @property
-    def recorder(self):
-        """Optional :class:`repro.validation.CommandRecorder`."""
-        return self._recorder
+    def attach(self, observer) -> None:
+        """Call ``observer(now, command)`` after every accepted command.
 
-    @recorder.setter
-    def recorder(self, value) -> None:
-        self._recorder = value
-        self._refresh_observed()
+        Observers fire in attach order; a command the device rejects
+        reaches none of them.
+        """
+        self._observers += (observer,)
 
-    @property
-    def trace(self):
-        """Optional :class:`repro.telemetry.EventTrace` ring buffer."""
-        return self._trace
-
-    @trace.setter
-    def trace(self, value) -> None:
-        self._trace = value
-        self._refresh_observed()
-
-    @property
-    def checker(self):
-        """Optional :class:`repro.check.ProtocolChecker` shadow oracle."""
-        return self._checker
-
-    @checker.setter
-    def checker(self, value) -> None:
-        self._checker = value
-        self._refresh_observed()
-
-    def _refresh_observed(self) -> None:
-        self._observed = (
-            self._recorder is not None
-            or self._trace is not None
-            or self._checker is not None
-        )
+    def detach(self, observer) -> None:
+        """Remove one attachment of ``observer`` (ValueError if absent)."""
+        observers = list(self._observers)
+        observers.remove(observer)
+        self._observers = tuple(observers)
 
     # ------------------------------------------------------------------
     # Bank access helpers
@@ -403,13 +377,9 @@ class DramChannel:
         # CROW commands carry an extra copy-row address cycle (footnote 3).
         bus_cycles = 2 if kind in (CommandKind.ACT_C, CommandKind.ACT_T) else 1
         self.cmd_bus_free = now + bus_cycles
-        if self._observed:
-            if self._recorder is not None:
-                self._recorder.record(now, command)
-            if self._trace is not None:
-                self._trace.record_command(now, command)
-            if self._checker is not None:
-                self._checker.observe(now, command)
+        if self._observers:
+            for observer in self._observers:
+                observer(now, command)
         return result
 
     def _advance_refresh_cursor(self) -> range:
@@ -428,8 +398,8 @@ class DramChannel:
     def state_dict(self) -> dict:
         """All mutable channel/rank/bank state.
 
-        Observers (recorder/trace/checker) are wiring, not state: they are
-        re-attached by ``System`` construction and carry their own state.
+        Observers are wiring, not state: ``System`` construction
+        re-attaches them, and each carries its own state.
         """
         return {
             "banks": [bank.state_dict() for bank in self.banks],

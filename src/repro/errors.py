@@ -102,9 +102,9 @@ class SnapshotError(ReproError):
 
     Raised by :mod:`repro.snapshot` for corrupt or truncated containers,
     format-version mismatches, and system configurations that cannot be
-    serialized (functional cell arrays, command recorders, traces without
-    provenance). Configuration *incompatibility* between a snapshot and
-    the system restoring it raises :class:`ConfigError` instead.
+    serialized (functional cell arrays, traces without provenance).
+    Configuration *incompatibility* between a snapshot and the system
+    restoring it raises :class:`ConfigError` instead.
     """
 
 

@@ -122,41 +122,14 @@ class ProbeSession:
         self.device = DramChannel(
             self.geometry, self.timing, salp_subarrays=salp_subarrays
         )
-        self.checker = None
-        if shadow:
-            from repro.check import ProtocolChecker
-
-            refresh_enabled = (
-                config.refresh_enabled
-                and plugin.uses_controller_refresh(config)
+        self.checker = (
+            factory.build_checker(
+                config, self.device, self.mechanism, mechanism_retention,
+                channel, "strict",
             )
-            extended = (
-                self.timing.refresh_window_ms > config.refresh_window_ms
-            )
-            invariant = plugin.checker_invariant(
-                config, self.geometry, self.timing
-            )
-            self.checker = ProtocolChecker(
-                self.geometry,
-                self.timing,
-                salp=salp_subarrays is not None,
-                expect_refresh=refresh_enabled,
-                extended_refresh=extended,
-                weak_rows=(
-                    factory.weak_row_set(
-                        mechanism_retention, self.geometry, channel
-                    )
-                    if extended
-                    else ()
-                ),
-                assume_ideal_duplicates=plugin.assume_ideal_duplicates(
-                    config
-                ),
-                invariants=() if invariant is None else (invariant,),
-                mode="strict",
-            )
-            factory.seed_checker_remaps(self.checker, self.mechanism)
-            self.device.checker = self.checker
+            if shadow
+            else None
+        )
         self.now = 0
         self.stats = StatRegistry()
         probe = self.stats.group("probe")

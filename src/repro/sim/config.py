@@ -91,9 +91,6 @@ class SystemConfig:
     check_mode: str = "strict"
     # --- misc ------------------------------------------------------------
     functional_cells: bool = False
-    #: Attach a repro.validation.CommandRecorder to every channel, so the
-    #: full command stream can be replayed/validated after the run.
-    record_commands: bool = False
     seed: int = 1
     #: Inert: the simulator has one timed loop and one pre-warm, and
     #: this field selects nothing. It is kept (validated against

@@ -5,16 +5,22 @@
 :class:`~repro.sim.config.SystemConfig` — same resolved geometry, same
 base and CROW timing parameters, same retention model, same mechanism
 (whose boot-time work, e.g. CROW-ref weak-row remapping, defines the
-device's power-on state), and same shadow-checker seeding. These helpers
+device's power-on state), and the same shadow checker. These helpers
 are that single construction path, factored out of ``System.__init__``
 so the probe session cannot drift from the simulator proper.
 """
 
 from __future__ import annotations
 
+from repro.check import ProtocolChecker
 from repro.controller.mechanism import Mechanism
 from repro.circuit import derive_crow_timing_factors
-from repro.dram import CrowTimings, RetentionModel, TimingParameters
+from repro.dram import (
+    CrowTimings,
+    DramChannel,
+    RetentionModel,
+    TimingParameters,
+)
 from repro.dram.geometry import DramGeometry
 from repro.mech import BuildContext, get_plugin
 from repro.sim.config import SystemConfig
@@ -27,7 +33,7 @@ __all__ = [
     "build_mechanism",
     "final_timing",
     "weak_row_set",
-    "seed_checker_remaps",
+    "build_checker",
 ]
 
 
@@ -140,9 +146,43 @@ def weak_row_set(
     return weak
 
 
-def seed_checker_remaps(checker, mechanism: Mechanism) -> None:
-    """Register boot-time weak-row remaps (CROW-ref / RowHammer) so the
-    checker accepts plain activations of the serving copy rows."""
+def build_checker(
+    config: SystemConfig,
+    device: DramChannel,
+    mechanism: Mechanism,
+    retention: RetentionModel | None,
+    channel: int,
+    mode: str,
+) -> ProtocolChecker:
+    """Build the shadow checker of one channel and attach it to ``device``.
+
+    The checker mirrors the device's SALP layout and the config's
+    refresh expectation, checks the weak rows of ``retention`` while the
+    mechanism's extended refresh window is in effect, and carries the
+    plugin's invariant. Boot-time weak-row remaps (CROW-ref / RowHammer)
+    are seeded, so plain activations of the serving copy rows are legal.
+    Each call builds a fresh invariant: invariants carry mutable shadow
+    state, one checker each.
+    """
+    plugin = get_plugin(config.mechanism)
+    geometry, timing = device.geometry, device.timing
+    extended = timing.refresh_window_ms > config.refresh_window_ms
+    invariant = plugin.checker_invariant(config, geometry, timing)
+    checker = ProtocolChecker(
+        geometry,
+        timing,
+        salp=device.salp,
+        expect_refresh=(
+            config.refresh_enabled and plugin.uses_controller_refresh(config)
+        ),
+        extended_refresh=extended,
+        weak_rows=(
+            weak_row_set(retention, geometry, channel) if extended else ()
+        ),
+        assume_ideal_duplicates=plugin.assume_ideal_duplicates(config),
+        invariants=() if invariant is None else (invariant,),
+        mode=mode,
+    )
     components = (
         mechanism,
         getattr(mechanism, "ref", None),
@@ -153,3 +193,5 @@ def seed_checker_remaps(checker, mechanism: Mechanism) -> None:
         if isinstance(remap, dict):
             for (bank, bank_row), copy in remap.items():
                 checker.seed_remap(bank, bank_row, copy)
+    device.attach(checker.observe)
+    return checker

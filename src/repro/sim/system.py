@@ -360,44 +360,6 @@ class System:
                     cell_array=cell_array,
                 )
             )
-        self.recorders = []
-        if config.record_commands:
-            from repro.validation import CommandRecorder
-
-            for channel in self.channels:
-                recorder = CommandRecorder()
-                channel.recorder = recorder
-                self.recorders.append(recorder)
-        self.checkers = []
-        if config.check:
-            from repro.check import ProtocolChecker
-
-            extended = self.timing.refresh_window_ms > config.refresh_window_ms
-            ideal = plugin.assume_ideal_duplicates(config)
-            for ch, channel in enumerate(self.channels):
-                # Fresh invariant per channel: invariants carry mutable
-                # shadow state, one checker each.
-                invariant = plugin.checker_invariant(
-                    config, self.geometry, self.timing
-                )
-                checker = ProtocolChecker(
-                    self.geometry,
-                    self.timing,
-                    salp=salp_subarrays is not None,
-                    expect_refresh=refresh_enabled,
-                    extended_refresh=extended,
-                    weak_rows=(
-                        factory.weak_row_set(self.retention, self.geometry, ch)
-                        if extended
-                        else ()
-                    ),
-                    assume_ideal_duplicates=ideal,
-                    invariants=() if invariant is None else (invariant,),
-                    mode=config.check_mode,
-                )
-                factory.seed_checker_remaps(checker, self.mechanisms[ch])
-                channel.checker = checker
-                self.checkers.append(checker)
         self.events = _EventQueue()
         controller_config = plugin.controller_config(config, config.controller)
         self.controllers = [
@@ -440,6 +402,21 @@ class System:
                 epoch_cycles=config.telemetry_epoch_cycles,
                 trace_capacity=config.telemetry_trace_capacity,
             )
+        # Checkers attach after the telemetry trace, so a strict-mode
+        # violation's offending command is already in the trace.
+        self.checkers = (
+            [
+                factory.build_checker(
+                    config, channel, mechanism, self.retention, ch,
+                    config.check_mode,
+                )
+                for ch, (channel, mechanism) in enumerate(
+                    zip(self.channels, self.mechanisms)
+                )
+            ]
+            if config.check
+            else []
+        )
         self._measure_start: int | None = None
         # Flat wake-source tuple for the timed loop: the component set is
         # fixed after construction, so the per-step candidate list is
@@ -808,11 +785,6 @@ class System:
             raise SnapshotError(
                 "functional cell arrays are not snapshot-serializable; "
                 "run with functional_cells=False to checkpoint"
-            )
-        if self.config.record_commands:
-            raise SnapshotError(
-                "command recorders are not snapshot-serializable; run "
-                "with record_commands=False to checkpoint"
             )
         for core in self.cores:
             if not isinstance(core.trace, TraceStream):

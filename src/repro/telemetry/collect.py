@@ -86,7 +86,7 @@ class SystemTelemetry:
             self.latency_hists.append(hist)
         if self.trace is not None:
             for channel in system.channels:
-                channel.trace = self.trace
+                channel.attach(self.trace.record_command)
 
         # Epoch time series.
         epochs = self.registry.group("epochs")

@@ -4,8 +4,9 @@
 events — ``(tick, command kind, bank, rows, detail)`` — cheap enough to
 leave attached during full runs: recording is one tuple append plus an
 index increment, and when the ring wraps, old events are overwritten
-(``dropped`` counts them). A trace is **zero-cost when disabled**: the
-channel/controller hooks hold ``None`` and never construct events.
+(``dropped`` counts them). A trace is **zero-cost when disabled**:
+nothing is attached to the channel's observer bus and no event is
+constructed.
 
 The ``detail`` slot carries the mechanism decision for activations
 (``ACT`` = conventional, ``ACT_T`` = CROW-table hit pair-activation,
@@ -60,7 +61,7 @@ class EventTrace:
         return f"s{row.subarray}:{kind}{row.index}"
 
     def record_command(self, now: int, command) -> None:
-        """Adapter for the ``DramChannel`` recorder-style hook."""
+        """``DramChannel`` command observer (see ``DramChannel.attach``)."""
         rows = getattr(command, "rows", None)
         row = None
         detail = None

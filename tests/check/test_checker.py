@@ -225,6 +225,18 @@ class TestTimingConstraints:
             v.constraint for v in report.violations
         ]
 
+    def test_repeat_finalize_adds_nothing(self):
+        """A second finalize at the same end cycle (System.check_report
+        called twice) must not double-count; a later one re-checks."""
+        c = ProtocolChecker(GEO, T, mode="report", expect_refresh=True)
+        c.observe(T.trefi, ref())
+        c.finalize(20 * T.trefi)
+        report = c.finalize(20 * T.trefi)
+        assert constraints(c) == ["refresh-coverage"]
+        assert report.total_violations == 1
+        c.finalize(30 * T.trefi)
+        assert constraints(c) == ["refresh-coverage"] * 2
+
     def test_refresh_coverage_satisfied(self):
         c = ProtocolChecker(GEO, T, mode="report", expect_refresh=True)
         for i in range(1, 20):

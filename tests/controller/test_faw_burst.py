@@ -17,7 +17,6 @@ from repro.controller import ChannelController, ControllerConfig
 from repro.dram import DramChannel, DramGeometry, TimingParameters
 from repro.dram.commands import CommandKind
 from repro.errors import ConformanceError
-from repro.validation import CommandRecorder
 
 from tests.controller.test_controller import (
     channel0_address,
@@ -34,10 +33,10 @@ BURST_TIMING = replace(TIMING, tfaw=TIMING.tfaw + 16)
 
 
 def run_burst(banks=5):
-    """Enqueue one read per bank at cycle 0; return the recorder."""
+    """Enqueue one read per bank at cycle 0; return the command log."""
     channel = DramChannel(GEO, BURST_TIMING)
-    recorder = CommandRecorder()
-    channel.recorder = recorder
+    log = []
+    channel.attach(lambda cycle, command: log.append((cycle, command)))
     controller = ChannelController(
         channel, config=ControllerConfig(), refresh_enabled=False
     )
@@ -46,13 +45,13 @@ def run_burst(banks=5):
             make_request(channel0_address(row=3, bank=bank)), 0
         )
     run_until_drained(controller)
-    return recorder
+    return log
 
 
-def act_times(recorder):
+def act_times(log):
     return [
         cycle
-        for cycle, command in recorder
+        for cycle, command in log
         if command.kind is CommandKind.ACT
     ]
 
@@ -81,28 +80,28 @@ class TestFiveActBurst:
         assert acts[4] - acts[0] == BURST_TIMING.tfaw
 
     def test_checker_cross_validates_the_stream(self):
-        """The recorded burst replays violation-free through the
+        """The logged burst replays violation-free through the
         independent shadow checker."""
-        recorder = run_burst()
+        log = run_burst()
         checker = ProtocolChecker(
             GEO, BURST_TIMING, expect_refresh=False, mode="strict"
         )
-        for cycle, command in recorder:
+        for cycle, command in log:
             checker.observe(cycle, command)
         assert checker.report.ok
-        assert checker.report.commands == len(recorder)
+        assert checker.report.commands == len(log)
 
     def test_checker_flags_shaved_tfaw_stream(self):
         """Replaying the same stream with the fifth ACT moved one cycle
         early must trip the tFAW rule — the negative control proving the
         cross-validation has teeth."""
-        recorder = run_burst()
+        log = run_burst()
         acts_seen = 0
         checker = ProtocolChecker(
             GEO, BURST_TIMING, expect_refresh=False, mode="strict"
         )
         with pytest.raises(ConformanceError) as excinfo:
-            for cycle, command in recorder:
+            for cycle, command in log:
                 if command.kind is CommandKind.ACT:
                     acts_seen += 1
                     if acts_seen == 5:

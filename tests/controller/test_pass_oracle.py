@@ -38,7 +38,6 @@ from repro.errors import ConfigError
 from repro.mech import mechanism_names
 from repro.sim import System, SystemConfig
 from repro.trace import workload
-from repro.validation import CommandRecorder
 
 #: One channel of small banks (8 subarrays of 32 rows).
 GEOMETRY = DramGeometry(channels=1, rows_per_bank=256, rows_per_subarray=32)
@@ -194,13 +193,17 @@ def controller_pass(controller, queue, now):
         issue(request, *args)
 
     controller._issue_candidate = recording
-    recorder = controller.channel.recorder
-    start = len(recorder.records)
+    commands = []
+
+    def log(cycle, command):
+        commands.append(command)
+
+    controller.channel.attach(log)
     try:
         issued, earliest = controller._serve_queue(queue, now)
     finally:
+        controller.channel.detach(log)
         del controller._issue_candidate
-    commands = [command for _, command in recorder.records[start:]]
     assert issued == bool(chosen) == bool(commands)
     if not issued:
         return None, None, earliest
@@ -265,7 +268,6 @@ def test_pass_matches_reference(
     name, policy, cap, history, specs, is_write, streaks, wait, later
 ):
     controller = build(name)
-    controller.channel.recorder = CommandRecorder()
     controller.scheduler = make_scheduler(policy, cap)
     now = apply_history(controller, history) + wait
     controller.hit_streak[:] = streaks
@@ -284,7 +286,6 @@ def test_window_truncation(name, conflicts):
     returns the earliest PRE time.
     """
     controller = build(name)
-    controller.channel.recorder = CommandRecorder()
     controller.scheduler = Scheduler()
     now = apply_history(controller, [(0, "act", 0, 0)])
     # Past tRRD, before the open row's tRAS: the PREs must wait.
@@ -320,7 +321,6 @@ def test_window_truncation(name, conflicts):
 def test_readiness_memo_keeps_classes_and_slots_apart(name, opened, specs):
     """FCFS puts the waiting candidate first; the ready one must issue."""
     controller = build(name)
-    controller.channel.recorder = CommandRecorder()
     controller.scheduler = Scheduler()
     apply_history(controller, opened)
     srow = controller.mechanism.service_row(0, opened[0][3])

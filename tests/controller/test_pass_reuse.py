@@ -11,7 +11,6 @@ from repro.controller.scheduler import Scheduler
 from repro.dram import DramChannel
 from repro.sim import System, SystemConfig
 from repro.trace import workload
-from repro.validation import CommandRecorder
 
 from tests.controller.test_controller import (
     GEO,
@@ -25,14 +24,15 @@ from tests.controller.test_controller import (
 
 
 def record(channel):
-    channel.recorder = CommandRecorder()
-    return channel.recorder
+    log = []
+    channel.attach(lambda cycle, command: log.append((cycle, command)))
+    return log
 
 
-def issued(recorder, start=0):
+def issued(log, start=0):
     return [
         (cycle, command.kind.name, command.bank)
-        for cycle, command in recorder.records[start:]
+        for cycle, command in log[start:]
     ]
 
 
@@ -71,73 +71,73 @@ def decode(state):
 class TestPassReuse:
     def test_hit_enqueued_between_waiting_ticks_ranks_first(self):
         controller, channel = make_controller(row_timeout_ns=None)
-        recorder = record(channel)
+        log = record(channel)
         now, wake = open_row_then_wait(controller, channel)
         assert controller.tick(now + 1) == wake  # still waiting, reused
-        start = len(recorder.records)
+        start = len(log)
         hit = make_request(channel0_address(row=7, col=3))
         controller.enqueue(hit, now + 2)
         # At the PRE's earliest cycle the new row hit is also ready;
         # FR-FCFS-Cap must serve it before closing the row.
         controller.tick(wake)
-        assert issued(recorder, start) == [(wake, "RD", 0)]
+        assert issued(log, start) == [(wake, "RD", 0)]
         run_until_drained(controller)
-        assert [k for _, k, _ in issued(recorder, start)] == [
+        assert [k for _, k, _ in issued(log, start)] == [
             "RD", "PRE", "ACT", "RD",
         ]
 
     def test_snapshot_mid_wait_restores_same_commands(self):
         controller, channel = make_controller()
-        recorder = record(channel)
+        log = record(channel)
         now, _ = open_row_then_wait(controller, channel)
         snapshot = (controller.state_dict(encode), channel.state_dict())
-        start = len(recorder.records)
+        start = len(log)
         run_ticks(controller, now + 1, 40)
-        expected = issued(recorder, start)
+        expected = issued(log, start)
         assert [k for _, k, _ in expected][:3] == ["PRE", "ACT", "RD"]
 
         # Restored into the same objects (caches from the continuation
         # must not leak) and into fresh ones.
         controller.load_state_dict(snapshot[0], decode)
         channel.load_state_dict(snapshot[1])
-        start = len(recorder.records)
+        start = len(log)
         run_ticks(controller, now + 1, 40)
-        assert issued(recorder, start) == expected
+        assert issued(log, start) == expected
 
         fresh_channel = DramChannel(GEO, TIMING)
         fresh = ChannelController(
             fresh_channel, config=controller.config, refresh_enabled=False
         )
-        fresh_recorder = record(fresh_channel)
+        fresh_log = record(fresh_channel)
         fresh.load_state_dict(snapshot[0], decode)
         fresh_channel.load_state_dict(snapshot[1])
         run_ticks(fresh, now + 1, 40)
-        assert issued(fresh_recorder) == expected
+        assert issued(fresh_log) == expected
 
     def test_restore_reopens_row_timeout(self):
         controller, channel = make_controller(row_timeout_ns=75.0)
-        recorder = record(channel)
+        log = record(channel)
         controller.enqueue(make_request(channel0_address(row=7)), 0)
         now = run_until_drained(controller)
         snapshot = (controller.state_dict(encode), channel.state_dict())
-        start = len(recorder.records)
+        start = len(log)
         run_ticks(controller, now, 5)
-        expected = issued(recorder, start)
+        expected = issued(log, start)
         assert [k for _, k, _ in expected] == ["PRE"]
         # The continuation ended on a scan that found every bank closed;
         # after the restore the row is open again and must still close.
         controller.load_state_dict(snapshot[0], decode)
         channel.load_state_dict(snapshot[1])
-        start = len(recorder.records)
+        start = len(log)
         run_ticks(controller, now, 5)
-        assert issued(recorder, start) == expected
+        assert issued(log, start) == expected
 
     def test_fcfs_scheduler_without_hit_probe(self):
         channel = DramChannel(GEO, TIMING)
         controller = ChannelController(
             channel, scheduler=Scheduler(), refresh_enabled=False
         )
-        recorder = record(channel)
+        log = record(channel)
         finished = []
 
         def done(request, finish):
@@ -158,7 +158,7 @@ class TestPassReuse:
         # first *ready* candidate: the row-9 read's PRE waits for tRAS,
         # so the later row-7 read is served from the open row meanwhile.
         assert finished == [7, 7, 9]
-        assert [k for _, k, _ in issued(recorder)] == [
+        assert [k for _, k, _ in issued(log)] == [
             "ACT", "RD", "RD", "PRE", "ACT", "RD",
         ]
 

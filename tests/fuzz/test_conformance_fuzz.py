@@ -81,7 +81,7 @@ def test_device_and_checker_agree_on_legal_streams(seed, steps):
     checker = ProtocolChecker(
         geometry, timing, expect_refresh=False, mode="strict"
     )
-    channel.checker = checker
+    channel.attach(checker.observe)
     rng = random.Random(seed)
     banks = geometry.banks_per_channel
     rows = geometry.rows_per_subarray
