@@ -21,7 +21,7 @@ from repro.controller.mechanism import ActivationPlan, Mechanism, NoMechanism
 from repro.controller.request import MemRequest, RequestType
 from repro.controller.scheduler import FrFcfsCap, Scheduler
 from repro.dram.commands import Command, CommandKind
-from repro.dram.device import DramChannel, IssueResult
+from repro.dram.device import DramChannel
 from repro.dram.timing import REF_COMMANDS_PER_WINDOW
 from repro.errors import ConfigError
 from repro.units import ns_to_cycles
@@ -33,6 +33,7 @@ IDLE = 1 << 62
 
 #: Command classes of a scheduling candidate: the request needs an
 #: activation, its column access, or a precharge of a conflicting row.
+#: A pass indexes its per-class channel bounds with them.
 _ACT, _COL, _PRE = 0, 1, 2
 
 
@@ -117,12 +118,17 @@ class ChannelController:
             if type(self.mechanism).next_wake is not Mechanism.next_wake
             else None
         )
+        # Mechanisms that redirect rows at run time (CROW-ref and
+        # friends) override service_row; their requests re-resolve on
+        # every pass, everyone else's only when their bank changes.
+        self._dynamic_rows = (
+            type(self.mechanism).service_row is not Mechanism.service_row
+        )
 
         self.read_q: list[MemRequest] = []
         self.write_q: list[MemRequest] = []
         self.drain_mode = False
         self.next_ref = self.timing.trefi if refresh_enabled else IDLE
-        self.refresh_backlog = 0
         self.hit_streak = [0] * self.geometry.banks_per_channel
         self.bank_last_use = [0] * self.geometry.banks_per_channel
         self.bank_pending = [0] * self.geometry.banks_per_channel
@@ -147,17 +153,14 @@ class ChannelController:
 
         # Pass reuse. Between two ticks the scheduling inputs — queues,
         # bank and channel state, hit streaks, mechanism state — change
-        # only on enqueue, dequeue or a command issue, and each of those
-        # bumps ``_version``. A queue pass that issued nothing is kept as
-        # ``(version, queue, candidates, earliest_any)``: under the same
-        # version a fresh pass would rank the same candidates with the
-        # same readiness times, so the next tick scans the record
-        # instead. ``_timeout_scan`` keeps ``(version, next_expiry)`` of
-        # the last row-timeout scan that closed nothing. Both are pure
-        # caches: never serialized, cleared on load_state_dict.
-        self._version = 0
+        # only on enqueue, dequeue or a command issue. A queue pass that
+        # issued nothing is kept as ``(channel version, queue,
+        # candidates, earliest_any)`` until an enqueue or dequeue drops
+        # it: under the same channel version a fresh pass would rank the
+        # same candidates with the same readiness times, so the next
+        # tick scans the record instead. A pure cache: never serialized,
+        # cleared on load_state_dict.
         self._idle_pass: tuple | None = None
-        self._timeout_scan: tuple[int, int] | None = None
 
         # Statistics.
         self.stats = {
@@ -190,7 +193,7 @@ class ChannelController:
         """Accept a request; returns False when the queue is full."""
         if not self.can_accept(request.type):
             return False
-        self._version += 1
+        self._idle_pass = None
         request.arrival = now
         if request.type is RequestType.READ:
             if self.config.write_forwarding:
@@ -263,7 +266,7 @@ class ChannelController:
             return earliest
         cursor = self.channel.refresh_cursor
         rows_per_ref = max(1, self.geometry.rows_per_bank // REF_COMMANDS_PER_WINDOW)
-        self._issue(ref, now)
+        self.channel.issue(ref, now)
         self.stats["refreshes"] += 1
         self.mechanism.on_refresh(range(cursor, cursor + rows_per_ref), now)
         self.next_ref += self.timing.trefi
@@ -318,102 +321,108 @@ class ChannelController:
         Returns ``(issued, earliest)`` where ``earliest`` is the soonest
         time any evaluated candidate could have issued (IDLE if none).
 
-        One scan in arrival order applies the scheduler's ``hit_cap``
-        (the order of :meth:`Scheduler.ranked`): a row hit whose bank
-        streak is below the cap is probed as the scan reaches it, every
-        other request is deferred and probed after the scan, in arrival
-        order. Under FCFS (cap 0) nothing is promoted, so each request
-        is probed as the scan reaches it. A probe's readiness is the
-        maximum of the channel bound of its command class, evaluated
-        once per pass, and its bank slot's bound, memoized per
-        ``(bank, subarray, class)``: bank and channel state cannot change
-        before the pass ends, since issuing ends it.
+        One scan in arrival order reads each request's classification
+        (:meth:`_resolve`, re-run only when its bank's version moved) and
+        applies the scheduler's ``hit_cap`` (the order of
+        :meth:`Scheduler.ranked`): row hits whose bank streak is below
+        the cap are promoted, the rest deferred, each group in arrival
+        order; under FCFS (cap 0) nothing is promoted. Candidates are
+        then probed promoted first. A probe's readiness is the maximum
+        of the channel bound of its command class, evaluated once per
+        pass, and its memoized bank-slot bound.
         """
+        channel = self.channel
         idle = self._idle_pass
-        if idle is not None and idle[0] == self._version and idle[1] is queue:
-            for request, subarray, kind, earliest in idle[2]:
+        if (
+            idle is not None
+            and idle[0] == channel.version
+            and idle[1] is queue
+        ):
+            for request, earliest in idle[2]:
                 if earliest <= now:
-                    self._issue_candidate(request, subarray, kind, now)
+                    self._issue_candidate(request, now)
                     return True, now
             return False, idle[3]
 
-        act_bound, rd_bound, wr_bound, pre_bound = self.channel.channel_bounds()
-        # A queue holds one request type: its column accesses share a bound.
+        act_bound, rd_bound, wr_bound, pre_bound = channel.channel_bounds()
+        # A queue holds one request type: its column accesses share a
+        # bound.
         col_bound = rd_bound if queue is self.read_q else wr_bound
+        class_bounds = (act_bound, col_bound, pre_bound)
         hit_cap = self.scheduler.hit_cap
-        window = self.config.scheduler_window
-        service_row = self.mechanism.service_row
-        banks = self.channel.banks
-        salp = self._salp
+        versions = channel.bank_versions
         hit_streak = self.hit_streak
-        readiness: dict[tuple, int] = {}
-        candidates: list[tuple] = []
-        deferred: list[tuple] = []
-        earliest_any = IDLE
-        total = len(queue)
-        scanned = 0
-        replayed = 0
-        while True:
-            if scanned < total:
-                request = queue[scanned]
-                scanned += 1
-                location = request.location
-                bank = location.bank
-                srow = service_row(bank, location.row)
-                if salp:
-                    subarray = srow.subarray
-                    slot = banks[bank].subarrays[subarray]
-                else:
-                    subarray = None
-                    slot = banks[bank]
-                open_rows = slot.open_rows
-                if open_rows is None:
-                    kind = _ACT
-                elif srow in open_rows:
-                    kind = _COL
-                else:
-                    kind = _PRE
-                if hit_cap and (kind != _COL or hit_streak[bank] >= hit_cap):
-                    deferred.append((request, bank, subarray, slot, kind))
-                    continue
-            elif replayed < len(deferred):
-                request, bank, subarray, slot, kind = deferred[replayed]
-                replayed += 1
+        promoted: list[MemRequest] = []
+        deferred: list[MemRequest] = []
+        for request in queue:
+            bank = request.location.bank
+            if request.sched_version != versions[bank]:
+                self._resolve(request, bank)
+            if request.sched_kind == _COL and hit_streak[bank] < hit_cap:
+                promoted.append(request)
             else:
-                break
-            key = (bank, subarray, kind)
-            earliest = readiness.get(key)
-            if earliest is None:
-                if kind == _COL:
-                    bound = slot.earliest_col()
-                    earliest = col_bound
-                elif kind == _PRE:
-                    bound = slot.earliest_pre()
-                    earliest = pre_bound
-                else:
-                    bound = slot.earliest_act()
-                    earliest = act_bound
-                if bound > earliest:
-                    earliest = bound
-                readiness[key] = earliest
+                deferred.append(request)
+        ranked = promoted + deferred if promoted else deferred
+        # Every probe either issues or waits: the window is a prefix.
+        window = self.config.scheduler_window
+        if len(ranked) > window:
+            ranked = ranked[:window]
+        candidates: list[tuple] = []
+        earliest_any = IDLE
+        for request in ranked:
+            earliest = request.sched_bound
+            bound = class_bounds[request.sched_kind]
+            if bound > earliest:
+                earliest = bound
             if earliest <= now:
-                self._issue_candidate(request, subarray, kind, now)
+                self._issue_candidate(request, now)
                 return True, now
-            candidates.append((request, subarray, kind, earliest))
+            candidates.append((request, earliest))
             if earliest < earliest_any:
                 earliest_any = earliest
-            if len(candidates) >= window:
-                break
-        self._idle_pass = (self._version, queue, candidates, earliest_any)
+        self._idle_pass = (channel.version, queue, candidates, earliest_any)
         return False, earliest_any
 
-    def _issue_candidate(
-        self, request: MemRequest, subarray: int | None, kind: int, now: int
-    ) -> None:
-        """Issue the next command of ``request`` — an activation
-        (``_ACT``), its column access (``_COL``) or a precharge of the
-        conflicting row (``_PRE``) — in the service row's ``subarray``
-        (``None`` unless SALP).
+    def _resolve(self, request: MemRequest, bank: int) -> None:
+        """Classify ``request`` against its bank's current state.
+
+        Fills the request's ``sched_*`` memo: the service row and the
+        bank slot (per subarray under SALP) holding it — resolved once,
+        or on every pass for a mechanism that redirects rows at run
+        time — then the next command's class (activation, column access
+        or precharge of a conflicting row) and the slot's readiness
+        bound for it, stamped with the bank's current version.
+        """
+        if request.sched_version < 0:
+            srow = self.mechanism.service_row(bank, request.location.row)
+            slot = self.channel.banks[bank]
+            if self._salp:
+                slot = slot.subarrays[srow.subarray]
+            request.sched_row = srow
+            request.sched_slot = slot
+        else:
+            srow = request.sched_row
+            slot = request.sched_slot
+        open_rows = slot.open_rows
+        if open_rows is None:
+            request.sched_kind = _ACT
+            request.sched_bound = slot.earliest_act()
+        elif srow in open_rows:
+            request.sched_kind = _COL
+            request.sched_bound = slot.earliest_col()
+        else:
+            request.sched_kind = _PRE
+            request.sched_bound = slot.earliest_pre()
+        # A runtime redirection is never kept: -1 re-resolves next pass.
+        request.sched_version = (
+            -1 if self._dynamic_rows else self.channel.bank_versions[bank]
+        )
+
+    def _issue_candidate(self, request: MemRequest, now: int) -> None:
+        """Issue the next command of ``request`` as last resolved — an
+        activation (``_ACT``), its column access (``_COL``) or a
+        precharge of the conflicting row (``_PRE``) — in the service
+        row's subarray (SALP) or bank.
 
         Activations are planned here, at issue time: ``plan_activation``
         must be side-effect free and target the service row's subarray
@@ -421,6 +430,7 @@ class ChannelController:
         state only in ``on_activate``.
         """
         bank = request.location.bank
+        kind = request.sched_kind
         if kind == _ACT:
             plan = self.mechanism.plan_activation(
                 bank, request.location.row, now
@@ -433,8 +443,9 @@ class ChannelController:
                 self.stats["restore_activations"] += 1
             self.mechanism.on_activate(bank, plan, now)
             return
+        subarray = request.sched_row.subarray if self._salp else None
         if kind == _PRE:
-            result = self._issue(self._pre_command(bank, subarray), now)
+            result = self.channel.issue(self._pre_command(bank, subarray), now)
             self.hit_streak[bank] = 0
             self.stats["row_conflicts"] += 1
             assert result.precharge is not None
@@ -453,7 +464,7 @@ class ChannelController:
                 subarray=subarray,
             )
             request.col_cmd = (subarray, command)
-        result = self._issue(command, now)
+        result = self.channel.issue(command, now)
         self.hit_streak[bank] += 1
         self.bank_last_use[bank] = now
         self.stats["row_hits"] += 1
@@ -465,22 +476,17 @@ class ChannelController:
             self.stats["writes_served"] += 1
             self._complete(request, result.done_at)
 
-    def _issue(self, command: Command, now: int) -> IssueResult:
-        """Issue ``command``; every issue invalidates the pass caches."""
-        self._version += 1
-        return self.channel.issue(command, now)
-
     def _issue_act(self, bank: int, plan: ActivationPlan, now: int) -> None:
         command = Command(
             plan.kind, bank=bank, rows=plan.rows, timings=plan.timings
         )
-        self._issue(command, now)
+        self.channel.issue(command, now)
 
     def _dequeue(self, request: MemRequest) -> None:
         queue = self.read_q if request.type is RequestType.READ else self.write_q
         queue.remove(request)
         self.bank_pending[request.location.bank] -= 1
-        self._version += 1
+        self._idle_pass = None
 
     def _complete(self, request: MemRequest, finish: int) -> None:
         request.completed_at = finish
@@ -515,7 +521,6 @@ class ChannelController:
             "write_q": [encode_request(r) for r in self.write_q],
             "drain_mode": self.drain_mode,
             "next_ref": self.next_ref,
-            "refresh_backlog": self.refresh_backlog,
             "hit_streak": list(self.hit_streak),
             "bank_last_use": list(self.bank_last_use),
             "bank_pending": list(self.bank_pending),
@@ -528,14 +533,12 @@ class ChannelController:
         self.write_q = [decode_request(r) for r in state["write_q"]]
         self.drain_mode = state["drain_mode"]
         self.next_ref = state["next_ref"]
-        self.refresh_backlog = state["refresh_backlog"]
         self.hit_streak = list(state["hit_streak"])
         self.bank_last_use = list(state["bank_last_use"])
         self.bank_pending = list(state["bank_pending"])
         self.stats = dict(state["stats"])
         self.mechanism.load_state_dict(state["mechanism"])
         self._idle_pass = None
-        self._timeout_scan = None
 
     # ------------------------------------------------------------------
     # Row-buffer policy
@@ -544,11 +547,6 @@ class ChannelController:
         """Close idle open rows after the timeout; return next expiry."""
         if self.row_timeout is None:
             return IDLE
-        # A scan that closed nothing stays valid under the same version
-        # until its earliest expiry: no bank can time out before then.
-        scan = self._timeout_scan
-        if scan is not None and scan[0] == self._version and now < scan[1]:
-            return scan[1]
         next_expiry = IDLE
         timeout = self.row_timeout
         pending = self.bank_pending
@@ -572,11 +570,10 @@ class ChannelController:
                 self._issue_pre(pre, now)
                 return now + 1
             next_expiry = min(next_expiry, earliest)
-        self._timeout_scan = (self._version, next_expiry)
         return next_expiry
 
     def _issue_pre(self, pre: Command, now: int) -> None:
-        result = self._issue(pre, now)
+        result = self.channel.issue(pre, now)
         self.hit_streak[pre.bank] = 0
         assert result.precharge is not None
         self.mechanism.on_precharge(pre.bank, result.precharge, now)

@@ -73,9 +73,10 @@ class Mechanism:
         self.geometry = geometry
         self.timing = timing
         # row -> RowId memo for the identity mapping (geometry is fixed
-        # per instance). The controller calls service_row several times
-        # per scheduling pass; subclasses with *dynamic* redirection
-        # (CROW-ref and friends) override service_row and skip this memo.
+        # per instance). The controller resolves each queued request's
+        # service row once, and every activation plan looks it up again;
+        # subclasses with *dynamic* redirection (CROW-ref and friends)
+        # override service_row and skip this memo.
         self._service_rows: dict[int, RowId] = {}
 
     # ------------------------------------------------------------------
@@ -87,6 +88,12 @@ class Mechanism:
         Row-hit detection uses this: a request hits if the serving row is
         among the bank's open rows. CROW-ref redirects weak rows to their
         copy rows here.
+
+        Must be cheap and pure. The controller keeps the answer for a
+        queued request's lifetime while this base method is in effect;
+        for a subclass that overrides it (a redirection that can change
+        at run time) the controller asks again on every scheduling pass,
+        once for each queued request the pass scans.
         """
         rid = self._service_rows.get(row)
         if rid is None:

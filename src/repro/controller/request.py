@@ -32,9 +32,13 @@ class MemRequest:
         "arrival",
         "callback",
         "is_prefetch",
-        "issued_at",
         "completed_at",
         "col_cmd",
+        "sched_version",
+        "sched_row",
+        "sched_slot",
+        "sched_kind",
+        "sched_bound",
     )
 
     def __init__(
@@ -54,12 +58,21 @@ class MemRequest:
         self.arrival = arrival
         self.callback = callback
         self.is_prefetch = is_prefetch
-        self.issued_at: int | None = None
         self.completed_at: int | None = None
         #: Controller-owned memo: ``(subarray, Command)`` for this
         #: request's column access (the command is invariant per serving
         #: subarray, so the scheduler builds it once).
         self.col_cmd: "tuple | None" = None
+        #: Controller-owned scheduling memo, valid while
+        #: ``sched_version`` equals the channel's version of this
+        #: request's bank (-1: resolve from scratch on the next pass):
+        #: the service row, the bank slot holding it, the next command's
+        #: class and that slot's readiness bound for it.
+        self.sched_version = -1
+        self.sched_row = None
+        self.sched_slot = None
+        self.sched_kind = 0
+        self.sched_bound = 0
 
     def __call__(self, finish: int) -> None:
         """Fire the completion callback (the request is its own event).
@@ -78,9 +91,10 @@ class MemRequest:
         """Request state minus live object references.
 
         ``location`` is rebuilt from the address by the mapper and the
-        ``col_cmd`` memo is dropped (it regenerates on the next scheduler
-        pass); ``callback_tag`` names the callback symbolically (the owner
-        resolves it back to a bound method on load).
+        ``col_cmd`` and ``sched_*`` memos are dropped (they regenerate on
+        the next scheduler pass); ``callback_tag`` names the callback
+        symbolically (the owner resolves it back to a bound method on
+        load).
         """
         return {
             "type": int(self.type),
@@ -88,7 +102,6 @@ class MemRequest:
             "core_id": self.core_id,
             "arrival": self.arrival,
             "is_prefetch": self.is_prefetch,
-            "issued_at": self.issued_at,
             "completed_at": self.completed_at,
             "callback": callback_tag,
         }
@@ -109,7 +122,6 @@ class MemRequest:
             callback=callback,
             is_prefetch=state["is_prefetch"],
         )
-        request.issued_at = state["issued_at"]
         request.completed_at = state["completed_at"]
         return request
 

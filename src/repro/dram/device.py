@@ -104,6 +104,13 @@ class DramChannel:
         # Statistics (consumed by the energy model and the metrics layer).
         self.counts = {kind: 0 for kind in CommandKind}
         self.busy_reads = 0
+        #: State versions for schedulers that keep derived per-request
+        #: state. ``version`` counts accepted commands and restores;
+        #: ``bank_versions[b]`` is the ``version`` at which bank ``b``'s
+        #: state last changed (REF and ``load_state_dict`` change every
+        #: bank). Never serialized: a restore is itself a change.
+        self.version = 0
+        self.bank_versions = [0] * geometry.banks_per_channel
         #: Command observers, called ``observer(now, command)`` in attach
         #: order after every accepted command (telemetry's
         #: ``EventTrace.record_command``, the shadow
@@ -377,6 +384,12 @@ class DramChannel:
         # CROW commands carry an extra copy-row address cycle (footnote 3).
         bus_cycles = 2 if kind in (CommandKind.ACT_C, CommandKind.ACT_T) else 1
         self.cmd_bus_free = now + bus_cycles
+        version = self.version + 1
+        self.version = version
+        if kind is CommandKind.REF:
+            self.bank_versions[:] = [version] * len(self.banks)
+        else:
+            self.bank_versions[command.bank] = version
         if self._observers:
             for observer in self._observers:
                 observer(now, command)
@@ -428,6 +441,8 @@ class DramChannel:
             CommandKind(kind): n for kind, n in state["counts"].items()
         }
         self.busy_reads = state["busy_reads"]
+        self.version += 1
+        self.bank_versions[:] = [self.version] * len(self.banks)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -99,10 +99,10 @@ def refresh(controller, now):
     return at
 
 
-def apply_history(controller, steps):
-    """Replay ``(gap, action, bank, row)`` steps; return the final cycle."""
+def apply_history(controller, steps, now=0):
+    """Replay ``(gap, action, bank, row)`` steps from cycle ``now``;
+    return the final cycle."""
     channel, mechanism = controller.channel, controller.mechanism
-    now = 0
     for gap, action, bank, row in steps:
         now += gap
         if action == "ref":

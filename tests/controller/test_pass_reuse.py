@@ -3,8 +3,11 @@
 A queue pass that issued nothing is reused by later ticks until an
 enqueue, a dequeue or a command issue invalidates it, and activation
 plans are requested only for the activation that issues. These tests
-pin the invalidation rules and the plan-call count.
+pin the invalidation rules, the plan-call count, and that a state dict
+carrying retired keys still loads.
 """
+
+import copy
 
 from repro.controller import ChannelController, MemRequest, RequestType
 from repro.controller.scheduler import Scheduler
@@ -186,3 +189,21 @@ class TestPlanOnlyWhatIssues:
         system.run(3_000, 500, prewarm_accesses=2_000)
         assert counts["plan"] > 0
         assert counts["plan"] == counts["activate"]
+
+
+class TestRetiredStateKeys:
+    def test_state_carrying_retired_keys_loads_unchanged(self):
+        # ``refresh_backlog`` (controller) and ``issued_at`` (request)
+        # were write-only fields; older state dicts still carry them.
+        controller, channel = make_controller()
+        open_row_then_wait(controller, channel)
+        state = controller.state_dict(encode)
+        assert state["read_q"]
+        assert "refresh_backlog" not in state
+        assert all("issued_at" not in r for r in state["read_q"])
+        legacy = copy.deepcopy(state)
+        legacy["refresh_backlog"] = 0
+        for request in legacy["read_q"] + legacy["write_q"]:
+            request["issued_at"] = None
+        controller.load_state_dict(legacy, decode)
+        assert controller.state_dict(encode) == state
