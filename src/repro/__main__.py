@@ -14,12 +14,8 @@ Subcommands:
   matrix; exits non-zero on any violation.
 * ``workloads`` — list the named workload suite.
 * ``timings`` — print the baseline + CROW command timing parameters.
-* ``overheads`` — print the CROW substrate cost model (Section 6),
-  served through the estimator framework's reference backend.
-* ``estimate`` — the energy/area estimator framework
-  (``repro.estimate``): list backends, estimate a config, explain
-  accuracy arbitration, record-cache stats, and the CI ``verify``
-  smoke check.
+* ``overheads`` — print the CROW substrate cost model (Section 6) from
+  the paper-calibrated area model (``repro.circuit.area``).
 """
 
 from __future__ import annotations
@@ -486,17 +482,11 @@ def _cmd_timings(args: argparse.Namespace) -> int:
 
 
 def _cmd_overheads(args: argparse.Namespace) -> int:
-    """Substrate cost table, served by the estimator framework.
-
-    The arbiter selects the ``circuit-reference`` backend (a byte-
-    identical port of ``DecoderAreaModel``), so this output is provably
-    identical to the pre-framework direct-model version — a test
-    renders both and compares the strings.
-    """
+    """Substrate cost table from the paper-calibrated area model."""
+    from repro.circuit import DecoderAreaModel
     from repro.core import crow_table_storage_kib
-    from repro.estimate.runtime import crow_overheads
 
-    overheads = crow_overheads(args.copy_rows)
+    area = DecoderAreaModel()
     table = TextTable(
         f"CROW substrate overheads ({args.copy_rows} copy rows/subarray)",
         ["quantity", "value"],
@@ -507,247 +497,16 @@ def _cmd_overheads(args: argparse.Namespace) -> int:
     )
     table.add_row(
         "decoder area overhead",
-        f"{overheads['decoder_overhead']:.2%}",
+        f"{area.copy_decoder_overhead(args.copy_rows):.2%}",
     )
     table.add_row(
-        "chip area overhead", f"{overheads['chip_overhead']:.2%}"
+        "chip area overhead", f"{area.crow_chip_overhead(args.copy_rows):.2%}"
     )
     table.add_row(
         "capacity overhead",
-        f"{overheads['capacity_overhead']:.2%}",
+        f"{area.crow_capacity_overhead(args.copy_rows):.2%}",
     )
     print(table.render())
-    return 0
-
-
-def _estimate_verify_cases() -> list[dict]:
-    """The three mechanism configs the estimator smoke check covers."""
-    return [
-        {"key": "baseline-8g-copy8", "mechanism": "baseline",
-         "density_gbit": 8, "copy_rows": 8},
-        {"key": "crow-cache-16g-copy8", "mechanism": "crow-cache",
-         "density_gbit": 16, "copy_rows": 8},
-        {"key": "clr-dram-32g-copy4", "mechanism": "clr-dram",
-         "density_gbit": 32, "copy_rows": 4},
-    ]
-
-
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    """The estimator framework front door (``repro estimate <action>``)."""
-    from repro.dram.timing import TimingParameters
-    from repro.energy import IddCurrents
-    from repro.estimate import EstimatorArbiter, estimator_names, get_estimator
-    from repro.estimate.runtime import (
-        activation_power_query,
-        channel_energy_query,
-        crow_overheads_query,
-        decoder_area_query,
-        default_arbiter,
-        estimate_stats,
-    )
-    from repro.keying import stable_digest
-
-    def emit(payload: dict) -> None:
-        if getattr(args, "json", None) is not None:
-            args.json.write_text(json.dumps(payload, indent=2) + "\n")
-
-    if args.action == "backends":
-        table = TextTable(
-            "estimator backend registry",
-            ["name", "plugin", "components", "description"],
-        )
-        rows = []
-        for name in estimator_names():
-            plugin = get_estimator(name)
-            doc = (plugin.__class__.__doc__ or "").strip().splitlines()
-            components = ", ".join(plugin.supported_components())
-            table.add_row(
-                name, type(plugin).__name__, components,
-                doc[0] if doc else "",
-            )
-            rows.append({
-                "name": name,
-                "plugin": type(plugin).__name__,
-                "components": list(plugin.supported_components()),
-            })
-        print(table.render())
-        emit({"backends": rows})
-        return 0
-
-    if args.action == "energy":
-        arbiter = default_arbiter()
-        if args.backend is not None:
-            arbiter = EstimatorArbiter(names=(args.backend,))
-        timing = TimingParameters.lpddr4(density_gbit=args.density)
-        currents = IddCurrents.lpddr4(args.density)
-        query = channel_energy_query(timing, currents)
-        before = arbiter.served_from_cache
-        estimation = arbiter.estimate(query)
-        table = TextTable(
-            f"DRAM channel energy coefficients at {args.density} Gbit "
-            f"(backend: {estimation.backend}, "
-            f"{estimation.accuracy_percent:.0f}% accuracy)",
-            ["coefficient", "value"],
-        )
-        for key, value in estimation.mapping().items():
-            table.add_row(key, f"{value:.6g}")
-        print(table.render())
-        if arbiter.cache is not None:
-            served = arbiter.served_from_cache - before
-            print(
-                "record cache: hit" if served
-                else "record cache: miss (record stored)"
-            )
-        emit({"query": query.projection(),
-              "estimation": estimation.to_payload()})
-        return 0
-
-    if args.action == "area":
-        arbiter = default_arbiter()
-        query = crow_overheads_query(args.copy_rows)
-        estimation = arbiter.estimate(query)
-        overheads = estimation.mapping()
-        table = TextTable(
-            f"CROW substrate area ({args.copy_rows} copy rows/subarray, "
-            f"backend: {estimation.backend})",
-            ["quantity", "value"],
-        )
-        table.add_row(
-            "copy-row decoder area (um^2)",
-            f"{overheads['decoder_area_um2']:.4f}",
-        )
-        table.add_row(
-            "decoder area overhead", f"{overheads['decoder_overhead']:.2%}"
-        )
-        table.add_row(
-            "chip area overhead", f"{overheads['chip_overhead']:.2%}"
-        )
-        table.add_row(
-            "capacity overhead", f"{overheads['capacity_overhead']:.2%}"
-        )
-        print(table.render())
-        emit({"query": query.projection(),
-              "estimation": estimation.to_payload()})
-        return 0
-
-    if args.action == "explain":
-        timing = TimingParameters.lpddr4(density_gbit=args.density)
-        currents = IddCurrents.lpddr4(args.density)
-        queries = {
-            "channel-energy": channel_energy_query(timing, currents),
-            "crow-overheads": crow_overheads_query(args.copy_rows),
-            "decoder-area": decoder_area_query(args.rows),
-            "activation-power": activation_power_query(args.n_rows),
-        }
-        query = queries[args.target]
-        rows = default_arbiter().explain(query)
-        table = TextTable(
-            f"arbitration for {query.label}",
-            ["backend", "accuracy", "selected", "reason"],
-        )
-        for row in rows:
-            table.add_row(
-                row["backend"],
-                f"{row['accuracy_percent']:.0f}%",
-                "<-- selected" if row["selected"] else "",
-                row["reason"],
-            )
-        print(table.render())
-        emit({"query": query.projection(), "arbitration": rows})
-        return 0
-
-    if args.action == "cache":
-        stats = estimate_stats()
-        table = TextTable("estimator cache statistics", ["counter", "value"])
-        table.add_row("backend calls", stats["backend_calls"])
-        table.add_row("served from record cache", stats["served_from_cache"])
-        table.add_row(
-            "memoized coefficient sets", stats["memoized_coefficient_sets"]
-        )
-        record = stats["record_cache"]
-        if record is None:
-            table.add_row("record cache", "detached (REPRO_ESTIMATE_CACHE unset)")
-        else:
-            for key in ("directory", "entries", "bytes", "hits", "misses",
-                        "stores", "repairs"):
-                table.add_row(f"record cache {key}", record[key])
-        print(table.render())
-        emit(stats)
-        return 0
-
-    # verify: reference-backend outputs against committed expectations.
-    oracle: dict = {}
-    if args.expected is not None and args.expected.exists():
-        oracle = json.loads(args.expected.read_text())
-    if args.report_dir is not None:
-        args.report_dir.mkdir(parents=True, exist_ok=True)
-    arbiter = EstimatorArbiter()
-    failed = []
-    for case in _estimate_verify_cases():
-        key = case["key"]
-        timing = TimingParameters.lpddr4(density_gbit=case["density_gbit"])
-        currents = IddCurrents.lpddr4(case["density_gbit"])
-        energy_query = channel_energy_query(timing, currents)
-        area_query = crow_overheads_query(case["copy_rows"])
-        energy = arbiter.estimate(energy_query)
-        area = arbiter.estimate(area_query)
-        power = arbiter.estimate(activation_power_query(2))
-        report: dict = {
-            "case": case,
-            "arbitration": {
-                "channel-energy": arbiter.explain(energy_query),
-                "crow-overheads": arbiter.explain(area_query),
-            },
-            "energy": {
-                "backend": energy.backend,
-                "digest": stable_digest(energy.to_payload()),
-            },
-            "area": {
-                "backend": area.backend,
-                "digest": stable_digest(area.to_payload()),
-                "chip_overhead": area.mapping()["chip_overhead"],
-            },
-            "activation_power_2rows": power.scalar(),
-        }
-        problems = []
-        # Figure 7 linkage: the energy coefficient set's MRA multiplier
-        # must equal the arbitrated activation-power estimate.
-        if energy.mapping()["mra_overhead"] != power.scalar():
-            problems.append("mra_overhead != activation-power estimate")
-        expected = oracle.get(key)
-        if expected is None:
-            report["status"] = "ok-no-expectation"
-        else:
-            for section in ("energy", "area"):
-                for field in expected[section]:
-                    if expected[section][field] != report[section][field]:
-                        problems.append(
-                            f"{section}.{field}: expected "
-                            f"{expected[section][field]!r}, got "
-                            f"{report[section][field]!r}"
-                        )
-            if (
-                expected["activation_power_2rows"]
-                != report["activation_power_2rows"]
-            ):
-                problems.append("activation_power_2rows mismatch")
-        if problems:
-            report["status"] = "mismatch"
-            report["problems"] = problems
-            failed.append(key)
-        elif expected is not None:
-            report["status"] = "ok"
-        print(f"{key:24s} {report['status']}")
-        if args.report_dir is not None:
-            path = args.report_dir / f"{key}.json"
-            path.write_text(json.dumps(report, indent=2) + "\n")
-    if failed:
-        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    print(
-        f"all {len(_estimate_verify_cases())} configs match the "
-        "reference-backend expectations"
-    )
     return 0
 
 
@@ -1136,67 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     ov = sub.add_parser("overheads", help="print substrate cost model")
     ov.add_argument("--copy-rows", type=int, default=8)
     ov.set_defaults(func=_cmd_overheads)
-
-    est = sub.add_parser(
-        "estimate",
-        help="energy/area estimator framework: list backends, estimate "
-             "a config, explain arbitration, cache stats, verify",
-    )
-    esub = est.add_subparsers(dest="action", required=True)
-    backends = esub.add_parser(
-        "backends", help="list the estimator backend registry"
-    )
-    backends.add_argument("--json", type=Path, default=None, metavar="FILE")
-    energy = esub.add_parser(
-        "energy", help="estimate DRAM channel energy coefficients"
-    )
-    energy.add_argument("--density", type=int, default=8,
-                        choices=(8, 16, 32, 64))
-    energy.add_argument(
-        "--backend", default=None,
-        help="restrict arbitration to one registered backend",
-    )
-    energy.add_argument("--json", type=Path, default=None, metavar="FILE")
-    area = esub.add_parser(
-        "area", help="estimate CROW substrate area overheads"
-    )
-    area.add_argument("--copy-rows", type=int, default=8)
-    area.add_argument("--json", type=Path, default=None, metavar="FILE")
-    explain = esub.add_parser(
-        "explain", help="show the accuracy arbitration for one query"
-    )
-    explain.add_argument(
-        "target",
-        choices=("channel-energy", "crow-overheads", "decoder-area",
-                 "activation-power"),
-    )
-    explain.add_argument("--density", type=int, default=8,
-                         choices=(8, 16, 32, 64))
-    explain.add_argument("--copy-rows", type=int, default=8)
-    explain.add_argument("--rows", type=int, default=512)
-    explain.add_argument("--n-rows", type=int, default=2)
-    explain.add_argument("--json", type=Path, default=None, metavar="FILE")
-    cache = esub.add_parser(
-        "cache", help="estimator record-cache statistics"
-    )
-    cache.add_argument("--json", type=Path, default=None, metavar="FILE")
-    verify = esub.add_parser(
-        "verify",
-        help="arbitrate 3 mechanism configs over all backends and "
-             "compare reference-backend outputs against the committed "
-             "expectations (the CI estimator-smoke job)",
-    )
-    verify.add_argument(
-        "--expected", type=Path,
-        default=Path("tests/data/expected_estimates.json"),
-        help="expectation file (default: tests/data/"
-             "expected_estimates.json)",
-    )
-    verify.add_argument(
-        "--report-dir", type=Path, default=None, metavar="DIR",
-        help="write one JSON verification report per config to DIR",
-    )
-    est.set_defaults(func=_cmd_estimate)
 
     check = sub.add_parser(
         "check",

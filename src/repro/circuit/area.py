@@ -58,7 +58,15 @@ class DecoderAreaModel:
         return self.fixed_area_um2 + self.per_row_area_um2 * rows
 
     def copy_decoder_overhead(self, copy_rows: int) -> float:
-        """Figure 7 (right): copy-row decoder area over the local decoder."""
+        """Figure 7 (right): copy-row decoder area over the local decoder.
+
+        With no copy rows there is no copy-row decoder, so the overhead
+        is zero rather than the fixed cost of instantiating one.
+        """
+        if copy_rows < 0:
+            raise ConfigError(f"copy_rows must be >= 0, got {copy_rows}")
+        if copy_rows == 0:
+            return 0.0
         baseline = self.decoder_area_um2(self.baseline_rows_per_subarray)
         return self.decoder_area_um2(copy_rows) / baseline
 

@@ -121,10 +121,8 @@ class EnergyCoefficients:
 
     A channel's energy is (coefficients × activity counts): the
     coefficients depend only on the configuration (timing, IDD set,
-    MRA overhead), the counts only on the run. The split is what lets
-    the :mod:`repro.estimate` record cache pay for a config once per
-    campaign instead of once per task, and lets alternative backends
-    (CACTI-like analytical models) supply a drop-in coefficient set.
+    MRA overhead), the counts only on the run. The split lets a run
+    compute the coefficients once and apply them to every channel.
     """
 
     cycle_ns: float
@@ -152,22 +150,10 @@ class EnergyCoefficients:
                 )
 
     def as_mapping(self) -> dict[str, float]:
-        """Flat ``{name: value}`` projection (estimation payloads)."""
+        """Flat ``{name: value}`` projection."""
         return {
             field.name: getattr(self, field.name) for field in fields(self)
         }
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "EnergyCoefficients":
-        """Inverse of :meth:`as_mapping`; unknown/missing keys fail."""
-        expected = {field.name for field in fields(cls)}
-        got = set(mapping)
-        if got != expected:
-            raise ConfigError(
-                f"coefficient set mismatch: missing "
-                f"{sorted(expected - got)}, unexpected {sorted(got - expected)}"
-            )
-        return cls(**{name: float(mapping[name]) for name in expected})
 
 
 def breakdown_from_coefficients(
@@ -176,9 +162,9 @@ def breakdown_from_coefficients(
     """Total energy of one channel over the measured interval.
 
     This is *the* energy aggregation — :meth:`EnergyModel.breakdown`
-    delegates here, so a cached or backend-supplied coefficient set
-    reproduces the in-process result bit for bit (same operations in
-    the same order; IEEE-754 arithmetic is deterministic).
+    delegates here, so a run that computes the coefficients once and
+    applies them per channel reproduces it bit for bit (same operations
+    in the same order; IEEE-754 arithmetic is deterministic).
     """
     c = coefficients
     mra_acts = activity.n_act_t + activity.n_act_c
@@ -276,9 +262,7 @@ class EnergyModel:
     def coefficients(self) -> EnergyCoefficients:
         """This model's per-config coefficient set.
 
-        The values are the exact floats :meth:`breakdown` historically
-        used, so cached/estimated coefficients reproduce its output bit
-        for bit.
+        The values are the exact floats :meth:`breakdown` uses.
         """
         i = self.currents
         return EnergyCoefficients(

@@ -15,7 +15,6 @@ __all__ = [
     "ConformanceError",
     "ProbeError",
     "SnapshotError",
-    "EstimateError",
 ]
 
 
@@ -106,22 +105,3 @@ class SnapshotError(ReproError):
     Configuration *incompatibility* between a snapshot and the system
     restoring it raises :class:`ConfigError` instead.
     """
-
-
-class EstimateError(ReproError):
-    """An energy/area estimation query could not be served.
-
-    Raised by :mod:`repro.estimate` when no registered backend supports
-    a query's component/action pair, or when the selected backend is
-    missing a required attribute. Unknown components are *never* a
-    silent zero — a zero estimate is indistinguishable from free
-    hardware. Structured attributes: ``query`` (the offending
-    :class:`repro.estimate.EstimateQuery`, or ``None``) and ``reasons``
-    (tuple of per-backend refusal strings, empty when the failure is not
-    an arbitration miss).
-    """
-
-    def __init__(self, message: str, query=None, reasons=()) -> None:
-        super().__init__(message)
-        self.query = query
-        self.reasons = tuple(reasons)

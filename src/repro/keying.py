@@ -1,22 +1,20 @@
-"""Stable content-keying helpers shared by every cache layer.
+"""The stable value projection shared by every cache key.
 
-The result cache (:mod:`repro.sim.campaign`) and the estimator record
-cache (:mod:`repro.estimate`) both key entries by a
-digest of a *value projection* of their inputs. The projection lives
-here, below all of them, so the layers cannot drift: a value that is
-safe to key in one cache is safe in every cache, and a value with no
-stable representation is rejected identically everywhere.
+The campaign result cache (:mod:`repro.sim.campaign`) and the warm-image
+key (:mod:`repro.snapshot.warm`) both key entries by a digest of a
+*value projection* of their inputs. The projection lives here, below
+both, so they cannot drift: a value that is safe to key in one is safe
+in the other, and a value with no stable representation is rejected
+identically everywhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 
 from repro.errors import ConfigError
 
-__all__ = ["jsonable", "stable_digest"]
+__all__ = ["jsonable"]
 
 
 def jsonable(value):
@@ -53,12 +51,3 @@ def jsonable(value):
         )
     return repr(value)
 
-
-def stable_digest(payload, length: int = 24) -> str:
-    """SHA-256 digest of a JSON-safe payload, stable across processes.
-
-    ``payload`` must already be a JSON projection (see :func:`jsonable`);
-    keys are sorted so dict insertion order cannot leak into the digest.
-    """
-    encoded = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(encoded.encode()).hexdigest()[:length]

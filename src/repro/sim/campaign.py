@@ -30,11 +30,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
 from repro.sim.sweep import run_mix, run_workload
 from repro.errors import ConfigError
-
-# The projection lives in :mod:`repro.keying` so the estimator record
-# cache keys values identically; the underscore alias is the historical
-# import point for tests and older callers.
-from repro.keying import jsonable as _jsonable
+from repro.keying import jsonable
 
 __all__ = [
     "Campaign",
@@ -49,8 +45,6 @@ __all__ = [
 CACHE_VERSION = 2
 
 
-
-
 def config_digest(config: SystemConfig) -> str:
     """Process-stable digest of a :class:`SystemConfig`.
 
@@ -58,16 +52,11 @@ def config_digest(config: SystemConfig) -> str:
     engine and configs predating the field share one digest (cached
     campaign entries, warm images and snapshots stay valid).
     """
-    projection = _jsonable(config)
+    projection = jsonable(config)
     projection.pop("engine", None)
     payload = {"version": CACHE_VERSION, "config": projection}
     encoded = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(encoded.encode()).hexdigest()[:20]
-
-
-#: Backwards-compatible alias (tests and older callers import the
-#: underscore name).
-_config_digest = config_digest
 
 
 def task_digest(

@@ -76,11 +76,6 @@ class SystemConfig:
     telemetry_epoch_cycles: int = 10_000
     #: Command-trace ring-buffer capacity (0 disables tracing).
     telemetry_trace_capacity: int = 0
-    #: Export the energy-estimator arbitration (selected backend, its
-    #: accuracy, the coefficient set) under an ``estimate.*`` telemetry
-    #: namespace. Opt-in so legacy telemetry digests stay byte-identical
-    #: (same trick as ``Mechanism.telemetry_namespace``).
-    estimate_telemetry: bool = False
     # --- conformance checking --------------------------------------------
     #: Attach a repro.check.ProtocolChecker to every channel: an
     #: independent shadow oracle validating JEDEC timing, bank-state

@@ -23,7 +23,6 @@ from repro.energy import (
     IddCurrents,
     breakdown_from_coefficients,
 )
-from repro.estimate.runtime import channel_coefficients
 from repro.errors import ConfigError, ReproError, SnapshotError
 from repro.mech import get_plugin
 from repro.sim import factory
@@ -728,13 +727,7 @@ class System:
         end = max(core.finish_cycle or self.now for core in self.cores)
         cycles = end - start
         energy = None
-        # Per-config coefficients come from the estimator framework
-        # (reference backend by default — byte-identical to the old
-        # direct EnergyModel call); only the per-channel activity
-        # aggregation runs per task.
-        coefficients = channel_coefficients(
-            self.timing, self.energy_model.currents
-        )
+        coefficients = self.energy_model.coefficients()
         for channel in self.channels:
             activity = ChannelActivity.from_channel(channel, cycles, self.now)
             breakdown = breakdown_from_coefficients(coefficients, activity)

@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.keying import jsonable
+
 __all__ = ["warmup_digest", "build_warm_image", "ForkGroup", "fork_groups"]
 
 #: Bump when the pre-warm algorithm or its config surface changes.
@@ -40,14 +42,12 @@ def warmup_digest(config) -> str:
     cannot influence untimed warm state, and excluding them is what makes
     one image forkable across mechanism variants.
     """
-    from repro.sim.campaign import _jsonable
-
     geometry = config.resolved_geometry()
     payload = {
         "version": _WARM_VERSION,
         "cores": config.cores,
         "seed": config.seed,
-        "llc": _jsonable(config.llc_config()),
+        "llc": jsonable(config.llc_config()),
         "geometry": {
             "channels": geometry.channels,
             "ranks_per_channel": geometry.ranks_per_channel,

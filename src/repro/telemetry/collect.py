@@ -225,7 +225,6 @@ class SystemTelemetry:
         self._harvest_dram(end, cycles)
         self._harvest_crow()
         self._harvest_mechanism()
-        self._harvest_estimate()
         self._harvest_cpu()
         export = self.registry.export()
         if self.trace is not None:
@@ -385,49 +384,6 @@ class SystemTelemetry:
                 group.counter(key).set(int(value))
             else:
                 group.gauge(key).set(round(value, 6))
-
-    def _harvest_estimate(self) -> None:
-        """Estimator arbitration facts (``estimate.*``).
-
-        Opt-in via ``SystemConfig.estimate_telemetry`` — the same trick
-        as ``Mechanism.telemetry_namespace``, so the committed digest
-        oracle stays byte-identical. Only deterministic facts are
-        exported (the winning backend, its accuracy, the coefficient
-        set); cache hit counters are process-local runtime state and
-        would break cross-process digest stability.
-        """
-        system = self.system
-        if not getattr(system.config, "estimate_telemetry", False):
-            return
-        from repro.estimate.runtime import (
-            channel_coefficients,
-            channel_energy_query,
-            default_arbiter,
-        )
-
-        query = channel_energy_query(
-            system.timing, system.energy_model.currents
-        )
-        rows = default_arbiter().explain(query)
-        selected = next(row for row in rows if row["selected"])
-        group = self.registry.group("estimate").group("channel_energy")
-        group.counter(
-            "capable_backends",
-            "registered backends able to answer the channel energy query",
-        ).set(sum(1 for row in rows if row["accuracy_percent"] > 0))
-        name = str(selected["backend"]).replace("-", "_")
-        group.counter(
-            f"selected_{name}", "winner of accuracy arbitration"
-        ).set(1)
-        group.gauge("accuracy_percent").set(
-            round(float(selected["accuracy_percent"]), 6)
-        )
-        coefficients = channel_coefficients(
-            system.timing, system.energy_model.currents
-        )
-        coeff_group = group.group("coefficients")
-        for key, value in coefficients.as_mapping().items():
-            coeff_group.gauge(key).set(round(value, 6))
 
     def _harvest_cpu(self) -> None:
         system = self.system

@@ -97,9 +97,8 @@ class TestBaselineAreas:
 class TestStructuredGuardErrors:
     """Guard failures name the offending field and value.
 
-    The estimator framework surfaces these messages verbatim inside
-    :class:`repro.errors.EstimateError` reasons, so they must identify
-    what was wrong without the caller re-deriving it.
+    The CLI prints these messages verbatim (``repro overheads``), so
+    they must identify what was wrong without the caller re-deriving it.
     """
 
     @pytest.fixture
@@ -120,6 +119,20 @@ class TestStructuredGuardErrors:
 
     def test_zero_copy_rows_is_a_valid_degenerate_substrate(self, area):
         assert area.crow_capacity_overhead(0) == 0.0
+
+    def test_zero_copy_rows_need_no_copy_row_decoder(self, area):
+        assert area.copy_decoder_overhead(0) == 0.0
+        assert area.crow_chip_overhead(0) == 0.0
+
+    def test_negative_copy_rows_decoder_names_field_and_value(self, area):
+        with pytest.raises(
+            ConfigError, match=r"copy_rows must be >= 0, got -1"
+        ):
+            area.copy_decoder_overhead(-1)
+        with pytest.raises(
+            ConfigError, match=r"copy_rows must be >= 0, got -1"
+        ):
+            area.crow_chip_overhead(-1)
 
     def test_non_power_of_two_salp_names_the_value(self, area):
         with pytest.raises(

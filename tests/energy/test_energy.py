@@ -1,13 +1,24 @@
 """Tests for the IDD current set and the energy model."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.circuit import DecoderAreaModel, activation_power_overhead
 from repro.dram import DramGeometry, DramChannel, TimingParameters
 from repro.dram.commands import Command, CommandKind, RowId
 from repro.energy import ChannelActivity, EnergyModel, IddCurrents
 from repro.errors import ConfigError
 
 TIMING = TimingParameters.lpddr4()
+
+#: Energy coefficients and CROW area overheads for three configs, as
+#: plain values so a failure names the coefficient that moved.
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parent.parent / "data"
+     / "expected_estimates.json").read_text()
+)
 
 
 def activity(**kwargs) -> ChannelActivity:
@@ -142,3 +153,39 @@ class TestBreakdownFiniteness:
         coefficients = EnergyModel(TIMING, IddCurrents.lpddr4()).coefficients()
         with pytest.raises(ConfigError, match="act_nj"):
             replace(coefficients, act_nj=float("nan"))
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_models_match_committed_values(case):
+    expected = EXPECTED[case]
+    density = expected["density_gbit"]
+    copy_rows = expected["copy_rows"]
+    model = EnergyModel(
+        TimingParameters.lpddr4(density_gbit=density),
+        IddCurrents.lpddr4(density),
+    )
+    coefficients = model.coefficients().as_mapping()
+    assert coefficients == expected["energy_coefficients"]
+    area = DecoderAreaModel()
+    assert {
+        "decoder_area_um2": area.decoder_area_um2(copy_rows),
+        "decoder_overhead": area.copy_decoder_overhead(copy_rows),
+        "chip_overhead": area.crow_chip_overhead(copy_rows),
+        "capacity_overhead": area.crow_capacity_overhead(copy_rows),
+    } == expected["crow_overheads"]
+    # Figure 7 linkage: ACT-t/ACT-c energy uses the two-row activation
+    # power of the circuit model.
+    assert expected["activation_power_2rows"] == 1.058
+    assert (
+        coefficients["mra_overhead"]
+        == activation_power_overhead(2)
+        == expected["activation_power_2rows"]
+    )
+
+
+def test_mra_overhead_attribute_reaches_the_model():
+    model = EnergyModel(
+        TimingParameters.lpddr4(8), IddCurrents.lpddr4(8), 1.3
+    )
+    # The model folds the extra fraction into a 1 + overhead multiplier.
+    assert model.coefficients().mra_overhead == 1.0 + 1.3

@@ -8,8 +8,9 @@ import pytest
 
 from repro import SystemConfig
 from repro.sim import Campaign
-from repro.sim.campaign import _jsonable, config_digest
+from repro.sim.campaign import config_digest
 from repro.errors import ConfigError
+from repro.keying import jsonable
 
 RUN = dict(instructions=3_000, warmup_instructions=1_000)
 
@@ -73,10 +74,8 @@ class TestCaching:
 
     def test_config_digest_covers_every_field(self, tmp_path):
         """Changing any SystemConfig field must change the cache key."""
-        from repro.sim.campaign import _config_digest
-
         base = SystemConfig()
-        digests = {_config_digest(base)}
+        digests = {config_digest(base)}
         variations = dict(
             cores=2,
             mechanism="crow-cache",
@@ -89,7 +88,7 @@ class TestCaching:
         )
         for field, value in variations.items():
             changed = dataclasses.replace(base, **{field: value})
-            digests.add(_config_digest(changed))
+            digests.add(config_digest(changed))
         assert len(digests) == len(variations) + 1
 
 
@@ -115,21 +114,21 @@ class TestJsonable:
     def test_dataclass_dict_tuple_projection_is_stable(self):
         a = _Knobs(depth=2, weights=(0.5, 1.0), table={"b": 2, "a": 1})
         b = _Knobs(depth=2, weights=(0.5, 1.0), table={"a": 1, "b": 2})
-        assert _jsonable(a) == _jsonable(b)
-        assert json.dumps(_jsonable(a), sort_keys=True) == \
-            json.dumps(_jsonable(b), sort_keys=True)
-        assert _jsonable(a)["weights"] == [0.5, 1.0]
+        assert jsonable(a) == jsonable(b)
+        assert json.dumps(jsonable(a), sort_keys=True) == \
+            json.dumps(jsonable(b), sort_keys=True)
+        assert jsonable(a)["weights"] == [0.5, 1.0]
 
     def test_plain_objects_keyed_by_class_and_attrs(self):
-        assert _jsonable(_Plain(3)) == _jsonable(_Plain(3))
-        assert _jsonable(_Plain(3)) != _jsonable(_Plain(4))
-        assert _jsonable(_Plain(3))["__class__"] == "_Plain"
+        assert jsonable(_Plain(3)) == jsonable(_Plain(3))
+        assert jsonable(_Plain(3)) != jsonable(_Plain(4))
+        assert jsonable(_Plain(3))["__class__"] == "_Plain"
 
     def test_identityless_value_raises_instead_of_poisoning_the_key(self):
         """default object.__repr__ embeds a memory address: two digests of
         the same logical config would differ between runs. Reject it."""
         with pytest.raises(ConfigError, match="no\\s+stable representation"):
-            _jsonable(_Slotted())
+            jsonable(_Slotted())
 
     def test_config_digest_is_identity_free(self):
         assert config_digest(SystemConfig()) == config_digest(SystemConfig())

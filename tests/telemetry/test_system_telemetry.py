@@ -137,32 +137,3 @@ class TestConfigValidation:
         on = SystemConfig(telemetry=True)
         assert config_digest(off) != config_digest(on)
 
-
-class TestEstimateNamespace:
-    """Opt-in ``estimate.*`` telemetry (estimator arbitration facts)."""
-
-    def test_absent_unless_opted_in(self):
-        result = telemetry_run()
-        assert "estimate" not in result.telemetry
-
-    def test_opt_out_digest_matches_the_legacy_export(self):
-        # `estimate_telemetry=False` must be indistinguishable from a
-        # config predating the field: the committed digest oracle
-        # (tests/sim/test_determinism.py) stays valid.
-        legacy = telemetry_run()
-        explicit = telemetry_run(estimate_telemetry=False)
-        assert legacy.telemetry_digest() == explicit.telemetry_digest()
-
-    def test_opted_in_export_reports_the_arbitration(self):
-        result = telemetry_run(estimate_telemetry=True)
-        facts = result.telemetry["estimate"]["channel_energy"]
-        assert facts["selected_idd_reference"]["value"] == 1
-        assert facts["accuracy_percent"]["value"] == 90.0
-        assert facts["capable_backends"]["value"] == 2
-        assert facts["coefficients"]["act_nj"]["value"] > 0
-
-    def test_opted_in_digest_is_deterministic(self):
-        first = telemetry_run(estimate_telemetry=True)
-        second = telemetry_run(estimate_telemetry=True)
-        assert first.telemetry_digest() == second.telemetry_digest()
-        assert first.telemetry_digest() != telemetry_run().telemetry_digest()
