@@ -9,13 +9,19 @@ Subcommands:
   figure; optionally export the registry JSON and a command trace JSONL.
 * ``campaign`` — sweep workloads × mechanisms on a parallel, cached,
   fault-tolerant worker pool (``repro.exec``) and print a result table.
-* ``check`` — run the protocol-conformance oracle (``repro.check``) over
-  seeded random scenarios, one reproduced counterexample, or the perf
-  matrix; exits non-zero on any violation.
+* ``snapshot`` — inspect, verify, diff or resume snapshot files
+  (``repro.snapshot``).
 * ``workloads`` — list the named workload suite.
+* ``mechanisms`` — list the mechanism plugin registry, or ``--verify``
+  every plugin against the conformance oracle and the committed digests.
 * ``timings`` — print the baseline + CROW command timing parameters.
 * ``overheads`` — print the CROW substrate cost model (Section 6) from
   the paper-calibrated area model (``repro.circuit.area``).
+* ``check`` — run the protocol-conformance oracle (``repro.check``) over
+  seeded random scenarios, one reproduced counterexample, or the perf
+  matrix; exits non-zero on any violation.
+* ``perf`` — run the performance microbenchmark suite (``repro.perf``)
+  and optionally gate it against a committed baseline.
 """
 
 from __future__ import annotations
@@ -281,9 +287,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+#: ``_diff_values`` stops collecting once it holds this many lines.
+_DIFF_CAP = 200
+
+
 def _diff_values(path: str, a, b, lines: list) -> None:
     """Recursive value diff; appends ``path: a != b`` leaf lines."""
-    if len(lines) > 200:
+    if len(lines) > _DIFF_CAP:
         return
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b), key=str):
@@ -353,7 +363,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
             for line in shown:
                 print(line)
             if len(lines) > len(shown):
-                print(f"... {len(lines) - len(shown)} further difference(s)")
+                further = len(lines) - len(shown)
+                bound = "at least " if len(lines) > _DIFF_CAP else ""
+                print(f"... {bound}{further} further difference(s)")
             return 1
         # resume
         from repro.sim.system import System
@@ -388,8 +400,9 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
     strict-conformance simulation with telemetry, compares the digest
     against the committed oracle (``tests/data/expected_digests.json``)
     where an entry exists, and exits non-zero on any conformance
-    violation or digest mismatch. ``--report-dir`` writes one JSON
-    report per mechanism (the CI artifacts).
+    violation or digest mismatch. A missing oracle file is a
+    :class:`ConfigError`, not a silently skipped gate. ``--report-dir``
+    writes one JSON report per mechanism (the CI artifacts).
     """
     if not args.verify:
         table = TextTable(
@@ -406,9 +419,12 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
 
     from repro.check.scenarios import run_checked_case
 
-    oracle: dict = {}
-    if args.digests is not None and args.digests.exists():
-        oracle = json.loads(args.digests.read_text())
+    if not args.digests.is_file():
+        raise ConfigError(
+            f"oracle digest file {args.digests} not found (run from the "
+            "repository root or pass --digests)"
+        )
+    oracle = json.loads(args.digests.read_text())
     if args.report_dir is not None:
         args.report_dir.mkdir(parents=True, exist_ok=True)
 
@@ -613,103 +629,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     if args.compare is None:
         return 0
     return compare(doc, load_results(args.compare), threshold=args.threshold)
-
-
-def _probe_config(args: argparse.Namespace) -> SystemConfig:
-    """Build the device config a probe run instantiates (and verifies)."""
-    from dataclasses import replace
-
-    from repro.dram.geometry import DramGeometry
-
-    geometry_changes = {}
-    if args.banks is not None:
-        geometry_changes["banks_per_rank"] = args.banks
-    if args.rows_per_bank is not None:
-        geometry_changes["rows_per_bank"] = args.rows_per_bank
-    if args.rows_per_subarray is not None:
-        geometry_changes["rows_per_subarray"] = args.rows_per_subarray
-    geometry = DramGeometry(**geometry_changes) if geometry_changes else None
-    kwargs = dict(
-        mechanism=args.mechanism,
-        density_gbit=args.density,
-        copy_rows=args.copy_rows,
-        refresh_window_ms=args.refresh_window,
-        target_refresh_window_ms=args.target_window,
-        weak_rows_per_subarray=args.weak_rows,
-        seed=args.seed,
-    )
-    if geometry is not None:
-        kwargs["geometry"] = replace(geometry, density_gbit=args.density)
-    return SystemConfig(**kwargs)
-
-
-def _cmd_probe(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.probe import ProbeSession, discover
-
-    config = _probe_config(args)
-    session = ProbeSession(
-        config, channel=args.channel, shadow=not args.no_shadow
-    )
-    probe_banks = (
-        [int(bank) for bank in args.probe_banks.split(",")]
-        if args.probe_banks
-        else None
-    )
-    profile = discover(
-        session,
-        probe_banks=probe_banks,
-        retention_interval_ms=args.retention_interval,
-    )
-    payload: dict = {"profile": profile.to_dict()}
-
-    report = None
-    if args.action in ("verify", "report"):
-        report = profile.verify_against(config)
-        payload["report"] = report.to_dict()
-    if args.json is not None:
-        from pathlib import Path
-
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {path}")
-
-    table = TextTable(
-        f"inferred profile: {config.mechanism} channel {args.channel}",
-        ["parameter", "value", "confidence", "technique"],
-    )
-    for entry in profile.parameters.values():
-        table.add_row(
-            entry.name,
-            "?" if entry.value is None else str(entry.value),
-            entry.confidence,
-            entry.note,
-        )
-    print(table.render())
-    weak_total = sum(len(rows) for rows in profile.weak_rows.values())
-    print(
-        f"weak rows: {weak_total} across banks {profile.probed_banks} "
-        f"at {profile.retention_interval_ms} ms; duplicate map entries: "
-        f"{len(profile.duplicate_map)}"
-    )
-    attempts = profile.budget.get("probe.attempts", 0)
-    commits = profile.budget.get("probe.commits", 0)
-    print(f"probe budget: {attempts} attempts, {commits} committed")
-
-    if report is not None:
-        print(report.summary())
-        for diff in report.mismatched:
-            print(
-                f"  MISMATCH {diff.name}: inferred {diff.inferred!r} "
-                f"!= actual {diff.actual!r}"
-            )
-        if args.action == "verify":
-            return 0 if report.ok else 1
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -932,59 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the merged violation report as JSON to FILE",
     )
     check.set_defaults(func=_cmd_check)
-
-    probe = sub.add_parser(
-        "probe",
-        help="infer DRAM structure/timings from raw command probing "
-             "(repro.probe) and verify against the generating config",
-    )
-    probe.add_argument(
-        "action", choices=("discover", "verify", "report"),
-        help="discover prints the inferred profile; verify diffs it "
-             "against the generating config and exits non-zero on any "
-             "mismatch; report does the diff but always exits zero",
-    )
-    probe.add_argument("--mechanism", default="baseline", metavar="MECH",
-                       help="mechanism name (`repro mechanisms` lists them)")
-    probe.add_argument("--density", type=int, default=8,
-                       choices=(8, 16, 32, 64))
-    probe.add_argument("--banks", type=int, default=None, metavar="N",
-                       help="banks per rank (default: geometry default)")
-    probe.add_argument("--rows-per-bank", type=int, default=None,
-                       metavar="N")
-    probe.add_argument("--rows-per-subarray", type=int, default=None,
-                       metavar="N")
-    probe.add_argument("--copy-rows", type=int, default=8, metavar="N",
-                       help="copy rows per subarray for CROW mechanisms")
-    probe.add_argument("--weak-rows", type=int, default=3, metavar="N",
-                       help="retention-weak rows per subarray")
-    probe.add_argument("--refresh-window", type=float, default=64.0,
-                       metavar="MS")
-    probe.add_argument("--target-window", type=float, default=128.0,
-                       metavar="MS",
-                       help="target (extended) refresh window for "
-                            "CROW-ref devices")
-    probe.add_argument("--seed", type=int, default=1)
-    probe.add_argument("--channel", type=int, default=0)
-    probe.add_argument(
-        "--no-shadow", action="store_true",
-        help="drop the strict conformance shadow (CROW mapping and "
-             "weak-row observables become unavailable)",
-    )
-    probe.add_argument(
-        "--probe-banks", default=None, metavar="B0,B1,...",
-        help="banks to scan for weak rows / duplicates (default: all)",
-    )
-    probe.add_argument(
-        "--retention-interval", type=float, default=None, metavar="MS",
-        help="refresh interval for retention experiments (default: the "
-             "device's target window)",
-    )
-    probe.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="write the profile (and verify report) as JSON to FILE",
-    )
-    probe.set_defaults(func=_cmd_probe)
 
     perf = sub.add_parser(
         "perf",

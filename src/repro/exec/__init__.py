@@ -15,9 +15,9 @@ into first-class campaigns:
 * :class:`ParallelCampaign` — the runner composed with the
   :class:`~repro.sim.campaign.Campaign` disk cache: hits are read back,
   only misses reach the pool, and results (and their telemetry
-  digests) are identical to a serial run's. Cache files need not be
-  byte-identical: a result that crosses the process boundary is pickled
-  again.
+  digests) are identical at any job count (``jobs=1`` runs in-process).
+  Cache files need not be byte-identical: a result that crosses the
+  process boundary is pickled again.
 
 Quickstart::
 

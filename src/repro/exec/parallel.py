@@ -5,9 +5,8 @@ disk cache with the :class:`~repro.exec.runner.ProcessPoolRunner`:
 completed tasks are served straight from cache, and only the misses are
 fanned out to worker processes. Because tasks are content-addressed (see
 :meth:`TaskSpec.digest`) and every simulation is a pure function of its
-spec, a parallel campaign produces *exactly* the cache entries and
-results a serial :class:`Campaign` would — scheduling changes wall-clock,
-never values.
+spec, a campaign produces *exactly* the same cache entries and results
+at any job count — scheduling changes wall-clock, never values.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ __all__ = ["ParallelCampaign"]
 class ParallelCampaign:
     """Run a list of :class:`TaskSpec` through cache + worker pool.
 
-    :param directory: Campaign cache directory (shared with, and
-        byte-compatible with, the serial :class:`Campaign`).
+    :param directory: :class:`~repro.sim.campaign.Campaign` cache
+        directory, readable at any job count.
     :param jobs: worker slots (``1`` = serial in-process fallback).
     :param timeout_s: per-attempt wall-clock budget (parallel runs only).
     :param retries: extra attempts per task after the first failure.
@@ -50,6 +49,8 @@ class ParallelCampaign:
         observers=(),
     ) -> None:
         self.campaign = Campaign(directory)
+        self.hits = 0
+        self.misses = 0
         self.observers = list(observers)
         self._journal: "RunJournal | None" = None
         if journal is not None:
@@ -67,23 +68,8 @@ class ParallelCampaign:
 
     # -- cache bookkeeping ----------------------------------------------
 
-    @property
-    def hits(self) -> int:
-        return self.campaign.hits
-
-    @property
-    def misses(self) -> int:
-        return self.campaign.misses
-
     def _path(self, spec: TaskSpec) -> Path:
-        # Spec classes own their cache-file naming (probe campaigns fold
-        # extra identity fields into the digest); for plain TaskSpecs
-        # this is byte-identical to Campaign.path_for.
         return self.campaign.directory / spec.cache_filename()
-
-    @staticmethod
-    def _result_type(spec: TaskSpec) -> type:
-        return getattr(spec, "result_type", SimResult)
 
     def _emit(self, event: str, **fields) -> None:
         for observer in self.observers:
@@ -122,11 +108,9 @@ class ParallelCampaign:
         outcomes: "list[TaskOutcome | None]" = [None] * len(specs)
         misses: "list[tuple[int, TaskSpec]]" = []
         for index, spec in enumerate(specs):
-            cached = self.campaign.load_cached(
-                self._path(spec), self._result_type(spec)
-            )
+            cached = self.campaign.load_cached(self._path(spec))
             if cached is not None:
-                self.campaign.hits += 1
+                self.hits += 1
                 outcomes[index] = TaskOutcome(
                     spec, cached, None, attempts=0, cached=True
                 )
@@ -143,16 +127,12 @@ class ParallelCampaign:
             for (index, spec), outcome in zip(misses, ran):
                 outcomes[index] = outcome
                 if outcome.ok:
-                    expected = self._result_type(spec)
-                    if not isinstance(outcome.result, expected):
+                    if not isinstance(outcome.result, SimResult):
                         raise ConfigError(
-                            f"campaign tasks must produce "
-                            f"{expected.__name__} values"
+                            "campaign tasks must produce SimResult values"
                         )
-                    self.campaign.store(
-                        self._path(spec), outcome.result, expected
-                    )
-                    self.campaign.misses += 1
+                    self.campaign.store(self._path(spec), outcome.result)
+                    self.misses += 1
                     self._emit_telemetry(spec, outcome.result, cached=False)
 
         done = sum(1 for o in outcomes if o is not None and o.ok)
@@ -192,9 +172,7 @@ class ParallelCampaign:
         prepared: "list[TaskSpec]" = list(specs)
         miss_indices = [
             index for index, spec in enumerate(specs)
-            if self.campaign.load_cached(
-                self._path(spec), self._result_type(spec)
-            ) is None
+            if self.campaign.load_cached(self._path(spec)) is None
         ]  # cache hits are served by run(); no warm-up needed
 
         misses = [specs[i] for i in miss_indices]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
 
 from repro.errors import ConfigError, ReproError
 from repro.sim.campaign import cache_filename, task_digest
@@ -31,13 +30,6 @@ KINDS = ("wl", "mix")
 class TaskSpec:
     """One deterministic simulation, described entirely by value."""
 
-    #: Kinds this spec class accepts; subclasses (e.g. probe campaigns)
-    #: narrow it to their own kind namespace.
-    VALID_KINDS: ClassVar[tuple[str, ...]] = KINDS
-    #: Result type tasks of this class produce; the campaign cache
-    #: validates entries against it.
-    result_type: ClassVar[type] = SimResult
-
     kind: str                      # 'wl' (single-core) or 'mix'
     names: tuple[str, ...]         # workload name(s); one per core for 'mix'
     config: SystemConfig = field(default_factory=SystemConfig)
@@ -53,9 +45,9 @@ class TaskSpec:
     checkpoint_every: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.kind not in self.VALID_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(
-                f"unknown task kind {self.kind!r}; one of {self.VALID_KINDS}"
+                f"unknown task kind {self.kind!r}; one of {KINDS}"
             )
         if not self.names:
             raise ConfigError("a task needs at least one workload name")
@@ -63,9 +55,7 @@ class TaskSpec:
             raise ConfigError("'wl' tasks take exactly one workload name")
         # System.run's rule, applied here so a campaign rejects a spec
         # that can never succeed before any worker starts.
-        if self.kind in KINDS and (
-            self.instructions < 1 or self.warmup_instructions < 0
-        ):
+        if self.instructions < 1 or self.warmup_instructions < 0:
             raise ConfigError("invalid instruction counts")
         object.__setattr__(self, "names", tuple(self.names))
         # Paths must be plain strings: specs are pickled across process

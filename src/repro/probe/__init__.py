@@ -17,11 +17,13 @@ Layers:
   in-service-slot duplicate map; :func:`discover` orchestrates them.
 * :mod:`repro.probe.infer` — :class:`InferredProfile` (per-parameter
   confidence classes) and the structured ground-truth diff.
-* :mod:`repro.probe.campaign` — content-digested probe tasks that ride
-  the :mod:`repro.exec` cache.
+
+The subsystem is a tier-1 oracle for the device model: ``tests/probe``
+probes small devices blind and requires every recovered timing, the
+copy-row geometry, the weak-row set and the CROW duplicate map to match
+the generating config.
 """
 
-from repro.probe.campaign import ProbeResult, ProbeSpec
 from repro.probe.infer import (
     InferredProfile,
     InferredValue,
@@ -41,6 +43,4 @@ __all__ = [
     "VerifyReport",
     "ground_truth",
     "discover",
-    "ProbeSpec",
-    "ProbeResult",
 ]

@@ -1,9 +1,9 @@
 """Inferred device profiles and the ground-truth verdict.
 
-:class:`InferredProfile` is what a probing campaign produces: one
-:class:`InferredValue` per device parameter, each carrying the inferred
-value, a confidence class and a short provenance note, plus the weak-row
-map and the CROW duplicate map the routines extracted.
+:class:`InferredProfile` is what :func:`~repro.probe.routines.discover`
+produces: one :class:`InferredValue` per device parameter, each carrying
+the inferred value, a confidence class and a short provenance note, plus
+the weak-row map and the CROW duplicate map the routines extracted.
 :meth:`InferredProfile.verify_against` is the oracle step — it rebuilds
 the ground truth from the generating :class:`~repro.sim.config.
 SystemConfig` through the same :mod:`repro.sim.factory` path the device
@@ -30,9 +30,7 @@ Confidence classes:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.sim import factory
 from repro.sim.config import SystemConfig
@@ -57,18 +55,10 @@ class InferredValue:
     confidence: str
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "confidence": self.confidence,
-            "note": self.note,
-        }
-
 
 @dataclass
 class InferredProfile:
-    """Everything a probe campaign inferred about one channel."""
+    """Everything a probe run inferred about one channel."""
 
     channel: int = 0
     parameters: "dict[str, InferredValue]" = field(default_factory=dict)
@@ -87,8 +77,6 @@ class InferredProfile:
     probed_banks: "list[int]" = field(default_factory=list)
     #: Refresh interval (ms) the weak-row experiments asked about.
     retention_interval_ms: "float | None" = None
-    #: Probe command-budget counters (session telemetry projection).
-    budget: "dict[str, int]" = field(default_factory=dict)
 
     def add(
         self,
@@ -103,24 +91,6 @@ class InferredProfile:
     def value(self, name: str) -> "int | bool | None":
         entry = self.parameters.get(name)
         return entry.value if entry is not None else None
-
-    def to_dict(self) -> dict:
-        return {
-            "channel": self.channel,
-            "parameters": {
-                name: entry.to_dict()
-                for name, entry in sorted(self.parameters.items())
-            },
-            "weak_rows": {
-                str(bank): rows
-                for bank, rows in sorted(self.weak_rows.items())
-            },
-            "duplicate_map": [list(entry) for entry in self.duplicate_map],
-            "duplicate_map_observed": self.duplicate_map_observed,
-            "probed_banks": list(self.probed_banks),
-            "retention_interval_ms": self.retention_interval_ms,
-            "budget": dict(sorted(self.budget.items())),
-        }
 
     # ------------------------------------------------------------------
     # Verdict
@@ -200,16 +170,6 @@ class ParameterDiff:
     confidence: str = ""
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inferred": self.inferred,
-            "actual": self.actual,
-            "status": self.status,
-            "confidence": self.confidence,
-            "note": self.note,
-        }
-
 
 @dataclass
 class VerifyReport:
@@ -244,22 +204,6 @@ class VerifyReport:
             f"{len(self.mismatched)} mismatch(es) out of "
             f"{len(self.diffs)} comparisons; first: {head.name} "
             f"inferred {head.inferred!r} != actual {head.actual!r}"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "matched": self.matched,
-            "mismatched": len(self.mismatched),
-            "skipped": self.skipped,
-            "diffs": [diff.to_dict() for diff in self.diffs],
-        }
-
-    def write_json(self, path: "str | Path") -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
         )
 
 

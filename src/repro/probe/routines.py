@@ -29,7 +29,7 @@ The inference techniques:
   second activation in the *same* bank is accepted iff it targets a
   different subarray; the same power-of-two scan finds the boundary.
 * **Retention scans** — weak rows are the rows that fail a
-  write/wait/read experiment at the campaign's refresh interval.
+  write/wait/read experiment at the probe run's refresh interval.
 * **In-service slots + boot convention** — the CROW-ref duplicate map:
   copy slots already activatable at power-on are in service; the
   documented boot allocation (sorted weak rows assigned to usable slots
@@ -618,8 +618,8 @@ def discover(
     every bank, unless the channel holds more than ``max_scan_rows``
     rows, in which case only bank 0 is scanned — the profile records the
     scope either way). ``retention_interval_ms`` is the refresh interval
-    the retention experiments target; it defaults to the campaign's
-    declared interval regime on the session.
+    the retention experiments target; it defaults to the session's
+    declared interval regime.
     """
     s = session
     profile = InferredProfile(channel=s.channel_index)
@@ -692,5 +692,4 @@ def discover(
     elif copy_rows:
         profile.duplicate_map_observed = False
 
-    profile.budget = s.budget()
     return profile

@@ -380,7 +380,7 @@ class ProbeSession:
     def target_retention_interval_ms(self) -> float:
         """Default refresh interval for retention experiments.
 
-        A campaign parameter (the interval regime the experiment plan
+        A run parameter (the interval regime the experiment plan
         targets), not an inference — routines may override it per probe.
         """
         return self.retention.target_interval_ms

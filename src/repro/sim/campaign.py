@@ -1,19 +1,21 @@
-"""Disk-cached experiment campaigns.
+"""Disk-cached experiment campaigns: keys and the result store.
 
 Figure-level studies re-run many (configuration, workload) pairs, and the
-baseline runs repeat across figures. :class:`Campaign` memoizes
-:func:`~repro.sim.sweep.run_workload` / :func:`~repro.sim.sweep.run_mix`
-results on disk, keyed by a stable digest of the configuration, the
-workload names, the seeds and the run lengths — so iterating on an
-experiment script only pays for the runs whose inputs actually changed.
+baseline runs repeat across figures. :class:`Campaign` keeps their
+:class:`~repro.sim.metrics.SimResult` values on disk, keyed by a stable
+digest of the configuration, the workload names, the seeds and the run
+lengths — so iterating on an experiment script only pays for the runs
+whose inputs actually changed. :class:`~repro.exec.parallel.
+ParallelCampaign` is the runner in front of it (``jobs=1`` runs
+in-process).
 
 Every simulation in this package is deterministic given its inputs, which
 is what makes result caching sound.
 
 The keying helpers (:func:`config_digest`, :func:`task_digest`,
 :func:`cache_filename`) are module-level and process-stable on purpose:
-:mod:`repro.exec` reuses them so a parallel campaign addresses exactly the
-same cache entries as a serial one.
+:mod:`repro.exec` names cache entries and journal events with them, and
+snapshot headers record :func:`config_digest`.
 """
 
 from __future__ import annotations
@@ -22,14 +24,10 @@ import hashlib
 import json
 import os
 import pickle
-import socket
-import time
 from pathlib import Path
 
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
-from repro.sim.sweep import run_mix, run_workload
-from repro.errors import ConfigError
 from repro.keying import jsonable
 
 __all__ = [
@@ -93,40 +91,25 @@ def cache_filename(
 
 
 class Campaign:
-    """A directory-backed cache of simulation results."""
+    """A directory-backed store of simulation results.
+
+    Only the disk layer lives here: :class:`~repro.exec.parallel.
+    ParallelCampaign` decides what to run, names each entry with
+    :meth:`TaskSpec.cache_filename <repro.exec.task.TaskSpec.cache_filename>`
+    and counts hits and misses.
+    """
 
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
-    def path_for(
-        self,
-        kind: str,
-        names: tuple[str, ...],
-        config: SystemConfig,
-        instructions: int,
-        warmup_instructions: int,
-        seed: int,
-    ) -> Path:
-        """Cache file path for one run (shared with ParallelCampaign)."""
-        return self.directory / cache_filename(
-            kind, tuple(names), config, instructions, warmup_instructions,
-            seed,
-        )
-
-    def load_cached(
-        self, path: Path, expected: type = SimResult
-    ) -> SimResult | None:
+    def load_cached(self, path: Path) -> SimResult | None:
         """Return the cached result at ``path``, or ``None`` on a miss.
 
         Unreadable entries (torn writes from a killed process, stale
-        pickles referencing renamed classes) and entries of the wrong
-        type count as misses: the bad file is removed so the slot can be
-        rewritten cleanly. ``expected`` is the result type the caller's
-        task family produces (:class:`SimResult` for simulations; probe
-        campaigns cache their own result type).
+        pickles referencing renamed classes) and entries that are not a
+        :class:`SimResult` count as misses: the bad file is removed so
+        the slot can be rewritten cleanly.
         """
         if not path.is_file():
             return None
@@ -136,14 +119,12 @@ class Campaign:
         except Exception:
             path.unlink(missing_ok=True)
             return None
-        if not isinstance(result, expected):
+        if not isinstance(result, SimResult):
             path.unlink(missing_ok=True)
             return None
         return result
 
-    def store(
-        self, path: Path, result: SimResult, expected: type = SimResult
-    ) -> None:
+    def store(self, path: Path, result: SimResult) -> None:
         """Atomically persist ``result`` at ``path``.
 
         The pickle is written to a process-unique sibling and moved into
@@ -151,10 +132,6 @@ class Campaign:
         a torn file behind and concurrent writers of the same (identical,
         deterministic) result cannot interleave.
         """
-        if not isinstance(result, expected):
-            raise ConfigError(
-                f"runner must produce a {expected.__name__}"
-            )
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with tmp.open("wb") as handle:
@@ -162,149 +139,6 @@ class Campaign:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-
-    def _load_or_run(self, path: Path, runner) -> SimResult:
-        cached = self.load_cached(path)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        result = runner()
-        self.store(path, result)
-        self.misses += 1
-        return result
-
-    def run_workload(
-        self,
-        name: str,
-        config: SystemConfig | None = None,
-        instructions: int = 60_000,
-        warmup_instructions: int = 30_000,
-        seed: int = 0,
-    ) -> SimResult:
-        """Cached single-core run (same semantics as sweep.run_workload)."""
-        config = config if config is not None else SystemConfig()
-        path = self.path_for(
-            "wl", (name,), config, instructions, warmup_instructions, seed
-        )
-        return self._load_or_run(
-            path,
-            lambda: run_workload(
-                name,
-                config,
-                instructions=instructions,
-                warmup_instructions=warmup_instructions,
-                seed=seed,
-            ),
-        )
-
-    def run_mix(
-        self,
-        names: list[str],
-        config: SystemConfig | None = None,
-        instructions: int = 40_000,
-        warmup_instructions: int = 20_000,
-        seed: int = 0,
-    ) -> SimResult:
-        """Cached multi-core mix run (same semantics as sweep.run_mix)."""
-        config = config if config is not None else SystemConfig()
-        path = self.path_for(
-            "mix", tuple(names), config, instructions, warmup_instructions,
-            seed,
-        )
-        return self._load_or_run(
-            path,
-            lambda: run_mix(
-                names,
-                config,
-                instructions=instructions,
-                warmup_instructions=warmup_instructions,
-                seed=seed,
-            ),
-        )
-
-    # -- single-flight claims -------------------------------------------
-
-    @staticmethod
-    def claim_path(path: Path) -> Path:
-        """The advisory claim file guarding one cache entry."""
-        return path.with_name(path.name + ".claim")
-
-    def try_claim(self, path: Path, stale_s: float = 3600.0) -> bool:
-        """Atomically claim the right to compute the entry at ``path``.
-
-        Cache *writes* are already race-free (tmp + ``os.replace``), but
-        two processes missing the same entry would both simulate it.
-        The claim file is the advisory dedup: it is created with
-        ``O_CREAT | O_EXCL`` (atomic on POSIX and network filesystems
-        that matter here) and records who holds it. Returns ``True`` if
-        this process now holds the claim and should run the task;
-        ``False`` if a live foreign claim exists — the caller should
-        wait for the result to appear instead of computing it.
-
-        Stale claims — older than ``stale_s`` seconds, unreadable, or
-        held by a dead process on this host — are broken and re-taken.
-        """
-        claim = self.claim_path(path)
-        payload = json.dumps(
-            {
-                "pid": os.getpid(),
-                "host": socket.gethostname(),
-                "time": time.time(),
-            },
-            sort_keys=True,
-        )
-        for _ in range(2):  # second pass after breaking a stale claim
-            try:
-                fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if not self._claim_stale(claim, stale_s):
-                    return False
-                claim.unlink(missing_ok=True)
-                continue
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            return True
-        return False
-
-    def release_claim(self, path: Path) -> None:
-        """Drop the claim on ``path`` (idempotent)."""
-        self.claim_path(path).unlink(missing_ok=True)
-
-    def claim_holder(self, path: Path) -> "dict | None":
-        """The recorded holder of the claim on ``path``, if readable."""
-        return self._read_claim(self.claim_path(path))
-
-    @staticmethod
-    def _read_claim(claim: Path) -> "dict | None":
-        try:
-            holder = json.loads(claim.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        return holder if isinstance(holder, dict) else None
-
-    def _claim_stale(self, claim: Path, stale_s: float) -> bool:
-        try:
-            age = time.time() - claim.stat().st_mtime
-        except OSError:
-            return False  # vanished: the holder released it already
-        if age > stale_s:
-            return True
-        holder = self._read_claim(claim)
-        if holder is None:
-            # Torn or unreadable claim: break it only once it has had
-            # ample time to finish being written.
-            return age > 5.0
-        if (
-            holder.get("host") == socket.gethostname()
-            and isinstance(holder.get("pid"), int)
-        ):
-            try:
-                os.kill(holder["pid"], 0)
-            except ProcessLookupError:
-                return True  # same host, holder process is gone
-            except PermissionError:
-                pass  # alive but not ours
-        return False
 
     def clear(self) -> int:
         """Delete every cached result; returns the number removed."""

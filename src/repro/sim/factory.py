@@ -7,7 +7,8 @@ base and CROW timing parameters, same retention model, same mechanism
 (whose boot-time work, e.g. CROW-ref weak-row remapping, defines the
 device's power-on state), and the same shadow checker. These helpers
 are that single construction path, factored out of ``System.__init__``
-so the probe session cannot drift from the simulator proper.
+so the probe oracle (``tests/probe``) verifies the very device stack the
+simulator runs.
 """
 
 from __future__ import annotations

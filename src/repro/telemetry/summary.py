@@ -43,12 +43,4 @@ def headline_summary(result) -> "dict | None":
         fields["crow_restore_fraction"] = (
             crow["restore_fraction"]["value"]
         )
-    probe = export.get("probe", {})
-    if "attempts" in probe:
-        fields["probe_attempts"] = probe["attempts"]["value"]
-        fields["probe_commits"] = probe["commits"]["value"]
-        fields["probe_rejections"] = sum(
-            stat["value"] for stat in probe.get("rejected", {}).values()
-            if isinstance(stat, dict) and "value" in stat
-        )
     return fields

@@ -1,4 +1,4 @@
-"""Tests for ParallelCampaign: cache parity with Campaign, journaling."""
+"""Tests for ParallelCampaign: job-count parity, faults, journaling."""
 
 import os
 import pickle
@@ -14,7 +14,6 @@ from repro.exec import (
     TaskSpec,
     read_journal,
 )
-from repro.sim import Campaign
 
 RUN = dict(instructions=2_000, warmup_instructions=500)
 MIX_RUN = dict(instructions=1_500, warmup_instructions=400)
@@ -46,19 +45,11 @@ def _always_fail(spec):
 class TestSerialParallelParity:
     def test_parallel_matches_serial_campaign_exactly(self, tmp_path):
         """jobs=4 must produce the same cache keys and identical results
-        as the serial Campaign (the acceptance criterion; dataclass
+        as the in-process jobs=1 run (the acceptance criterion; dataclass
         equality is field-complete, covering every metric)."""
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        campaign = Campaign(serial_dir)
-        serial_results = [
-            campaign.run_workload("libq", SystemConfig(), **RUN),
-            campaign.run_workload(
-                "h264-dec", SystemConfig(mechanism="crow-cache"), **RUN
-            ),
-            campaign.run_mix(
-                ["libq", "bzip2"], SystemConfig(cores=2), **MIX_RUN
-            ),
-        ]
+        serial = ParallelCampaign(serial_dir, jobs=1, retries=0)
+        serial_results = serial.results(_specs())
         parallel = ParallelCampaign(parallel_dir, jobs=4, retries=0)
         parallel_results = parallel.results(_specs())
 
@@ -73,10 +64,14 @@ class TestSerialParallelParity:
             a = pickle.loads((serial_dir / name).read_bytes())
             b = pickle.loads((parallel_dir / name).read_bytes())
             assert a == b
+        # Each job count reads the other's cache as all hits.
+        for directory, jobs in ((serial_dir, 4), (parallel_dir, 1)):
+            reader = ParallelCampaign(directory, jobs=jobs)
+            assert reader.results(_specs()) == serial_results
+            assert reader.hits == len(_specs()) and reader.misses == 0
 
     def test_parallel_reads_serial_cache(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        campaign.run_workload("libq", SystemConfig(), **RUN)
+        ParallelCampaign(tmp_path, jobs=1).results([_specs()[0]])
         parallel = ParallelCampaign(tmp_path, jobs=2)
         outcomes = parallel.run([_specs()[0]])
         assert outcomes[0].cached

@@ -6,20 +6,54 @@ checks the inference against the generating config with
 ``verify_against`` — the paper-facing acceptance criterion.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.dram.geometry import DramGeometry
 from repro.probe.infer import ground_truth
 from repro.probe.routines import discover
 from repro.probe.session import ProbeSession
+from repro.sim.config import SystemConfig
 
 from tests.probe.conftest import shaved, small_config
 
 MECHANISMS = ["baseline", "crow-cache", "crow-ref", "salp"]
 
 
-@pytest.mark.parametrize("mechanism", MECHANISMS)
-def test_discover_matches_generating_config(mechanism):
-    config = small_config(mechanism)
+def _device(mechanism, density, banks, rows_per_bank, rows_per_subarray):
+    geometry = DramGeometry(
+        banks_per_rank=banks,
+        rows_per_bank=rows_per_bank,
+        rows_per_subarray=rows_per_subarray,
+    )
+    return SystemConfig(
+        mechanism=mechanism,
+        density_gbit=density,
+        copy_rows=8,
+        refresh_window_ms=64.0,
+        target_refresh_window_ms=128.0,
+        weak_rows_per_subarray=3,
+        seed=1,
+        geometry=replace(geometry, density_gbit=density),
+    )
+
+
+# The small fixture device for each mechanism, plus two larger shapes at
+# another density, bank count and subarray size: a model change that
+# moves an observable timing or the CROW boot layout at any of them fails
+# here even if no unit test pins that exact value.
+DEVICES = [small_config(mechanism) for mechanism in MECHANISMS] + [
+    _device("baseline", 16, banks=4, rows_per_bank=4096,
+            rows_per_subarray=512),
+    _device("crow-cache", 8, banks=8, rows_per_bank=2048,
+            rows_per_subarray=256),
+]
+DEVICE_IDS = MECHANISMS + ["baseline-16g-4x4096", "crow-cache-8g-8x2048"]
+
+
+@pytest.mark.parametrize("config", DEVICES, ids=DEVICE_IDS)
+def test_discover_matches_generating_config(config):
     session = ProbeSession(config)
     profile = discover(session)
     report = profile.verify_against(config)

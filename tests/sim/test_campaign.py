@@ -1,4 +1,8 @@
-"""Tests for the disk-cached experiment campaign runner."""
+"""Tests for the disk-cached experiment campaign: keys and the store.
+
+Runs go through :class:`ParallelCampaign` with ``jobs=1`` (in-process),
+the one runner in front of the :class:`~repro.sim.Campaign` store.
+"""
 
 import dataclasses
 import json
@@ -7,7 +11,7 @@ import os
 import pytest
 
 from repro import SystemConfig
-from repro.sim import Campaign
+from repro.exec import ParallelCampaign, TaskSpec
 from repro.sim.campaign import config_digest
 from repro.errors import ConfigError
 from repro.keying import jsonable
@@ -15,61 +19,68 @@ from repro.keying import jsonable
 RUN = dict(instructions=3_000, warmup_instructions=1_000)
 
 
+def _run(campaign, spec):
+    (result,) = campaign.results([spec])
+    return result
+
+
+def _libq(**kwargs):
+    return TaskSpec.workload("libq", SystemConfig(), **{**RUN, **kwargs})
+
+
 class TestCaching:
     def test_second_run_is_a_cache_hit(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        first = campaign.run_workload("libq", SystemConfig(), **RUN)
-        second = campaign.run_workload("libq", SystemConfig(), **RUN)
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        first = _run(campaign, _libq())
+        second = _run(campaign, _libq())
         assert campaign.hits == 1 and campaign.misses == 1
         assert first.ipc == second.ipc
         assert first.total_energy_nj == second.total_energy_nj
 
     def test_cache_distinguishes_configs(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        campaign.run_workload("libq", SystemConfig(), **RUN)
-        campaign.run_workload(
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        _run(campaign, _libq())
+        _run(campaign, TaskSpec.workload(
             "libq", SystemConfig(mechanism="crow-cache"), **RUN
-        )
+        ))
         assert campaign.misses == 2
 
     def test_cache_distinguishes_seeds_and_lengths(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        campaign.run_workload("libq", SystemConfig(), seed=0, **RUN)
-        campaign.run_workload("libq", SystemConfig(), seed=1, **RUN)
-        campaign.run_workload(
-            "libq", SystemConfig(), seed=0,
-            instructions=4_000, warmup_instructions=1_000,
-        )
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        _run(campaign, _libq(seed=0))
+        _run(campaign, _libq(seed=1))
+        _run(campaign, _libq(
+            seed=0, instructions=4_000, warmup_instructions=1_000,
+        ))
         assert campaign.misses == 3
 
     def test_cached_result_equals_fresh_run(self, tmp_path):
         from repro.sim import run_workload
 
-        campaign = Campaign(tmp_path)
-        cached = campaign.run_workload("h264-dec", SystemConfig(), **RUN)
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        cached = _run(campaign, TaskSpec.workload(
+            "h264-dec", SystemConfig(), **RUN
+        ))
         fresh = run_workload("h264-dec", SystemConfig(), **RUN)
         assert cached.ipc == fresh.ipc
         assert cached.cycles == fresh.cycles
 
     def test_mix_caching(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        names = ["libq", "bzip2"]
-        first = campaign.run_mix(
-            names, SystemConfig(cores=2),
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        spec = TaskSpec.mix(
+            ["libq", "bzip2"], SystemConfig(cores=2),
             instructions=2_000, warmup_instructions=500,
         )
-        second = campaign.run_mix(
-            names, SystemConfig(cores=2),
-            instructions=2_000, warmup_instructions=500,
-        )
+        first = _run(campaign, spec)
+        second = _run(campaign, spec)
         assert campaign.hits == 1
         assert first.core_ipcs == second.core_ipcs
 
     def test_clear(self, tmp_path):
-        campaign = Campaign(tmp_path)
-        campaign.run_workload("libq", SystemConfig(), **RUN)
-        assert campaign.clear() == 1
-        campaign.run_workload("libq", SystemConfig(), **RUN)
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        _run(campaign, _libq())
+        assert campaign.campaign.clear() == 1
+        _run(campaign, _libq())
         assert campaign.misses == 2
 
     def test_config_digest_covers_every_field(self, tmp_path):
@@ -136,27 +147,26 @@ class TestJsonable:
 
 class TestCacheRobustness:
     def _path(self, campaign):
-        return campaign.path_for("wl", ("libq",), SystemConfig(), 3_000,
-                                 1_000, 0)
+        return campaign.campaign.directory / _libq().cache_filename()
 
     def test_corrupt_entry_is_a_miss_and_gets_repaired(self, tmp_path):
-        campaign = Campaign(tmp_path)
+        campaign = ParallelCampaign(tmp_path, jobs=1)
         path = self._path(campaign)
         path.write_bytes(b"torn-pickle-from-a-killed-writer")
-        result = campaign.run_workload("libq", SystemConfig(), **RUN)
+        result = _run(campaign, _libq())
         assert campaign.misses == 1 and campaign.hits == 0
         assert result.ipc > 0
         # The slot was rewritten cleanly: the next read is a hit.
-        campaign.run_workload("libq", SystemConfig(), **RUN)
+        _run(campaign, _libq())
         assert campaign.hits == 1
 
     def test_wrong_type_entry_is_a_miss(self, tmp_path):
         import pickle
 
-        campaign = Campaign(tmp_path)
+        campaign = ParallelCampaign(tmp_path, jobs=1)
         path = self._path(campaign)
         path.write_bytes(pickle.dumps({"not": "a SimResult"}))
-        campaign.run_workload("libq", SystemConfig(), **RUN)
+        _run(campaign, _libq())
         assert campaign.misses == 1
 
     def test_store_is_atomic_via_replace(self, tmp_path, monkeypatch):
@@ -168,8 +178,8 @@ class TestCacheRobustness:
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", spy)
-        campaign = Campaign(tmp_path)
-        campaign.run_workload("libq", SystemConfig(), **RUN)
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        _run(campaign, _libq())
         assert len(replaced) == 1
         src, dst = replaced[0]
         assert src.endswith(".tmp") and dst.endswith(".pkl")
@@ -179,13 +189,13 @@ class TestCacheRobustness:
     def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
         """A writer killed before the rename must leave the cache slot
         empty (a miss), never a torn pickle."""
-        campaign = Campaign(tmp_path)
+        campaign = ParallelCampaign(tmp_path, jobs=1)
 
         def die(src, dst):
             raise KeyboardInterrupt("killed mid-store")
 
         monkeypatch.setattr(os, "replace", die)
         with pytest.raises(KeyboardInterrupt):
-            campaign.run_workload("libq", SystemConfig(), **RUN)
+            _run(campaign, _libq())
         assert not list(tmp_path.glob("*.pkl"))
         assert not list(tmp_path.glob("*.tmp"))

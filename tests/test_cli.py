@@ -262,3 +262,59 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert "cached" in out
         assert "cache hits=1" in out
+
+
+class TestMechanismsVerify:
+    def test_missing_digest_file_is_an_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The default --digests path is relative to the repository root:
+        # run from anywhere else, the gate must fail loudly instead of
+        # reporting every mechanism conformant without comparing digests.
+        monkeypatch.chdir(tmp_path)
+        assert main(["mechanisms", "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "tests/data/expected_digests.json" in captured.err
+        assert captured.err.startswith("error: ")
+        assert "conformant" not in captured.out
+
+
+class TestSnapshotDiff:
+    @staticmethod
+    def _pair(tmp_path, state_a, state_b):
+        from repro.snapshot import write_snapshot
+
+        a, b = tmp_path / "a.snap", tmp_path / "b.snap"
+        write_snapshot(a, {"kind": "test"}, {"state": state_a})
+        write_snapshot(b, {"kind": "test"}, {"state": state_b})
+        return str(a), str(b)
+
+    def test_identical_states(self, capsys, tmp_path):
+        state = {f"k{i:03d}": i for i in range(300)}
+        a, b = self._pair(tmp_path, state, dict(state))
+        assert main(["snapshot", "diff", a, b]) == 0
+        assert capsys.readouterr().out == "snapshots are identical\n"
+
+    def test_few_differences_are_all_printed(self, capsys, tmp_path):
+        state = {f"k{i:03d}": i for i in range(300)}
+        other = dict(state, k000=-1, k150=-1, k299=-1)
+        a, b = self._pair(tmp_path, state, other)
+        assert main(["snapshot", "diff", a, b]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "state.k000: 0 != -1",
+            "state.k150: 150 != -1",
+            "state.k299: 299 != -1",
+        ]
+
+    def test_capped_diff_reports_a_lower_bound(self, capsys, tmp_path):
+        state = {f"k{i:03d}": i for i in range(300)}
+        other = {key: -value - 1 for key, value in state.items()}
+        a, b = self._pair(tmp_path, state, other)
+        assert main(["snapshot", "diff", a, b, "--limit", "40"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 41
+        assert lines[0] == "state.k000: 0 != -1"
+        assert lines[39] == "state.k039: 39 != -40"
+        # The diff stops collecting after about 200 leaves, so the count
+        # of what was not printed is only a lower bound.
+        assert lines[40] == "... at least 161 further difference(s)"
