@@ -12,8 +12,9 @@ variable ``REPRO_BENCH_SCALE`` to a float to lengthen or shorten every run
 
 Sweeps are embarrassingly parallel: set ``REPRO_BENCH_JOBS=N`` to fan the
 figure scripts' simulations out over N worker processes via
-:mod:`repro.exec` (``1``, the default, runs serially in-process). Set
-``REPRO_BENCH_CACHE=<dir>`` to reuse a persistent result cache across
+:mod:`repro.exec` (``1``, the default, runs serially in-process; either
+way the mechanism variants of a workload share one functional warm-up).
+Set ``REPRO_BENCH_CACHE=<dir>`` to reuse a persistent result cache across
 benchmark invocations, and ``REPRO_BENCH_JOURNAL=<file>`` to append a
 JSONL execution journal. ``REPRO_BENCH_TELEMETRY=1`` turns on the
 telemetry registry for every swept task (per-task digests land in the
@@ -23,6 +24,7 @@ telemetry-off sweeps cache separately).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import sys
@@ -73,13 +75,13 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def sweep(tasks, jobs: "int | None" = None) -> list:
     """Run a list of ``repro.exec.TaskSpec``, results in task order.
 
-    ``jobs`` defaults to ``REPRO_BENCH_JOBS``. The serial un-cached path
-    (``jobs=1`` and no ``REPRO_BENCH_CACHE``) executes each task inline —
+    ``jobs`` defaults to ``REPRO_BENCH_JOBS``. Every sweep goes through
+    ``ParallelCampaign`` (``jobs=1`` runs in-process), so the tasks that
+    warm identical state share it at every job count, and results are
     byte-identical to calling ``run_workload``/``run_mix`` directly.
-    Parallel runs go through ``ParallelCampaign``: worker-process fan-out
-    with crash isolation and retries, backed by a disk cache
-    (``REPRO_BENCH_CACHE`` or a fresh per-invocation temp dir, so stale
-    results can never leak into a sweep unless explicitly requested).
+    The disk cache is ``REPRO_BENCH_CACHE``, or a temp dir removed
+    afterwards, so stale results can never leak into a sweep unless
+    explicitly requested.
     """
     tasks = list(tasks)
     if TELEMETRY:
@@ -89,23 +91,23 @@ def sweep(tasks, jobs: "int | None" = None) -> list:
             )
             for task in tasks
         ]
-    jobs = JOBS if jobs is None else jobs
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    if jobs <= 1 and cache_dir is None:
-        return [task.run() for task in tasks]
-
     from repro.exec import ParallelCampaign
 
-    directory = cache_dir or tempfile.mkdtemp(prefix="repro-bench-cache-")
+    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
     stderr = getattr(sys, "__stderr__", None)
-    with ParallelCampaign(
-        directory,
-        jobs=jobs,
-        timeout_s=float(os.environ.get("REPRO_BENCH_TIMEOUT", "0") or 0)
-        or None,
-        journal=os.environ.get("REPRO_BENCH_JOURNAL"),
-        progress=bool(stderr is not None and stderr.isatty()),
-    ) as campaign:
+    with contextlib.ExitStack() as stack:
+        if cache_dir is None:
+            cache_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
+            )
+        campaign = stack.enter_context(ParallelCampaign(
+            cache_dir,
+            jobs=JOBS if jobs is None else jobs,
+            timeout_s=float(os.environ.get("REPRO_BENCH_TIMEOUT", "0") or 0)
+            or None,
+            journal=os.environ.get("REPRO_BENCH_JOURNAL"),
+            progress=bool(stderr is not None and stderr.isatty()),
+        ))
         return campaign.results(tasks)
 
 

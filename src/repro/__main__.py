@@ -247,10 +247,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         journal=args.journal,
         progress=sys.stderr.isatty(),
     ) as campaign:
-        if args.fork_warm is not None:
-            outcomes = campaign.run_forked(tasks, args.fork_warm)
-        else:
-            outcomes = campaign.run(tasks)
+        outcomes = campaign.run(tasks)
 
         table = TextTable(
             f"campaign over {len(tasks)} task(s), jobs={campaign.runner.jobs}",
@@ -747,11 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument(
         "--checkpoint-every", type=int, default=50_000, metavar="CYCLES",
         help="checkpoint cadence in memory cycles (default: 50000)",
-    )
-    camp.add_argument(
-        "--fork-warm", default=None, metavar="DIR",
-        help="fork mechanism variants from shared warm images kept in "
-             "DIR (functional warm-up runs once per config prefix)",
     )
     camp.set_defaults(func=_cmd_campaign)
 

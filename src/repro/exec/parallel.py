@@ -11,6 +11,7 @@ at any job count — scheduling changes wall-clock, never values.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -98,6 +99,21 @@ class ParallelCampaign:
         Cached tasks never reach the pool. Failed tasks (retries
         exhausted, including worker crashes and timeouts) yield
         ``ok=False`` outcomes without aborting the rest of the campaign.
+        Each result is stored as soon as its task finishes, so an
+        interrupted campaign keeps every task it completed.
+
+        Cache misses that warm identical state (:func:`~repro.snapshot.
+        warm.fork_groups`: mechanism variants of one workload, seed and
+        config prefix) share it. Each group of two or more gets one warm
+        image under ``<directory>/warm/``, announced by a ``warm_group``
+        journal event. Its leader is queued first and writes the image
+        from :meth:`System.prewarm <repro.sim.system.System.prewarm>`;
+        the other members adopt it instead of re-warming, or, when they
+        start before it exists, warm by themselves. A ``warm_follower``
+        event after each member's ``task_start`` records whether the
+        image was present. The images (and any a killed worker left half
+        written) are removed when ``run`` returns. Results are
+        byte-identical either way.
         """
         specs = list(specs)
         started = time.monotonic()
@@ -123,8 +139,21 @@ class ParallelCampaign:
                 misses.append((index, spec))
 
         if misses:
-            ran = self.runner.run([spec for _, spec in misses], _fn)
-            for (index, spec), outcome in zip(misses, ran):
+            queue, images = self._share_warm_state(misses)
+
+            def launched(event: str, fields: dict) -> None:
+                if event != "task_start":
+                    return
+                follows = queue[fields["index"]][3]
+                if follows is not None:
+                    self._emit(
+                        "warm_follower", task=fields["task"],
+                        image=str(follows), image_present=follows.is_file(),
+                    )
+
+            def finished(position: int, outcome: TaskOutcome) -> None:
+                index, spec, _, _ = queue[position]
+                outcome.spec = spec  # the caller's spec, image-free
                 outcomes[index] = outcome
                 if outcome.ok:
                     if not isinstance(outcome.result, SimResult):
@@ -135,6 +164,26 @@ class ParallelCampaign:
                     self.misses += 1
                     self._emit_telemetry(spec, outcome.result, cached=False)
 
+            self.runner.observers.append(launched)
+            try:
+                self.runner.run(
+                    [run_spec for _, _, run_spec, _ in queue], _fn,
+                    on_outcome=finished,
+                )
+            finally:
+                self.runner.observers.remove(launched)
+                for image in images:
+                    image.unlink(missing_ok=True)
+                    # a worker killed mid-write leaves write_warm_image's
+                    # tmp sibling behind
+                    for tmp in image.parent.glob(f"{image.name}.*.tmp"):
+                        tmp.unlink(missing_ok=True)
+                if images:
+                    try:
+                        images[0].parent.rmdir()
+                    except OSError:
+                        pass  # holds another campaign's image
+
         done = sum(1 for o in outcomes if o is not None and o.ok)
         failed = len(specs) - done
         self._emit(
@@ -143,68 +192,51 @@ class ParallelCampaign:
         )
         return outcomes  # type: ignore[return-value]
 
-    def run_forked(
-        self,
-        specs,
-        warm_dir: "str | Path",
-        prewarm_accesses: int = 200_000,
-        _fn=execute_task,
-    ) -> "list[TaskOutcome]":
-        """Like :meth:`run`, but fork mechanism variants from warm images.
+    def _share_warm_state(self, misses):
+        """Plan warm-state sharing for the ``(index, spec)`` cache misses.
 
-        Cache-miss specs are grouped by warm-compatibility key — the
-        :func:`repro.snapshot.warmup_digest` of their config plus the
-        trace identity (kind, workloads, seed). Each group's functional
-        pre-warm runs **once** (serially, before the fan-out) and is
-        persisted as a warm image in ``warm_dir``; every member then
-        forks from that image instead of re-warming. A ``warm_fork``
-        journal event records the image, the build wall-clock and the
-        fork count. Groups of one spec with no pre-built image gain
-        nothing from forking and run cold. Results and telemetry digests
-        are identical to :meth:`run`'s either way.
+        Returns the run queue — group leaders first, then the rest in
+        spec order — as ``(index, spec, run_spec, follows)`` entries,
+        where ``run_spec`` carries the group's image path and
+        ``follows`` is the image a follower adopts, plus the image
+        paths in use.
         """
-        import dataclasses
+        from repro.snapshot.warm import fork_groups
 
-        from repro.snapshot.warm import build_warm_image, fork_groups
-
-        specs = list(specs)
-        warm_dir = Path(warm_dir)
-        prepared: "list[TaskSpec]" = list(specs)
-        miss_indices = [
-            index for index, spec in enumerate(specs)
-            if self.campaign.load_cached(self._path(spec)) is None
-        ]  # cache hits are served by run(); no warm-up needed
-
-        misses = [specs[i] for i in miss_indices]
-        for group in fork_groups(misses, prewarm_accesses):
+        warm_dir = self.campaign.directory / "warm"
+        shared: "dict[int, Path]" = {}
+        leaders: "list[int]" = []
+        for group in fork_groups([spec for _, spec in misses]):
+            if len(group.indices) < 2:
+                continue
             image = warm_dir / group.filename
-            members = [miss_indices[i] for i in group.indices]
-            if not image.is_file() and len(members) < 2:
-                continue  # nothing shared to amortize: run cold
-            sample = specs[members[0]]
-            warm_s = 0.0
-            if not image.is_file():
-                started = time.monotonic()
-                build_warm_image(
-                    image, sample.names, sample.config, seed=sample.seed,
-                    kind=sample.kind, prewarm_accesses=prewarm_accesses,
-                )
-                warm_s = round(time.monotonic() - started, 3)
+            leaders.append(group.indices[0])
+            shared.update(dict.fromkeys(group.indices, image))
+            _, sample = misses[group.indices[0]]
             self._emit(
-                "warm_fork",
-                warm_digest=group.warm_digest,
+                "warm_group",
                 image=str(image),
-                forks=len(members),
-                warm_s=warm_s,
+                warm_digest=group.warm_digest,
+                leader=sample.label,
+                tasks=len(group.indices),
                 kind=sample.kind,
                 workloads=list(sample.names),
                 seed=sample.seed,
             )
-            for index in members:
-                prepared[index] = dataclasses.replace(
-                    specs[index], warm_image=str(image)
-                )
-        return self.run(prepared, _fn)
+        first = set(leaders)
+        queue = []
+        for position in leaders + [
+            p for p in range(len(misses)) if p not in first
+        ]:
+            index, spec = misses[position]
+            image = shared.get(position)
+            if image is None:
+                queue.append((index, spec, spec, None))
+                continue
+            run_spec = dataclasses.replace(spec, warm_image=str(image))
+            follows = None if position in first else image
+            queue.append((index, spec, run_spec, follows))
+        return queue, sorted(set(shared.values()))
 
     def results(self, specs, _fn=execute_task) -> "list[SimResult]":
         """Like :meth:`run`, but unwrap results and fail loudly.

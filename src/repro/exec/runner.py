@@ -12,7 +12,9 @@ outputs, only wall-clock.
 
 Observers (journal, progress reporter — any ``(event, fields)`` callable)
 receive ``task_start`` / ``task_done`` / ``task_retry`` / ``task_failed``
-events as they happen.
+events as they happen. An ``on_outcome`` callback receives each task's
+final outcome before its ``task_done`` / ``task_failed`` event, so a
+caller can persist results while the rest of the batch still runs.
 """
 
 from __future__ import annotations
@@ -171,6 +173,7 @@ class ProcessPoolRunner:
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.observers = list(observers)
+        self._on_outcome = None
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -192,21 +195,31 @@ class ProcessPoolRunner:
 
     # -- public entry ----------------------------------------------------
 
-    def run(self, specs, fn=execute_task) -> "list[TaskOutcome]":
+    def run(
+        self, specs, fn=execute_task, on_outcome=None,
+    ) -> "list[TaskOutcome]":
         """Execute every spec; outcomes are returned in spec order.
 
         A failed task (retries exhausted) yields an outcome with
         ``ok=False`` — it never aborts the remaining tasks.
+        ``on_outcome(i, outcome)`` receives each final outcome as soon
+        as it is known.
         """
         specs = list(specs)
         if not specs:
             return []
+        self._on_outcome = on_outcome
         if self.jobs == 1:
             return [
                 self._run_one_serial(i, spec, fn)
                 for i, spec in enumerate(specs)
             ]
         return self._run_parallel(specs, fn)
+
+    def _finish(self, index: int, outcome: TaskOutcome) -> TaskOutcome:
+        if self._on_outcome is not None:
+            self._on_outcome(index, outcome)
+        return outcome
 
     # -- serial path -----------------------------------------------------
 
@@ -236,21 +249,25 @@ class ProcessPoolRunner:
                     )
                     time.sleep(backoff)
                     continue
+                outcome = self._finish(
+                    index, TaskOutcome(spec, None, error, attempt, duration)
+                )
                 self._emit(
                     "task_failed",
                     **self._task_fields(index, spec, attempt),
                     error=error, duration_s=round(duration, 6),
                 )
-                return TaskOutcome(
-                    spec, None, error, attempt, duration
-                )
+                return outcome
             duration = time.monotonic() - started
+            outcome = self._finish(
+                index, TaskOutcome(spec, result, None, attempt, duration)
+            )
             self._emit(
                 "task_done",
                 **self._task_fields(index, spec, attempt),
                 duration_s=round(duration, 6),
             )
-            return TaskOutcome(spec, result, None, attempt, duration)
+            return outcome
         raise AssertionError("unreachable")
 
     # -- parallel path ---------------------------------------------------
@@ -391,13 +408,13 @@ class ProcessPoolRunner:
             pass
 
     def _succeed(self, running, result, duration, outcomes) -> None:
+        outcomes[running.index] = self._finish(running.index, TaskOutcome(
+            running.spec, result, None, running.attempt, duration
+        ))
         self._emit(
             "task_done",
             **self._task_fields(running.index, running.spec, running.attempt),
             duration_s=round(duration, 6),
-        )
-        outcomes[running.index] = TaskOutcome(
-            running.spec, result, None, running.attempt, duration
         )
 
     def _fail(
@@ -421,13 +438,13 @@ class ProcessPoolRunner:
                 time.monotonic() + backoff,
             ))
             return
+        outcomes[running.index] = self._finish(running.index, TaskOutcome(
+            running.spec, None, error, running.attempt, duration,
+            timed_out=timed_out, crashed=crashed,
+        ))
         self._emit(
             "task_failed",
             **self._task_fields(running.index, running.spec, running.attempt),
             error=error, duration_s=round(duration, 6),
             timed_out=timed_out, crashed=crashed, detail=detail,
-        )
-        outcomes[running.index] = TaskOutcome(
-            running.spec, None, error, running.attempt, duration,
-            timed_out=timed_out, crashed=crashed,
         )

@@ -37,9 +37,10 @@ class TaskSpec:
     warmup_instructions: int = 30_000
     seed: int = 0
     # Snapshot plumbing. Deliberately excluded from digest()/the cache
-    # key: a warm-forked or checkpoint-resumed run produces the same
-    # SimResult bytes as a cold run of the same simulation inputs, so
-    # these fields change *how* a task executes, never *what* it is.
+    # key: a run that adopts shared warm state (System's warm_image) or
+    # resumes a checkpoint produces the same SimResult bytes as a cold
+    # run of the same simulation inputs, so these fields change *how* a
+    # task executes, never *what* it is.
     warm_image: "str | None" = None
     checkpoint_dir: "str | None" = None
     checkpoint_every: int = 50_000

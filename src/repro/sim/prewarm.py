@@ -28,6 +28,12 @@ The state matrices start from the LLC's current contents, so warming
 twice continues from the first warm. Each way carries a flags byte:
 bit 0 is the dirty bit, bit 1 the prefetched bit, which a warm hit
 clears (as :meth:`Llc.warm` does).
+
+The final matrices, the page table as key/frame arrays, the allocator
+RNG state and the trace cursors are the *warm state*
+(:func:`warm_state`): a warm image stores it, and
+:func:`adopt_warm_state` rebuilds exactly the LLC, VM and trace
+positions the kernel left behind.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import numpy as np
 from repro.cpu.translation import ASID_SHIFT, PAGE_MASK, PAGE_SHIFT
 from repro.trace.chunks import records_to_chunk
 
-__all__ = ["warm_llc"]
+__all__ = ["warm_llc", "warm_state", "adopt_warm_state"]
 
 #: Interleaved records (all cores together) per kernel chunk. The chunk
 #: bounds the kernel's int64 temporaries, and with them its share of the
@@ -63,12 +69,16 @@ _DIRTY = 1
 _PREFETCHED = 2
 
 
-def warm_llc(llc, vm, traces: list, accesses_per_core: int) -> None:
+def warm_llc(
+    llc, vm, traces: list, accesses_per_core: int
+) -> "tuple[np.ndarray, np.ndarray]":
     """Warm ``llc`` and ``vm`` with the next records of every trace.
 
     ``traces[i]`` is core ``i``'s trace (address space ``i``). Reads up
     to ``accesses_per_core`` records per trace, fewer where a finite
-    trace runs dry, and resets the LLC statistics afterwards.
+    trace runs dry, and resets the LLC statistics afterwards. Returns
+    the final (tag, flags) matrices the LLC was materialized from, for
+    a warm image (:func:`warm_state`).
     """
     offset_bits = llc._offset_bits
     index_mask = llc._index_mask
@@ -110,6 +120,38 @@ def warm_llc(llc, vm, traces: list, accesses_per_core: int) -> None:
         )
     _materialize(llc, tag_state, flag_state)
     llc.reset_stats()
+    return tag_state, flag_state
+
+
+def warm_state(tag_state, flag_state, vm, traces: list) -> dict:
+    """The warm state after :func:`warm_llc` returned these matrices."""
+    table = vm._page_table
+    return {
+        "tags": tag_state,
+        "flags": flag_state,
+        "pages": np.fromiter(table, dtype=np.int64, count=len(table)),
+        "frames": np.fromiter(
+            table.values(), dtype=np.int64, count=len(table)
+        ),
+        "rng": vm._rng.bit_generator.state,
+        "traces": [trace.state_dict() for trace in traces],
+    }
+
+
+def adopt_warm_state(state: dict, llc, vm, traces: list) -> None:
+    """Put ``llc``, ``vm`` and ``traces`` in the warm state ``state``.
+
+    Each trace checks its own workload and seed against the stored
+    cursor (:class:`~repro.errors.ConfigError` on a mismatch).
+    """
+    for trace, cursor in zip(traces, state["traces"], strict=True):
+        trace.load_state_dict(cursor)
+    _materialize(llc, state["tags"], state["flags"])
+    llc.reset_stats()
+    frames = state["frames"].tolist()
+    vm._page_table = dict(zip(state["pages"].tolist(), frames))
+    vm._used_frames = set(frames)
+    vm._rng.bit_generator.state = state["rng"]
 
 
 def _take_columns(trace, n: int) -> "tuple[np.ndarray, np.ndarray]":

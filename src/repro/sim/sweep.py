@@ -60,17 +60,17 @@ def run_workload(
 ) -> SimResult:
     """Run one workload on a single-core system.
 
-    The snapshot keywords pass straight through to
-    :meth:`repro.sim.system.System.run` (warm-image adoption, periodic
-    resumable checkpoints, one-shot snapshots); all default to off.
+    ``warm_image`` is the :class:`~repro.sim.system.System` warm-image
+    path (shared pre-warm state); the other snapshot keywords pass
+    straight through to :meth:`repro.sim.system.System.run` (periodic
+    resumable checkpoints, one-shot snapshots). All default to off.
     """
     config = config if config is not None else SystemConfig()
     config = replace(config, cores=1)
-    system = System(config, [_stream(w, seed)])
+    system = System(config, [_stream(w, seed)], warm_image=warm_image)
     return system.run(
         instructions,
         warmup_instructions,
-        warm_image=warm_image,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         snapshot_at_cycle=snapshot_at_cycle,
@@ -96,11 +96,10 @@ def run_mix(
     traces = [
         _stream(w, derive_trace_seed(seed, i)) for i, w in enumerate(mix)
     ]
-    system = System(config, traces)
+    system = System(config, traces, warm_image=warm_image)
     return system.run(
         instructions,
         warmup_instructions,
-        warm_image=warm_image,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         snapshot_at_cycle=snapshot_at_cycle,

@@ -28,7 +28,7 @@ from repro.mech import get_plugin
 from repro.sim import factory
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
-from repro.sim.prewarm import warm_llc
+from repro.sim.prewarm import adopt_warm_state, warm_llc, warm_state
 from repro.trace.stream import TraceStream
 
 __all__ = ["System"]
@@ -307,12 +307,17 @@ class MemoryPort:
 
 
 class System:
-    """One simulated machine, ready to run a set of traces."""
+    """One simulated machine, ready to run a set of traces.
+
+    ``warm_image`` names a file that holds this system's functional
+    pre-warm state, or will (see :meth:`prewarm`).
+    """
 
     def __init__(
         self,
         config: SystemConfig,
         traces: list[Iterator[TraceRecord]],
+        warm_image: "str | Path | None" = None,
     ) -> None:
         if len(traces) != config.cores:
             raise ConfigError(
@@ -417,6 +422,7 @@ class System:
             else []
         )
         self._measure_start: int | None = None
+        self.warm_image = None if warm_image is None else Path(warm_image)
         # Flat wake-source tuple for the timed loop: the component set is
         # fixed after construction, so the per-step candidate list is
         # replaced by an allocation-free scan over this tuple.
@@ -525,12 +531,45 @@ class System:
         cycle simulator cannot afford to execute in timed mode. The
         records consumed here simply become part of the (untimed) past.
         The vectorized kernel is :func:`repro.sim.prewarm.warm_llc`.
+
+        A system built with a ``warm_image`` path adopts the image when
+        it holds this warm state (same :func:`~repro.snapshot.warm.
+        warmup_digest`, workloads, seeds and access count). Otherwise it
+        computes the state and writes the image, atomically, for the
+        next system. An image built for other inputs raises
+        :class:`ConfigError`; a missing or torn one is recomputed.
         """
         if accesses_per_core < 0:
             raise ConfigError("prewarm accesses must be >= 0")
-        warm_llc(
-            self.llc, self.vm, [core.trace for core in self.cores],
-            accesses_per_core,
+        traces = [core.trace for core in self.cores]
+        if self.warm_image is None:
+            warm_llc(self.llc, self.vm, traces, accesses_per_core)
+            return
+        from repro.snapshot.warm import (
+            read_warm_image,
+            warmup_digest,
+            write_warm_image,
+        )
+
+        for trace in traces:
+            if not isinstance(trace, TraceStream) or trace.consumed:
+                raise SnapshotError(
+                    "a warm image seeds only the first prewarm, over "
+                    "unread repro.trace.TraceStream traces"
+                )
+        header = {
+            "warm_digest": warmup_digest(self.config),
+            "workloads": [trace.workload_name for trace in traces],
+            "seeds": [trace.seed for trace in traces],
+            "prewarm_accesses": accesses_per_core,
+        }
+        state = read_warm_image(self.warm_image, header)
+        if state is not None:
+            adopt_warm_state(state, self.llc, self.vm, traces)
+            return
+        tags, flags = warm_llc(self.llc, self.vm, traces, accesses_per_core)
+        write_warm_image(
+            self.warm_image, header, warm_state(tags, flags, self.vm, traces)
         )
 
     def run(
@@ -539,7 +578,6 @@ class System:
         warmup_instructions: int = 20_000,
         max_cycles: int | None = None,
         prewarm_accesses: int = 200_000,
-        warm_image: "str | Path | None" = None,
         checkpoint_path: "str | Path | None" = None,
         checkpoint_every: int = 50_000,
         snapshot_at_cycle: int | None = None,
@@ -556,8 +594,6 @@ class System:
         Snapshot hooks (near zero-cost when left at their defaults — the
         timed loop pays one ``is not None`` test per step):
 
-        - ``warm_image``: load a pre-built functional warm image
-          (:meth:`save_warm_image`) instead of running ``prewarm``.
         - ``checkpoint_path`` / ``checkpoint_every``: periodically save a
           resumable checkpoint (:meth:`System.resume` continues it); the
           checkpoint is deleted when the run completes.
@@ -585,9 +621,7 @@ class System:
         if gc_was_enabled:
             gc.disable()
         try:
-            if warm_image is not None:
-                self.load_warm_image(warm_image, prewarm_accesses)
-            elif prewarm_accesses:
+            if prewarm_accesses:
                 self.prewarm(prewarm_accesses)
             return self._run_to_completion(
                 instructions,
@@ -982,8 +1016,7 @@ class System:
         if header.get("kind") != "full":
             raise SnapshotError(
                 f"{path}: expected a full snapshot, got kind "
-                f"{header.get('kind')!r} (warm images restore via "
-                "load_warm_image)"
+                f"{header.get('kind')!r}"
             )
         if config is not None:
             expected = config_digest(config)
@@ -1057,88 +1090,6 @@ class System:
         finally:
             if gc_was_enabled:
                 gc.enable()
-
-    # -- warm-state forking ---------------------------------------------
-    def save_warm_image(
-        self, path: "str | Path", prewarm_accesses: int | None = None
-    ) -> None:
-        """Persist the functional pre-warm state (LLC, VM, trace cursors).
-
-        Must be called right after :meth:`prewarm`, before any timed
-        stepping — warm images deliberately omit timing/mechanism state
-        so one image can seed every mechanism variant that shares the
-        same :func:`repro.snapshot.warmup_digest`.
-        """
-        self._snapshot_guard()
-        if self.now != 0 or self._measure_start is not None:
-            raise SnapshotError(
-                "warm images must be saved before timed simulation starts"
-            )
-        from repro.snapshot.container import write_snapshot
-        from repro.snapshot.warm import warmup_digest
-
-        header = {
-            "kind": "warm",
-            "warmup_digest": warmup_digest(self.config),
-            "cores": self.config.cores,
-            "workloads": [core.trace.workload_name for core in self.cores],
-            "seeds": [core.trace.seed for core in self.cores],
-            "prewarm_accesses": prewarm_accesses,
-        }
-        payload = {
-            "llc": self.llc.state_dict(),
-            "vm": self.vm.state_dict(),
-            "traces": [core.trace.state_dict() for core in self.cores],
-        }
-        write_snapshot(path, header, payload)
-
-    def load_warm_image(
-        self, path: "str | Path", prewarm_accesses: int | None = None
-    ) -> None:
-        """Adopt a pre-built warm image instead of running ``prewarm``.
-
-        Compatibility is enforced twice: the warm digest must match this
-        system's configuration, and each trace stream validates its own
-        workload/seed identity when the cursor state loads. Both
-        mismatches raise :class:`ConfigError`.
-        """
-        self._snapshot_guard()
-        if self.now != 0 or self._measure_start is not None:
-            raise SnapshotError(
-                "warm images must be loaded before timed simulation starts"
-            )
-        from repro.snapshot.container import read_snapshot
-        from repro.snapshot.warm import warmup_digest
-
-        header, payload = read_snapshot(path)
-        if header.get("kind") != "warm":
-            raise SnapshotError(
-                f"{path}: expected a warm image, got kind "
-                f"{header.get('kind')!r}"
-            )
-        expected = warmup_digest(self.config)
-        if header["warmup_digest"] != expected:
-            raise ConfigError(
-                f"warm image {path} is incompatible with this "
-                f"configuration (warm digest {header['warmup_digest']} != "
-                f"{expected}); rebuild the image or align the shared "
-                "config prefix (cores, seed, LLC, geometry)"
-            )
-        saved_accesses = header.get("prewarm_accesses")
-        if (
-            prewarm_accesses is not None
-            and saved_accesses is not None
-            and saved_accesses != prewarm_accesses
-        ):
-            raise ConfigError(
-                f"warm image {path} was built with "
-                f"{saved_accesses} pre-warm accesses per core, but this "
-                f"run expects {prewarm_accesses}"
-            )
-        self.llc.load_state_dict(payload["llc"])
-        self.vm.load_state_dict(payload["vm"])
-        for core, trace_state in zip(self.cores, payload["traces"]):
-            core.trace.load_state_dict(trace_state)
 
 
 class _PeekableLlc(Llc):

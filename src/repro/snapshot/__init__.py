@@ -9,10 +9,10 @@ This package provides the storage substrate for three features:
   :meth:`System.restore` rebuilds a byte-equivalent system and
   :meth:`System.resume` continues an interrupted run to completion with
   a telemetry digest identical to the uninterrupted run.
-- **Warm-state forking** — :func:`repro.snapshot.warm.build_warm_image`
-  captures the mechanism-invariant functional pre-warm state once so a
-  configuration sweep can fork N mechanism variants from it instead of
-  re-warming N times (:func:`warmup_digest` guards compatibility).
+- **Shared warm state** — :mod:`repro.snapshot.warm` names and stores
+  the mechanism-invariant functional pre-warm state, so a campaign warms
+  each distinct state once and its mechanism variants adopt it instead
+  of re-warming (:func:`warmup_digest` guards compatibility).
 - **Inspection** — ``python -m repro snapshot`` (inspect/verify/diff/
   resume) works off :func:`read_header` / :func:`read_snapshot`.
 
@@ -31,7 +31,7 @@ from repro.snapshot.container import (
     read_snapshot,
     write_snapshot,
 )
-from repro.snapshot.warm import build_warm_image, warmup_digest
+from repro.snapshot.warm import warmup_digest
 
 __all__ = [
     "FORMAT_VERSION",
@@ -39,6 +39,5 @@ __all__ = [
     "read_header",
     "read_snapshot",
     "write_snapshot",
-    "build_warm_image",
     "warmup_digest",
 ]

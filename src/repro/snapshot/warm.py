@@ -1,35 +1,53 @@
-"""Warm-state forking support.
+"""Shared warm state: the warm digest, fork groups and warm images.
 
-A *warm image* is a snapshot of the functional (untimed) pre-warm state
-— LLC contents, page table + frame-allocation RNG, and trace positions —
-taken right after :meth:`repro.sim.system.System.prewarm` and before any
-timed simulation. That state is **mechanism-invariant**: pre-warming
-touches only address translation and the LLC, never the DRAM substrate,
-so one image built under a shared configuration prefix can seed runs of
-*every* mechanism variant. :meth:`repro.exec.parallel.ParallelCampaign.
-run_forked` exploits this to pay the pre-warm cost once per sweep
-instead of once per configuration.
+A *warm image* holds the functional (untimed) pre-warm state
+:meth:`repro.sim.system.System.prewarm` leaves behind — LLC contents,
+page table with the frame-allocation RNG, and trace positions. That
+state is **mechanism-invariant**: pre-warming touches only address
+translation and the LLC, never the DRAM substrate, so one image can
+seed *every* mechanism variant of a configuration.
+:meth:`repro.exec.parallel.ParallelCampaign.run` groups its cache misses
+with :func:`fork_groups` and hands each group one image path: the first
+member to warm writes it, the others adopt it.
 
 :func:`warmup_digest` hashes exactly the configuration surface the
 pre-warm state depends on. Two configs with equal warm digests produce
-byte-identical pre-warm state for the same workloads and seeds (workload
-identity is validated separately, by the trace streams themselves, when
-an image is loaded).
+byte-identical pre-warm state for the same workloads, seeds and
+pre-warm length, which is what an image's header records and what
+adoption checks.
+
+An image file is a magic line followed by two uncompressed
+pickles (protocol 5), streamed straight to and from the file: the
+header, then the state (the warm kernel's arrays, see
+:func:`repro.sim.prewarm.warm_state`). Writes are atomic (process-unique
+sibling plus :func:`os.replace`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.errors import ConfigError
 from repro.keying import jsonable
 
-__all__ = ["warmup_digest", "build_warm_image", "ForkGroup", "fork_groups"]
+__all__ = [
+    "warmup_digest",
+    "ForkGroup",
+    "fork_groups",
+    "write_warm_image",
+    "read_warm_image",
+]
 
 #: Bump when the pre-warm algorithm or its config surface changes.
 _WARM_VERSION = 1
+
+#: First bytes of a warm image; the digit is the file layout version.
+_IMAGE_MAGIC = b"CROWWARM2\n"
 
 
 def warmup_digest(config) -> str:
@@ -112,41 +130,40 @@ def fork_groups(specs, prewarm_accesses: int = 200_000) -> list[ForkGroup]:
     return groups
 
 
-def build_warm_image(
-    path: "str | Path",
-    names: "tuple[str, ...] | list[str]",
-    config,
-    seed: int = 0,
-    kind: str = "wl",
-    prewarm_accesses: int = 200_000,
-) -> Path:
-    """Build one warm image: construct, pre-warm, persist.
-
-    ``kind``/``names``/``seed`` follow :class:`repro.exec.task.TaskSpec`
-    semantics ('wl' = one single-core workload, 'mix' = one workload per
-    core with hash-derived per-core seeds).
-    """
-    from dataclasses import replace
-
-    from repro.errors import ConfigError
-    from repro.sim.sweep import _stream, derive_trace_seed
-    from repro.sim.system import System
-
+def write_warm_image(path: "str | Path", header: dict, state: dict) -> None:
+    """Atomically write the warm image ``header`` + ``state`` at ``path``."""
     path = Path(path)
-    if kind == "wl":
-        if len(names) != 1:
-            raise ConfigError("'wl' warm images take exactly one workload")
-        config = replace(config, cores=1)
-        streams = [_stream(names[0], seed)]
-    elif kind == "mix":
-        config = replace(config, cores=len(names))
-        streams = [
-            _stream(w, derive_trace_seed(seed, i))
-            for i, w in enumerate(names)
-        ]
-    else:
-        raise ConfigError(f"unknown warm-image kind {kind!r}")
-    system = System(config, streams)
-    system.prewarm(prewarm_accesses)
-    system.save_warm_image(path, prewarm_accesses=prewarm_accesses)
-    return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as handle:
+            handle.write(_IMAGE_MAGIC)
+            pickle.dump(header, handle, protocol=5)
+            pickle.dump(state, handle, protocol=5)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def read_warm_image(path: "str | Path", header: dict) -> "dict | None":
+    """The state stored at ``path`` for a system whose header is ``header``.
+
+    ``None`` when there is no usable image: the file is missing, not a
+    warm image, or torn (the caller then computes the state and
+    rewrites the image). A readable image built for other inputs raises
+    :class:`ConfigError` showing both headers.
+    """
+    try:
+        with open(path, "rb") as handle:
+            if handle.read(len(_IMAGE_MAGIC)) != _IMAGE_MAGIC:
+                return None
+            saved = pickle.load(handle)
+            state = pickle.load(handle)
+    except Exception:  # missing, or torn by an external writer
+        return None
+    if saved != header:
+        raise ConfigError(
+            f"warm image {path} was built for other inputs: image "
+            f"{saved!r}, this system {header!r}"
+        )
+    return state

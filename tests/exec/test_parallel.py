@@ -143,6 +143,33 @@ class TestFaultTolerance:
         with pytest.raises(ConfigError, match="failed after retries"):
             campaign.results([_specs()[0]], _fn=_always_fail)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_campaign_keeps_finished_results(
+        self, tmp_path, jobs
+    ):
+        """Ctrl-C after the first task finishes: that task's result is
+        already in the cache, so a rerun does not simulate it again."""
+        finished = []
+
+        def interrupt(event, fields):
+            if event == "task_done":
+                finished.append(fields["task"])
+                raise KeyboardInterrupt
+
+        specs = _specs()
+        campaign = ParallelCampaign(
+            tmp_path, jobs=jobs, retries=0, observers=[interrupt]
+        )
+        with pytest.raises(KeyboardInterrupt):
+            campaign.run(specs)
+        (label,) = finished
+        (spec,) = [spec for spec in specs if spec.label == label]
+        assert (tmp_path / spec.cache_filename()).is_file()
+        rerun = ParallelCampaign(tmp_path, jobs=1)
+        assert [o.cached for o in rerun.run(specs)] == [
+            s is spec for s in specs
+        ]
+
 
 class TestJournal:
     def test_round_trip(self, tmp_path):

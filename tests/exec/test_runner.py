@@ -182,6 +182,26 @@ class TestObservers:
         assert done["duration_s"] >= 0
 
 
+class TestOutcomeCallback:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outcome_callback_precedes_its_final_event(self, jobs):
+        log = []
+        runner = ProcessPoolRunner(
+            jobs=jobs, retries=0,
+            observers=[lambda e, f: log.append((e, f["index"]))],
+        )
+        runner.run(
+            [_spec(seed=0), _spec(seed=1)],
+            fn=lambda spec: _boom(spec) if spec.seed else 0,
+            on_outcome=lambda index, o: log.append(("outcome", index, o.ok)),
+        )
+        for index, ok, final in ((0, True, "task_done"),
+                                 (1, False, "task_failed")):
+            assert log.index(("outcome", index, ok)) + 1 == log.index(
+                (final, index)
+            )
+
+
 class TestRetryBackoff:
     """Deterministic decorrelated jitter on the retry schedule."""
 

@@ -39,7 +39,7 @@ class TestDeterminism:
 
     def test_digests_match_committed_expectations(self):
         expected = json.loads(DATA.read_text())
-        assert len(expected) == 9  # the snapshot oracle suite relies on it
+        assert len(expected) == 13  # the snapshot oracle suite relies on it
         for case, want in sorted(expected.items()):
             mechanism = case.removeprefix("libq-")
             result = run_once(mechanism)

@@ -11,6 +11,7 @@ divergence would surface as a digest change downstream.
 
 import pytest
 
+from repro.errors import ConfigError, SnapshotError
 from repro.sim.config import SystemConfig
 from repro.sim.prewarm import _CHUNK_RECORDS
 from repro.sim.system import System
@@ -40,13 +41,13 @@ def _prewarm_scalar(system, accesses_per_core):
     system.llc.reset_stats()
 
 
-def build(workloads, seed, **extra):
+def build(workloads, seed, image=None, **extra):
     config = SystemConfig(cores=len(workloads), seed=seed, **extra)
     traces = [
         TraceStream(name, seed + core)
         for core, name in enumerate(workloads)
     ]
-    return System(config, traces)
+    return System(config, traces, warm_image=image)
 
 
 def warmed_pair(workloads, seed, accesses):
@@ -156,3 +157,76 @@ class TestWarmStateEquivalence:
         kernel = System(config, traces())
         kernel.prewarm(12_000)
         assert_same_state(oracle, kernel)
+
+
+def assert_same_warm_state(a, b):
+    assert_same_state(a, b)
+    for ac, bc in zip(a.cores, b.cores):
+        assert ac.trace.state_dict() == bc.trace.state_dict()
+
+
+class TestWarmImage:
+    """A system built with a warm-image path computes and writes the
+    image once; the next system with that path adopts it, landing on
+    exactly the state the kernel computed."""
+
+    @pytest.mark.parametrize("workloads,seed", WORKLOAD_CASES)
+    def test_adopted_state_equals_computed(self, workloads, seed, tmp_path):
+        image = tmp_path / "w.warm"
+        computed = build(workloads, seed, image)
+        computed.prewarm(30_000)
+        assert image.is_file()
+        # A mechanism variant adopts the mechanism-invariant state.
+        adopted = build(workloads, seed, image, mechanism="crow-cache")
+        adopted.prewarm(30_000)
+        assert_same_warm_state(computed, adopted)
+        plain = build(workloads, seed)
+        plain.prewarm(30_000)
+        assert_same_warm_state(plain, adopted)
+        assert adopted.llc.hits == adopted.llc.misses == 0
+        assert sorted(tmp_path.iterdir()) == [image]  # no tmp droppings
+
+    @pytest.mark.parametrize(
+        "workloads,seed,accesses,extra",
+        [
+            (("libq",), 7, 30_000, dict(llc_size_bytes=4 << 20)),
+            (("libq",), 8, 30_000, {}),
+            (("mcf",), 7, 30_000, {}),
+            (("libq",), 7, 20_000, {}),
+        ],
+        ids=["warm-digest", "seed", "workloads", "access-count"],
+    )
+    def test_incompatible_image_raises(
+        self, workloads, seed, accesses, extra, tmp_path
+    ):
+        image = tmp_path / "w.warm"
+        build(("libq",), 7, image).prewarm(30_000)
+        system = build(workloads, seed, image, **extra)
+        with pytest.raises(ConfigError, match="other inputs"):
+            system.prewarm(accesses)
+
+    @pytest.mark.parametrize("keep", [0, 5, 0.5])
+    def test_torn_image_is_recomputed_and_rewritten(self, keep, tmp_path):
+        image = tmp_path / "w.warm"
+        build(("mcf",), 3, image).prewarm(30_000)
+        whole = image.read_bytes()
+        cut = int(len(whole) * keep) if isinstance(keep, float) else keep
+        image.write_bytes(whole[:cut])
+        system = build(("mcf",), 3, image)
+        system.prewarm(30_000)
+        plain = build(("mcf",), 3)
+        plain.prewarm(30_000)
+        assert_same_warm_state(plain, system)
+        assert image.read_bytes() == whole
+
+    def test_image_needs_unread_trace_streams(self, tmp_path):
+        system = build(("libq",), 1, tmp_path / "w.warm")
+        system.prewarm(1_000)
+        with pytest.raises(SnapshotError):
+            system.prewarm(1_000)
+        plain = System(
+            SystemConfig(), [workload("libq").trace(1)],
+            warm_image=tmp_path / "x.warm",
+        )
+        with pytest.raises(SnapshotError):
+            plain.prewarm(1_000)

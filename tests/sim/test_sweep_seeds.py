@@ -41,7 +41,7 @@ class TestDerivation:
 
 
 class _StubSystem:
-    def __init__(self, config, traces):
+    def __init__(self, config, traces, warm_image=None):
         self.traces = traces
 
     def run(self, instructions, warmup_instructions, **snapshot_kwargs):

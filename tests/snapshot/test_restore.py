@@ -16,7 +16,7 @@ import pytest
 from repro import SystemConfig, run_workload
 from repro.errors import ConfigError, ReproError, SnapshotError
 from repro.sim.system import System
-from repro.snapshot import build_warm_image, read_header, warmup_digest
+from repro.snapshot import read_header, warmup_digest, write_snapshot
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 EXPECTED = json.loads((DATA / "expected_digests.json").read_text())
@@ -113,35 +113,41 @@ class TestCompatibilityGates:
 
     @pytest.fixture(scope="class")
     def warm_image(self, tmp_path_factory):
-        """One baseline-built warm image, shared across the class."""
+        """One warm image, written by a baseline run, shared across the
+        class."""
         image = tmp_path_factory.mktemp("warm") / "w.warm"
-        build_warm_image(image, ("libq",), config_for("baseline"))
+        run_workload("libq", config_for("baseline"), **RUN,
+                     warm_image=image)
+        assert image.is_file()
         return image
 
     def test_warm_image_rejects_incompatible_config(self, warm_image):
         other = config_for("baseline", seed=7)
-        digest = read_header(warm_image)["warmup_digest"]
-        assert warmup_digest(other) != digest
-        with pytest.raises(ConfigError):
+        assert warmup_digest(other) != warmup_digest(config_for("baseline"))
+        with pytest.raises(ConfigError, match="other inputs"):
             run_workload("libq", other, **RUN, warm_image=warm_image)
 
     def test_warm_image_is_mechanism_invariant(self, warm_image):
-        """One warm image built under baseline forks into any mechanism
+        """One warm image written under baseline seeds any mechanism
         variant with digests equal to cold runs — the property
-        ParallelCampaign.run_forked rests on."""
+        ParallelCampaign.run's warm groups rest on."""
         for mechanism in ("crow-ref", "chargecache"):
             cold = run_workload("libq", config_for(mechanism), **RUN)
-            forked = run_workload(
+            adopted = run_workload(
                 "libq", config_for(mechanism), **RUN,
                 warm_image=warm_image,
             )
             assert (
-                forked.telemetry_digest() == cold.telemetry_digest()
+                adopted.telemetry_digest() == cold.telemetry_digest()
             ), mechanism
 
-    def test_resume_requires_a_resumable_snapshot(self, warm_image):
-        with pytest.raises(SnapshotError):
-            System.resume(warm_image)
+    def test_resume_requires_a_resumable_snapshot(self, tmp_path):
+        """A valid container of another kind is refused by the kind
+        check, not by the container's own framing checks."""
+        other = tmp_path / "other.snap"
+        write_snapshot(other, {"kind": "other"}, {})
+        with pytest.raises(SnapshotError, match="expected a full snapshot"):
+            System.resume(other)
 
 
 class TestRunGuards:
