@@ -31,6 +31,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.analysis import format_table
+
 __all__ = [
     "SCALE",
     "JOBS",
@@ -130,18 +132,7 @@ def report(
     notes: list[str] | None = None,
 ) -> None:
     """Print a paper-style table (uncaptured) and persist it to disk."""
-    widths = [
-        max(len(str(headers[i])), *(len(str(row[i])) for row in rows))
-        for i in range(len(headers))
-    ] if rows else [len(h) for h in headers]
-    lines = [f"== {title} =="]
-    lines.append("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    for note in notes or []:
-        lines.append(f"  note: {note}")
-    text = "\n".join(lines)
+    text = format_table(headers, rows, title, notes)
 
     # Bypass pytest capture so the table reaches the tee'd benchmark log.
     stream = getattr(sys, "__stdout__", sys.stdout) or sys.stdout

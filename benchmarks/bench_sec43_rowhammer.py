@@ -25,7 +25,7 @@ from repro.dram import (
     TimingParameters,
 )
 from repro.dram.address import DramAddress
-from repro.dram.commands import RowId, RowKind
+from repro.dram.commands import RowId
 
 from _harness import INSTRUCTIONS, WARMUP, report
 

@@ -228,6 +228,7 @@ def _matrix_tasks(args: argparse.Namespace, **extra_run_kwargs) -> list:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    import contextlib
     import tempfile
 
     from repro.exec import ParallelCampaign
@@ -238,15 +239,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         run_kwargs["checkpoint_every"] = args.checkpoint_every
     tasks = _matrix_tasks(args, **run_kwargs)
 
-    directory = args.cache_dir or tempfile.mkdtemp(prefix="repro-campaign-")
-    with ParallelCampaign(
-        directory,
-        jobs=args.jobs,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        journal=args.journal,
-        progress=sys.stderr.isatty(),
-    ) as campaign:
+    with contextlib.ExitStack() as stack:
+        # Without --cache-dir the cache lives only as long as the command.
+        directory = args.cache_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-campaign-")
+        )
+        campaign = stack.enter_context(ParallelCampaign(
+            directory,
+            jobs=args.jobs,
+            timeout_s=args.timeout,
+            retries=args.retries,
+            journal=args.journal,
+            progress=sys.stderr.isatty(),
+        ))
         outcomes = campaign.run(tasks)
 
         table = TextTable(
@@ -276,11 +281,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
         print(table.render())
         failed = sum(1 for outcome in outcomes if not outcome.ok)
-        print(
+        summary = (
             f"done={len(outcomes) - failed} failed={failed} "
-            f"cache hits={campaign.hits} misses={campaign.misses} "
-            f"cache dir={directory}"
+            f"cache hits={campaign.hits} misses={campaign.misses}"
         )
+        if args.cache_dir:
+            summary += f" cache dir={directory}"
+        print(summary)
     return 1 if failed else 0
 
 
@@ -395,9 +402,9 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
 
     ``--verify`` runs each registered mechanism through a short
     strict-conformance simulation with telemetry, compares the digest
-    against the committed oracle (``tests/data/expected_digests.json``)
-    where an entry exists, and exits non-zero on any conformance
-    violation or digest mismatch. A missing oracle file is a
+    against the committed oracle (``tests/data/expected_digests.json``),
+    and exits non-zero on any conformance violation, digest mismatch or
+    mechanism without an oracle entry. A missing oracle file is a
     :class:`ConfigError`, not a silently skipped gate. ``--report-dir``
     writes one JSON report per mechanism (the CI artifacts).
     """
@@ -455,7 +462,8 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
             report["digest"] = digest
             report["commands_checked"] = check.commands
             if entry is None:
-                report["status"] = "ok-no-oracle-digest"
+                report["status"] = "no-oracle-digest"
+                failed.append(name)
             elif (
                 digest != entry["digest"]
                 or result.cycles != entry["cycles"]

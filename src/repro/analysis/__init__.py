@@ -1,21 +1,15 @@
-"""Result analysis and reporting utilities.
+"""Result reporting utilities.
 
-Used by the benchmark harness and the examples to turn simulation results
-into the paper-style tables and series: fixed-width text tables, summary
-statistics (means, geometric means), normalized comparisons, and simple
-ASCII bar series for terminal-friendly "figures".
+Used by the CLI, the perf gate and the benchmark harness to turn
+simulation results into paper-style fixed-width text tables, and by the
+``stats`` command to draw telemetry epoch series as ASCII column charts.
 """
 
 from repro.analysis.tables import TextTable, format_table
-from repro.analysis.stats import geometric_mean, normalize, summarize_speedups
-from repro.analysis.series import ascii_bars, ascii_timeseries
+from repro.analysis.series import ascii_timeseries
 
 __all__ = [
     "TextTable",
     "format_table",
-    "geometric_mean",
-    "normalize",
-    "summarize_speedups",
-    "ascii_bars",
     "ascii_timeseries",
 ]

@@ -1,4 +1,4 @@
-"""Terminal-friendly data series rendering (ASCII bar "figures")."""
+"""Terminal-friendly rendering of sampled time series."""
 
 from __future__ import annotations
 
@@ -6,43 +6,7 @@ import math
 
 from repro.errors import ConfigError
 
-__all__ = ["ascii_bars", "ascii_timeseries"]
-
-
-def ascii_bars(
-    series: dict[str, float],
-    width: int = 40,
-    baseline: float | None = None,
-    unit: str = "",
-) -> str:
-    """Render a labelled horizontal bar chart.
-
-    With ``baseline``, bars are drawn relative to it and annotated with
-    the percentage delta — handy for speedup/energy comparisons::
-
-        crow-8   | ######################        1.071  (+7.1%)
-
-    Raises :class:`ConfigError` on an empty series or on non-finite
-    values (a single NaN/inf would otherwise poison the peak scaling).
-    """
-    if not series:
-        raise ConfigError("empty series")
-    if width < 8:
-        raise ConfigError("width must be >= 8")
-    for label, value in series.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"non-finite value for {label!r}: {value!r}")
-    label_width = max(len(label) for label in series)
-    peak = max(abs(v) for v in series.values()) or 1.0
-    lines = []
-    for label, value in series.items():
-        bar = "#" * max(1, round(abs(value) / peak * width))
-        annotation = f"{value:.3f}{unit}"
-        if baseline:
-            delta = (value / baseline - 1.0) * 100.0
-            annotation += f"  ({delta:+.1f}%)"
-        lines.append(f"{label.ljust(label_width)} | {bar.ljust(width)} {annotation}")
-    return "\n".join(lines)
+__all__ = ["ascii_timeseries"]
 
 
 def ascii_timeseries(

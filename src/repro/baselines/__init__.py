@@ -7,7 +7,8 @@
 * :mod:`repro.baselines.chargecache` — ChargeCache [26]: reduced-latency
   re-activation of recently-precharged (highly-charged) rows.
 * :mod:`repro.baselines.ideal` — the paper's *Ideal CROW-cache* (100%
-  CROW-table hit rate) and no-refresh bounds used in Figures 8 and 14.
+  CROW-table hit rate) bound used in Figures 8 and 14; the ``ideal``
+  mechanism runs it with refresh disabled (the Figure 14 combined bound).
 """
 
 from repro.baselines.tldram import TlDram, TLDRAM_TIMING_FACTORS

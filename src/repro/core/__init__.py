@@ -14,8 +14,6 @@
   on one copy-row pool (Section 8.3).
 * :mod:`repro.core.analytics` — the paper's closed-form overhead and
   weak-row probability models (Eqs. 1-4, Sections 4.2.1 and 6.1).
-* :mod:`repro.core.profiling` — boot-time and periodic (VRT-aware)
-  retention profiling (Sections 4.2.1, 4.2.3).
 """
 
 from repro.core.table import CrowTable, CrowEntry, EntryOwner
@@ -23,7 +21,6 @@ from repro.core.cache import CrowCache
 from repro.core.ref import CrowRef
 from repro.core.rowhammer import RowHammerMitigation
 from repro.core.combined import CrowCacheRef
-from repro.core.full import CrowFullSubstrate
 from repro.core.analytics import (
     crow_table_entry_bits,
     crow_table_storage_bits,
@@ -31,7 +28,6 @@ from repro.core.analytics import (
     p_subarray_exceeds,
     p_weak_row,
 )
-from repro.core.profiling import RetentionProfiler
 
 __all__ = [
     "CrowTable",
@@ -41,11 +37,9 @@ __all__ = [
     "CrowRef",
     "RowHammerMitigation",
     "CrowCacheRef",
-    "CrowFullSubstrate",
     "crow_table_entry_bits",
     "crow_table_storage_bits",
     "crow_table_storage_kib",
     "p_subarray_exceeds",
     "p_weak_row",
-    "RetentionProfiler",
 ]

@@ -30,12 +30,11 @@ class RowHammerMitigation(Mechanism):
         self,
         geometry,
         timing: TimingParameters,
-        table: CrowTable | None = None,
         crow: CrowTimings | None = None,
         hammer_threshold: int = 2000,
     ) -> None:
         super().__init__(geometry, timing)
-        self.table = table if table is not None else CrowTable(geometry)
+        self.table = CrowTable(geometry)
         self.crow = crow if crow is not None else CrowTimings.from_factors(timing)
         self.hammer_threshold = hammer_threshold
         self.counters: dict[tuple[int, int], int] = {}
@@ -105,15 +104,7 @@ class RowHammerMitigation(Mechanism):
             return
         if row.kind is not RowKind.REGULAR:
             return
-        self.note_activation(bank, row.bank_row(self.geometry.rows_per_subarray), now)
-
-    def note_activation(self, bank: int, bank_row: int, now: int) -> None:
-        """Count one activation of ``bank_row`` toward hammer detection.
-
-        Split out so that composing mechanisms (the full substrate) can
-        feed the detector without routing their own plans through
-        ``on_activate``.
-        """
+        bank_row = row.bank_row(self.geometry.rows_per_subarray)
         key = (bank, bank_row)
         count = self.counters.get(key, 0) + 1
         self.counters[key] = count
@@ -141,17 +132,15 @@ class RowHammerMitigation(Mechanism):
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
-    def state_dict(self, include_table: bool = True) -> dict:
-        state = {
+    def state_dict(self) -> dict:
+        return {
             "counters": dict(self.counters),
             "remap": dict(self.remap),
             "urgent": list(self._urgent),
             "protected_victims": self.protected_victims,
             "protection_failures": self.protection_failures,
+            "table": self.table.state_dict(),
         }
-        if include_table:
-            state["table"] = self.table.state_dict()
-        return state
 
     def load_state_dict(self, state: dict) -> None:
         self.counters = dict(state["counters"])
@@ -159,8 +148,7 @@ class RowHammerMitigation(Mechanism):
         self._urgent = deque(tuple(v) for v in state["urgent"])
         self.protected_victims = state["protected_victims"]
         self.protection_failures = state["protection_failures"]
-        if "table" in state:
-            self.table.load_state_dict(state["table"])
+        self.table.load_state_dict(state["table"])
 
     def stats(self) -> dict[str, float]:
         """Mechanism-specific statistics for the metrics layer."""

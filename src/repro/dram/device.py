@@ -22,7 +22,7 @@ from collections import deque
 
 from repro.dram.bank import BankState, PrechargeResult, SalpBankState
 from repro.dram.cellarray import CellArray
-from repro.dram.commands import ActTimings, Command, CommandKind, RowId, RowKind
+from repro.dram.commands import Command, CommandKind, RowId, RowKind
 from repro.dram.geometry import DramGeometry
 from repro.dram.tables import compile_timing_tables
 from repro.dram.timing import REF_COMMANDS_PER_WINDOW, TimingParameters

@@ -84,9 +84,9 @@ class EnergyBreakdown:
     background_nj: float
 
     def __post_init__(self) -> None:
-        # Same policy as analysis.ascii_bars: a NaN/inf joule count is a
-        # modelling bug, and letting it propagate through `+` and ratio
-        # math silently poisons every downstream figure.
+        # A NaN/inf joule count is a modelling bug, and letting it
+        # propagate through `+` and ratio math silently poisons every
+        # downstream figure.
         for field in fields(self):
             value = getattr(self, field.name)
             if not math.isfinite(value):

@@ -7,7 +7,6 @@ callers can catch library failures without masking programming errors.
 __all__ = [
     "ReproError",
     "ConfigError",
-    "TraceFormatError",
     "TimingViolationError",
     "ProtocolError",
     "DataIntegrityError",
@@ -24,22 +23,6 @@ class ReproError(Exception):
 
 class ConfigError(ReproError):
     """An invalid or inconsistent configuration value was supplied."""
-
-
-class TraceFormatError(ConfigError):
-    """A trace file line could not be parsed.
-
-    Raised by :mod:`repro.trace.fileio` with the offending location
-    attached as structured attributes: ``path`` (str) and ``line``
-    (1-based line number), so tools can point an editor at the defect
-    instead of re-parsing the message.
-    """
-
-    def __init__(self, path, line: int, reason: str) -> None:
-        super().__init__(f"{path}:{line}: {reason}")
-        self.path = str(path)
-        self.line = line
-        self.reason = reason
 
 
 class TimingViolationError(ReproError):

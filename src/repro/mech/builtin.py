@@ -1,6 +1,6 @@
 """Builtin plugins: the CROW family and the paper's baselines.
 
-These port the twelve pre-plugin mechanism names onto the registry with
+These port the ten pre-plugin mechanism names onto the registry with
 **byte-identical** behaviour — each ``build`` body is the corresponding
 branch of the old ``sim/factory.build_mechanism`` if-chain, each
 ``geometry_overrides`` the matching ``SystemConfig.resolved_geometry``
@@ -172,33 +172,6 @@ class CrowHammerPlugin(MechanismPlugin):
         return {"act-c-remap": _safe_copy_timings(crow)}
 
 
-@register_mechanism("crow-full")
-class CrowFullPlugin(CrowCombinedPlugin):
-    """Cache + ref + hammer on one shared copy-row pool."""
-
-    def build(self, ctx: BuildContext):
-        from repro.core import CrowFullSubstrate
-
-        assert ctx.retention is not None
-        config = ctx.config
-        return CrowFullSubstrate(
-            ctx.geometry,
-            ctx.timing,
-            ctx.retention,
-            crow=ctx.crow_timings,
-            channel=ctx.channel,
-            base_window_ms=config.refresh_window_ms,
-            hammer_threshold=config.hammer_threshold,
-            allow_partial_restore=config.allow_partial_restore,
-            reduced_twr=config.reduced_twr,
-            act_c_early_termination=config.act_c_early_termination,
-            evict_partial=config.evict_partial,
-        )
-
-    def needs_retention(self, config) -> bool:
-        return True
-
-
 @register_mechanism("ideal-crow-cache")
 class IdealCrowCachePlugin(MechanismPlugin):
     """100%-hit-rate CROW-cache upper bound (Figure 14)."""
@@ -233,20 +206,6 @@ class IdealCrowCachePlugin(MechanismPlugin):
 @register_mechanism("ideal")
 class IdealPlugin(IdealCrowCachePlugin):
     """Ideal CROW-cache + no refresh (the Figure 14 combined bound)."""
-
-    def uses_controller_refresh(self, config) -> bool:
-        return False
-
-
-@register_mechanism("no-refresh")
-class NoRefreshPlugin(MechanismPlugin):
-    """Conventional DRAM with refresh disabled (refresh-cost bound)."""
-
-    def build(self, ctx: BuildContext):
-        return NoMechanism(ctx.geometry, ctx.timing)
-
-    def geometry_overrides(self, config) -> dict:
-        return {"copy_rows_per_subarray": 0}
 
     def uses_controller_refresh(self, config) -> bool:
         return False

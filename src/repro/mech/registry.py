@@ -3,7 +3,7 @@
 Builtin plugins self-register on first lookup (lazy import, so merely
 importing :mod:`repro.mech` never drags in the mechanism
 implementations). Registration order is deliberate and stable: the
-twelve pre-plugin mechanism names first, in their historical order, then
+ten pre-plugin mechanism names first, in their historical order, then
 the related-work additions — seeded sweeps that draw from
 :func:`mechanism_names` stay reproducible across releases that only
 *append* mechanisms.

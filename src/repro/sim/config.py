@@ -17,7 +17,7 @@ __all__ = ["SystemConfig", "MECHANISMS"]
 #: Mechanism names accepted by :class:`SystemConfig` — a snapshot of the
 #: plugin registry (``repro.mech``) at import time, kept for seeded
 #: samplers and back-compat. The registry is the source of truth; the
-#: twelve pre-plugin names come first, in their historical order.
+#: ten pre-plugin names come first, in their historical order.
 MECHANISMS = mechanism_names()
 
 #: Values :attr:`SystemConfig.engine` accepts (the field is inert).

@@ -35,7 +35,7 @@ from repro.telemetry.trace import EventTrace
 __all__ = ["SystemTelemetry"]
 
 #: Attribute probing order for the CROW-cache component of a mechanism
-#: (plain CrowCache, or the .cache member of combined/full substrates).
+#: (plain CrowCache, or the .cache member of the combined cache+ref).
 _CACHE_ATTRS = ("hits", "misses", "uncached", "restores", "evictions")
 
 

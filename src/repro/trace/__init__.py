@@ -24,7 +24,7 @@ from repro.trace.workloads import (
     workload,
     workloads_by_class,
 )
-from repro.trace.mixes import MIX_GROUPS, build_mix, build_mix_group
+from repro.trace.mixes import MIX_GROUPS, build_mix
 from repro.trace.stream import TraceStream
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "workloads_by_class",
     "MIX_GROUPS",
     "build_mix",
-    "build_mix_group",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.trace.workloads import Workload, workloads_by_class
 
-__all__ = ["MIX_GROUPS", "build_mix", "build_mix_group"]
+__all__ = ["MIX_GROUPS", "build_mix"]
 
 #: The eight class signatures used in Figure 9, lowest to highest pressure.
 MIX_GROUPS = (
@@ -38,12 +38,3 @@ def build_mix(signature: str, seed: int = 0) -> list[Workload]:
         pool = workloads_by_class(cls)
         mix.append(pool[int(rng.integers(len(pool)))])
     return mix
-
-
-def build_mix_group(
-    signature: str, mixes: int = 20, seed: int = 0
-) -> list[list[Workload]]:
-    """A full group of ``mixes`` four-core mixes with one signature."""
-    if mixes < 1:
-        raise ConfigError("mixes must be >= 1")
-    return [build_mix(signature, seed=seed * 1000 + i) for i in range(mixes)]

@@ -15,7 +15,6 @@ from repro.dram.commands import (
     Command,
     CommandKind,
     RowId,
-    RowKind,
 )
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import CrowTimings, TimingParameters

@@ -1,7 +1,5 @@
 """Unit and property tests for the bitline charge-sharing model."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.circuit import SenseAmpModel, TechnologyParameters
+from repro.circuit import SenseAmpModel
 from repro.errors import ConfigError
 
 

@@ -29,8 +29,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.controller import MemRequest
+from repro.controller.mechanism import ActivationPlan
 from repro.core.ref import CrowRef
 from repro.core.rowhammer import RowHammerMitigation
+from repro.dram.commands import CommandKind, RowId
 from repro.mech import mechanism_names
 
 from tests.controller.test_pass_oracle import (
@@ -78,17 +80,16 @@ def remap(controller, bank, row, now):
                 )
             now = apply_history(controller, [(0, "act", bank, row)], now)
         return now
-    hammer = (
-        mechanism
-        if isinstance(mechanism, RowHammerMitigation)
-        else getattr(mechanism, "hammer", None)
-    )
-    if hammer is not None:
+    if isinstance(mechanism, RowHammerMitigation):
         # Hammer ``row`` up to the threshold: its neighbours become
         # victims that the controller copies away on its next ticks.
-        seen = hammer.counters.get((bank, row), 0)
-        for _ in range(hammer.hammer_threshold - seen):
-            hammer.note_activation(bank, row, now)
+        plan = ActivationPlan(
+            kind=CommandKind.ACT,
+            rows=(RowId.regular(row, mechanism.geometry.rows_per_subarray),),
+        )
+        seen = mechanism.counters.get((bank, row), 0)
+        for _ in range(mechanism.hammer_threshold - seen):
+            mechanism.on_activate(bank, plan, now)
     return now
 
 

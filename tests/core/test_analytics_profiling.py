@@ -1,19 +1,15 @@
-"""Tests for the Eq. 1-4 analytics and the retention profiler."""
-
-import math
+"""Tests for the Eq. 1-4 analytics."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
-    RetentionProfiler,
     crow_table_entry_bits,
     crow_table_storage_bits,
     crow_table_storage_kib,
     p_subarray_exceeds,
     p_weak_row,
 )
-from repro.dram import DramGeometry, RetentionModel
 from repro.errors import ConfigError
 
 #: The paper's Section 4.2.1 worked example.
@@ -94,37 +90,3 @@ class TestEq34TableStorage:
     def test_rejects_tiny_subarray(self):
         with pytest.raises(ConfigError):
             crow_table_entry_bits(1)
-
-
-class TestRetentionProfiler:
-    GEO = DramGeometry(rows_per_bank=4096, channels=1)
-
-    def test_boot_profile_finds_planted_rows(self):
-        retention = RetentionModel(
-            self.GEO, weak_rows_per_subarray=2, seed=3
-        )
-        profiler = RetentionProfiler(self.GEO, retention)
-        profile = profiler.boot_profile()
-        total = sum(len(v) for v in profile.values())
-        assert total == self.GEO.banks_per_channel * self.GEO.subarrays_per_bank * 2
-
-    def test_periodic_profile_discovers_vrt(self):
-        retention = RetentionModel(self.GEO, weak_rows_per_subarray=0)
-        profiler = RetentionProfiler(
-            self.GEO, retention, vrt_rate_per_pass=3.0, seed=1
-        )
-        found = []
-        for _ in range(10):
-            found.extend(profiler.periodic_profile())
-        assert found
-        assert profiler.known_vrt_rows == frozenset(found)
-
-    def test_zero_vrt_rate_finds_nothing(self):
-        retention = RetentionModel(self.GEO, weak_rows_per_subarray=0)
-        profiler = RetentionProfiler(self.GEO, retention, vrt_rate_per_pass=0.0)
-        assert profiler.periodic_profile() == []
-
-    def test_rejects_negative_rate(self):
-        retention = RetentionModel(self.GEO)
-        with pytest.raises(ConfigError):
-            RetentionProfiler(self.GEO, retention, vrt_rate_per_pass=-1.0)

@@ -4,7 +4,7 @@ invariant under a real controller command stream."""
 import pytest
 
 from repro.controller import ChannelController, ControllerConfig, MemRequest, RequestType
-from repro.core import CrowCache, CrowTable, EntryOwner
+from repro.core import CrowCache, CrowTable
 from repro.dram import (
     AddressMapper,
     CellArray,

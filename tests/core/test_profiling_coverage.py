@@ -1,45 +1,11 @@
-"""Tests for profiling-coverage arithmetic, temperature-scaled retention,
-and the DDR4 timing preset."""
+"""Tests for the conditions retention profiling runs under: the
+temperature-scaled retention model and the DDR4 timing preset."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.core.profiling import profiling_coverage, recommended_rounds
 from repro.dram.retention import bit_error_rate
 from repro.dram.timing import TimingParameters
 from repro.errors import ConfigError
-
-
-class TestProfilingCoverage:
-    def test_zero_rounds_cover_nothing(self):
-        assert profiling_coverage(0) == 0.0
-
-    def test_coverage_grows_with_rounds(self):
-        values = [profiling_coverage(n) for n in range(6)]
-        assert values == sorted(values)
-        assert values[-1] > 0.99
-
-    def test_recommended_rounds_meets_target(self):
-        rounds = recommended_rounds(target_coverage=0.999)
-        assert profiling_coverage(rounds) >= 0.999
-
-    def test_recommended_rounds_is_minimal(self):
-        rounds = recommended_rounds(target_coverage=0.999)
-        assert profiling_coverage(rounds - 1) < 0.999
-
-    @given(
-        target=st.floats(min_value=0.5, max_value=0.999999),
-        per_round=st.floats(min_value=0.05, max_value=0.95),
-    )
-    def test_rounds_always_sufficient(self, target, per_round):
-        rounds = recommended_rounds(target, per_round)
-        assert profiling_coverage(rounds, per_round) >= target - 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            profiling_coverage(-1)
-        with pytest.raises(ConfigError):
-            recommended_rounds(target_coverage=1.0)
 
 
 class TestTemperatureScaledRetention:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.controller import ChannelController, ControllerConfig, MemRequest, RequestType
+from repro.controller import ChannelController, MemRequest, RequestType
 from repro.core import CrowRef, EntryOwner
 from repro.dram import (
     AddressMapper,

@@ -1,9 +1,8 @@
 """Tests for the RowHammer mitigation and the combined cache+ref mechanism."""
 
 import numpy as np
-import pytest
 
-from repro.controller import ChannelController, ControllerConfig, MemRequest, RequestType
+from repro.controller import ChannelController, MemRequest, RequestType
 from repro.core import CrowCacheRef, EntryOwner, RowHammerMitigation
 from repro.dram import (
     AddressMapper,

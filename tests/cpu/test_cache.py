@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cpu import CacheConfig, Llc
 from repro.errors import ConfigError
-from repro.units import KIB, MIB
+from repro.units import MIB
 
 
 def tiny_cache(ways=2, sets=4) -> Llc:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dram import DramChannel, DramGeometry, TimingParameters
-from repro.dram.bank import SalpBankState
 from repro.dram.commands import Command, CommandKind, RowId
 from repro.errors import ProtocolError
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dram import CrowTimings, DramChannel, DramGeometry, TimingParameters
 from repro.dram.commands import ActTimings, Command, CommandKind, RowId
-from repro.errors import ProtocolError
 
 GEO = DramGeometry(rows_per_bank=4096, channels=1)
 TIMING = TimingParameters.lpddr4()

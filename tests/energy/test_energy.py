@@ -118,9 +118,9 @@ class TestEnergyModel:
 class TestBreakdownFiniteness:
     """NaN/inf joule counts die at construction, not in downstream math.
 
-    Same policy as ``analysis.ascii_bars``: both producing a breakdown
-    with a non-finite component and combining two breakdowns whose sum
-    overflows must raise, in both directions of the ``+``.
+    Both producing a breakdown with a non-finite component and combining
+    two breakdowns whose sum overflows must raise, in both directions of
+    the ``+``.
     """
 
     def test_construction_rejects_nan_naming_the_field(self):

@@ -1,7 +1,6 @@
 """Tests for the parallel runner: retries, timeouts, crash isolation."""
 
 import os
-import pickle
 import time
 from pathlib import Path
 

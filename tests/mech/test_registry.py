@@ -1,5 +1,8 @@
 """The mechanism plugin registry: lookup, ordering, error paths."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError
@@ -11,7 +14,7 @@ from repro.mech import (
 )
 from repro.__main__ import main
 
-#: The twelve pre-plugin names, in their historical order — seeded
+#: The ten pre-plugin names, in their historical order — seeded
 #: samplers (fuzz scenarios, sweeps) rely on this stable prefix.
 HISTORICAL = (
     "baseline",
@@ -19,19 +22,26 @@ HISTORICAL = (
     "crow-ref",
     "crow-combined",
     "crow-hammer",
-    "crow-full",
     "ideal-crow-cache",
     "ideal",
-    "no-refresh",
     "tl-dram",
     "salp",
     "chargecache",
 )
 
+DIGESTS = Path(__file__).resolve().parent.parent / "data" / "expected_digests.json"
+
 
 class TestRegistry:
     def test_historical_names_keep_registration_order(self):
         assert mechanism_names()[: len(HISTORICAL)] == HISTORICAL
+
+    def test_every_mechanism_is_pinned_by_an_oracle_digest(self):
+        # ``repro mechanisms --verify`` fails a mechanism without an
+        # entry, so registering one means committing its digest too.
+        oracle = json.loads(DIGESTS.read_text())
+        pinned = {case.removeprefix("libq-") for case in oracle}
+        assert set(mechanism_names()) == pinned
 
     def test_related_work_plugins_registered(self):
         names = mechanism_names()

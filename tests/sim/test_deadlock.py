@@ -7,7 +7,9 @@ from repro.errors import ReproError
 
 
 def make_system(**kwargs):
-    config = SystemConfig(cores=1, mechanism="no-refresh", **kwargs)
+    config = SystemConfig(
+        cores=1, mechanism="baseline", refresh_enabled=False, **kwargs
+    )
     return System(config, [iter([])])
 
 

@@ -7,8 +7,6 @@ hash-based :func:`~repro.sim.sweep.derive_trace_seed` cannot collide that
 way and is process-stable (safe for cache keys and parallel workers).
 """
 
-import pytest
-
 import repro.sim.sweep as sweep
 from repro import SystemConfig
 from repro.sim.sweep import derive_trace_seed

@@ -93,7 +93,11 @@ class TestSingleCoreRuns:
             "mcf", SystemConfig(mechanism="baseline", density_gbit=64), **long
         )
         none = run_workload(
-            "mcf", SystemConfig(mechanism="no-refresh", density_gbit=64), **long
+            "mcf",
+            SystemConfig(
+                mechanism="baseline", density_gbit=64, refresh_enabled=False
+            ),
+            **long,
         )
         assert base.controller_stats["refreshes"] > 0
         assert none.ipc > base.ipc

@@ -1,17 +1,8 @@
 """Tests for the analysis/reporting utilities."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.analysis import (
-    TextTable,
-    ascii_bars,
-    ascii_timeseries,
-    format_table,
-    geometric_mean,
-    normalize,
-    summarize_speedups,
-)
+from repro.analysis import TextTable, ascii_timeseries, format_table
 from repro.errors import ConfigError
 
 
@@ -55,68 +46,6 @@ class TestTextTable:
     def test_empty_headers_rejected(self):
         with pytest.raises(ConfigError):
             TextTable("t", [])
-
-
-class TestStats:
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            geometric_mean([1.0, 0.0])
-
-    @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1,
-                    max_size=20))
-    def test_gmean_bounded_by_min_max(self, values):
-        gm = geometric_mean(values)
-        assert min(values) - 1e-9 <= gm <= max(values) + 1e-9
-
-    def test_normalize(self):
-        assert normalize([2.0, 4.0], 2.0) == [1.0, 2.0]
-        with pytest.raises(ConfigError):
-            normalize([1.0], 0.0)
-
-    def test_summarize(self):
-        summary = summarize_speedups({"a": 1.1, "b": 0.9})
-        assert summary["best"] == "a"
-        assert summary["worst"] == "b"
-        assert summary["mean"] == pytest.approx(1.0)
-
-
-class TestAsciiBars:
-    def test_renders_all_labels(self):
-        chart = ascii_bars({"crow": 1.07, "base": 1.0})
-        assert "crow" in chart and "base" in chart
-        assert "#" in chart
-
-    def test_baseline_annotation(self):
-        chart = ascii_bars({"crow": 1.10}, baseline=1.0)
-        assert "(+10.0%)" in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            ascii_bars({})
-
-    def test_bar_lengths_scale_with_values(self):
-        chart = ascii_bars({"big": 4.0, "small": 1.0}, width=40)
-        big, small = chart.splitlines()
-        assert big.count("#") == 40
-        assert small.count("#") == 10
-
-    def test_zero_values_draw_minimum_bar(self):
-        chart = ascii_bars({"a": 0.0, "b": 0.0})
-        for line in chart.splitlines():
-            assert line.count("#") == 1
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ConfigError):
-            ascii_bars({"a": float("nan"), "b": 1.0})
-        with pytest.raises(ConfigError):
-            ascii_bars({"a": float("inf")})
-
-    def test_narrow_width_rejected(self):
-        with pytest.raises(ConfigError):
-            ascii_bars({"a": 1.0}, width=4)
 
 
 class TestAsciiTimeseries:

@@ -263,6 +263,21 @@ class TestCampaignCommand:
         assert "cached" in out
         assert "cache hits=1" in out
 
+    def test_campaign_without_cache_dir_leaves_no_temp_dir(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        assert main([
+            "campaign", "libq", "--jobs", "1", "--mechanisms", "baseline",
+            "--instructions", "2000", "--warmup", "500",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "cache dir=" not in out
+        assert not list(tmp_path.glob("repro-campaign-*"))
+
 
 class TestMechanismsVerify:
     def test_missing_digest_file_is_an_error(
@@ -276,6 +291,25 @@ class TestMechanismsVerify:
         captured = capsys.readouterr()
         assert "tests/data/expected_digests.json" in captured.err
         assert captured.err.startswith("error: ")
+        assert "conformant" not in captured.out
+
+    def test_mechanism_without_oracle_entry_fails(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A registered mechanism with no committed digest is unpinned:
+        # the gate must fail it rather than report it conformant.
+        import repro.__main__ as cli
+
+        monkeypatch.setattr(cli, "mechanism_names", lambda: ("baseline",))
+        digests = tmp_path / "digests.json"
+        digests.write_text("{}")
+        assert main([
+            "mechanisms", "--verify", "--digests", str(digests),
+            "--instructions", "500", "--warmup", "100",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "baseline           no-oracle-digest" in captured.out
+        assert "FAILED: baseline" in captured.err
         assert "conformant" not in captured.out
 
 

@@ -9,7 +9,6 @@ from repro.trace import (
     MIX_GROUPS,
     WORKLOADS,
     build_mix,
-    build_mix_group,
     workload,
     workloads_by_class,
 )
@@ -141,12 +140,8 @@ class TestMixes:
         mix = build_mix("LLHH", seed=3)
         assert [w.expected_class for w in mix] == ["L", "L", "H", "H"]
 
-    def test_mix_group_size(self):
-        group = build_mix_group("HHHH", mixes=5, seed=1)
-        assert len(group) == 5
-
     def test_mixes_differ_within_group(self):
-        group = build_mix_group("MMHH", mixes=10, seed=2)
+        group = [build_mix("MMHH", seed=seed) for seed in range(10)]
         names = {tuple(w.name for w in mix) for mix in group}
         assert len(names) > 1
 
