@@ -18,10 +18,8 @@ Subcommands:
 * ``overheads`` — print the CROW substrate cost model (Section 6) from
   the paper-calibrated area model (``repro.circuit.area``).
 * ``check`` — run the protocol-conformance oracle (``repro.check``) over
-  seeded random scenarios, one reproduced counterexample, or the perf
-  matrix; exits non-zero on any violation.
-* ``perf`` — run the performance microbenchmark suite (``repro.perf``)
-  and optionally gate it against a committed baseline.
+  seeded random scenarios or one reproduced counterexample; exits
+  non-zero on any violation.
 """
 
 from __future__ import annotations
@@ -90,8 +88,6 @@ def _ratio_text(ratio: dict) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis import ascii_timeseries
 
     names = args.workload
@@ -321,7 +317,6 @@ def _diff_values(path: str, a, b, lines: list) -> None:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.snapshot import read_header, read_snapshot
 
     try:
@@ -400,9 +395,10 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 def _cmd_mechanisms(args: argparse.Namespace) -> int:
     """List the mechanism registry, or verify every plugin (CI matrix).
 
-    ``--verify`` runs each registered mechanism through a short
-    strict-conformance simulation with telemetry, compares the digest
-    against the committed oracle (``tests/data/expected_digests.json``),
+    ``--verify`` runs each registered mechanism through the oracle run
+    (``repro.check.scenarios.ORACLE_RUN``) under the strict checker with
+    telemetry, compares the digest against the committed oracle
+    (``tests/data/expected_digests.json``),
     and exits non-zero on any conformance violation, digest mismatch or
     mechanism without an oracle entry. A missing oracle file is a
     :class:`ConfigError`, not a silently skipped gate. ``--report-dir``
@@ -421,7 +417,7 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
         print(table.render())
         return 0
 
-    from repro.check.scenarios import run_checked_case
+    from repro.check.scenarios import ORACLE_RUN, run_checked_case
 
     if not args.digests.is_file():
         raise ConfigError(
@@ -434,21 +430,15 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
 
     failed = []
     for name in mechanism_names():
-        entry = oracle.get(f"{args.workload}-{name}")
-        report: dict = {
-            "mechanism": name,
-            "workload": args.workload,
-            "instructions": args.instructions,
-            "warmup_instructions": args.warmup,
-            "seed": args.seed,
-        }
+        entry = oracle.get(f"{ORACLE_RUN.workload}-{name}")
+        report: dict = {"mechanism": name, **ORACLE_RUN._asdict()}
         try:
             result, check = run_checked_case(
-                (args.workload,),
+                (ORACLE_RUN.workload,),
                 name,
-                args.instructions,
-                args.warmup,
-                seed=args.seed,
+                ORACLE_RUN.instructions,
+                ORACLE_RUN.warmup_instructions,
+                seed=ORACLE_RUN.seed,
                 mode="strict",
                 telemetry=True,
             )
@@ -533,12 +523,7 @@ def _cmd_overheads(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import CheckReport
-    from repro.check.scenarios import (
-        Scenario,
-        random_scenario,
-        run_checked_case,
-        run_scenario,
-    )
+    from repro.check.scenarios import Scenario, random_scenario, run_scenario
     from repro.errors import ConformanceError
 
     merged = CheckReport()
@@ -562,28 +547,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             _, report = run_scenario(scenario, mode=args.mode)
             merged.merge(report)
             show(report)
-        elif args.perf_matrix:
-            from repro.perf.suite import CASES
-
-            table = TextTable(
-                "conformance check over the perf matrix",
-                ["case", "commands", "violations"],
-            )
-            for case in CASES:
-                _, report = run_checked_case(
-                    case.workloads,
-                    case.mechanism,
-                    case.instructions,
-                    case.warmup_instructions,
-                    seed=case.seed,
-                    mode=args.mode,
-                )
-                merged.merge(report)
-                table.add_row(
-                    case.name, report.commands, report.total_violations
-                )
-                show(report)
-            print(table.render())
         else:
             table = TextTable(
                 f"conformance sweep: {args.cases} scenario(s), "
@@ -623,17 +586,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"violation report written to {args.report}")
     print(merged.summary())
     return 0 if merged.ok else 1
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import compare, load_results, run_suite, write_results
-
-    doc = run_suite(repeat=args.repeat, progress=print)
-    write_results(doc, args.output)
-    print(f"wrote {args.output} (composite {doc['composite']:.4f})")
-    if args.compare is None:
-        return 0
-    return compare(doc, load_results(args.compare), threshold=args.threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -786,15 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mech.add_argument(
         "--verify", action="store_true",
-        help="run every registered mechanism through a short strict-"
-             "conformance simulation and compare telemetry digests "
-             "against the committed oracle",
+        help="run every registered mechanism through the run shape the "
+             "committed oracle pins, under the strict checker, and "
+             "compare telemetry digests against the oracle",
     )
-    mech.add_argument("--workload", default="libq",
-                      choices=sorted(WORKLOADS))
-    mech.add_argument("--instructions", type=int, default=2_000)
-    mech.add_argument("--warmup", type=int, default=500)
-    mech.add_argument("--seed", type=int, default=1)
     mech.add_argument(
         "--digests", type=Path,
         default=Path("tests/data/expected_digests.json"),
@@ -818,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         help="run the DRAM/CROW protocol-conformance oracle over "
-             "randomized scenarios or the perf matrix",
+             "randomized scenarios",
     )
     check.add_argument(
         "--cases", type=int, default=25, metavar="N",
@@ -837,11 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one scenario from its JSON spec (as printed on failure)",
     )
     check.add_argument(
-        "--perf-matrix", action="store_true",
-        help="check the 4-case perf-suite matrix instead of random "
-             "scenarios",
-    )
-    check.add_argument(
         "--mode", default="report", choices=("strict", "report"),
         help="strict raises on the first violation; report collects all "
              "(default: report)",
@@ -852,28 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.set_defaults(func=_cmd_check)
 
-    perf = sub.add_parser(
-        "perf",
-        help="run the performance microbenchmark suite / regression gate",
-    )
-    perf.add_argument(
-        "--output", default="BENCH_perf.json", metavar="FILE",
-        help="where to write the byte-stable results JSON",
-    )
-    perf.add_argument(
-        "--repeat", type=int, default=2, metavar="N",
-        help="timed runs per case; wall time is the best-of-N (default: 2)",
-    )
-    perf.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="compare against a baseline JSON; exit 3 on composite "
-             "regression, 4 on telemetry-digest mismatch",
-    )
-    perf.add_argument(
-        "--threshold", type=float, default=0.15, metavar="FRACTION",
-        help="allowed composite drop vs the baseline (default: 0.15)",
-    )
-    perf.set_defaults(func=_cmd_perf)
     return parser
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from repro.check.violations import CheckReport
 from repro.dram.geometry import DramGeometry
@@ -33,6 +34,7 @@ from repro.sim.system import System
 from repro.trace.stream import TraceStream
 
 __all__ = [
+    "ORACLE_RUN",
     "Scenario",
     "SCENARIO_WORKLOADS",
     "random_scenario",
@@ -168,6 +170,21 @@ def run_scenario(
     return result, system.check_report()
 
 
+class OracleRun(NamedTuple):
+    """The run shape one set of committed oracle digests pins."""
+
+    workload: str
+    instructions: int
+    warmup_instructions: int
+    seed: int
+
+
+#: The one run every ``<workload>-<mechanism>`` entry of
+#: ``tests/data/expected_digests.json`` pins; ``repro mechanisms
+#: --verify`` and the determinism tests run each mechanism at it.
+ORACLE_RUN = OracleRun("libq", 2_000, 500, 1)
+
+
 def run_checked_case(
     workloads: "tuple[str, ...] | list[str]",
     mechanism: str,
@@ -177,12 +194,13 @@ def run_checked_case(
     mode: str = "report",
     telemetry: bool = False,
 ) -> tuple[SimResult, CheckReport]:
-    """Run one full-geometry case (e.g. a perf-matrix entry) checked.
+    """Run one full-geometry case checked.
 
     Mirrors :func:`repro.sim.sweep.run_workload` / ``run_mix`` trace
-    seeding exactly, so the simulated stream is the one the perf suite
-    and the digest oracle tests see — with the conformance checker
-    attached on top.
+    seeding exactly, so the simulated stream is the one the digest
+    oracle tests (``tests/check/test_oracle_cases.py``,
+    ``tests/sim/test_determinism.py``) see — with the conformance
+    checker attached on top.
     """
     config = SystemConfig(
         cores=len(workloads),

@@ -12,22 +12,28 @@ Two invariants, both enforced in the CI matrix across Python versions:
 
 If a deliberate behaviour change (new mechanism default, timing fix)
 alters simulated execution, regenerate the JSON file and note why in the
-commit — see docs/internals.md §8.
+commit — see "The digest gates" in docs/internals.md §8.
 """
 
 import json
 from pathlib import Path
 
 from repro import SystemConfig, run_workload
+from repro.check.scenarios import ORACLE_RUN
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "expected_digests.json"
 
-RUN = dict(instructions=2_000, warmup_instructions=500)
-
 
 def run_once(mechanism):
-    config = SystemConfig(cores=1, mechanism=mechanism, seed=1, telemetry=True)
-    return run_workload("libq", config, **RUN)
+    config = SystemConfig(
+        cores=1, mechanism=mechanism, seed=ORACLE_RUN.seed, telemetry=True
+    )
+    return run_workload(
+        ORACLE_RUN.workload,
+        config,
+        instructions=ORACLE_RUN.instructions,
+        warmup_instructions=ORACLE_RUN.warmup_instructions,
+    )
 
 
 class TestDeterminism:
@@ -41,7 +47,7 @@ class TestDeterminism:
         expected = json.loads(DATA.read_text())
         assert len(expected) == 13  # the snapshot oracle suite relies on it
         for case, want in sorted(expected.items()):
-            mechanism = case.removeprefix("libq-")
+            mechanism = case.removeprefix(f"{ORACLE_RUN.workload}-")
             result = run_once(mechanism)
             assert result.telemetry_digest() == want["digest"], mechanism
             assert result.cycles == want["cycles"], mechanism

@@ -27,22 +27,12 @@ class TestParser:
         assert "unknown mechanism 'magic'" in err
         assert "crow-cache" in err and "hira" in err
 
-    def test_perf_defaults(self):
-        args = build_parser().parse_args(["perf"])
-        assert args.output == "BENCH_perf.json"
-        assert args.repeat == 2
-        assert args.compare is None
-        assert args.threshold == 0.15
-
-    def test_perf_compare_options(self):
-        args = build_parser().parse_args(
-            ["perf", "--compare", "base.json", "--repeat", "3",
-             "--threshold", "0.2", "--output", "out.json"]
-        )
-        assert args.compare == "base.json"
-        assert args.repeat == 3
-        assert args.threshold == 0.2
-        assert args.output == "out.json"
+    def test_mechanisms_verify_has_no_run_shape_flags(self):
+        # The oracle pins one run shape; any other can only fail the gate.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["mechanisms", "--verify", "--instructions", "3000"]
+            )
 
 
 class TestCommands:
@@ -303,10 +293,7 @@ class TestMechanismsVerify:
         monkeypatch.setattr(cli, "mechanism_names", lambda: ("baseline",))
         digests = tmp_path / "digests.json"
         digests.write_text("{}")
-        assert main([
-            "mechanisms", "--verify", "--digests", str(digests),
-            "--instructions", "500", "--warmup", "100",
-        ]) == 1
+        assert main(["mechanisms", "--verify", "--digests", str(digests)]) == 1
         captured = capsys.readouterr()
         assert "baseline           no-oracle-digest" in captured.out
         assert "FAILED: baseline" in captured.err
