@@ -12,6 +12,10 @@ with its own perfbench, alternating which side goes first. The base's
 ``better`` directions and their bounds, so a change is measured against
 the contract it started from.
 
+Prints, per workload, end-to-end metric and side, the first quartile,
+median and third quartile over the pairs, and how many pairs the head
+wins (ties excluded).
+
 Exits 1 when any run reports ``correct: false`` or prints no result,
 when the head's failed share on a workload exceeds the base's, or when
 the head's median of an end-to-end metric is worse than the base's
@@ -71,20 +75,30 @@ def main(argv: list[str]) -> int:
         if share["head"] > share["base"]:
             failures.append(f"{workload}: failed share {share['head']:.3f} "
                             f"> base {share['base']:.3f}")
-        print(f"\n{workload}: medians over {PAIRS} pairs")
-        print(f"  {'metric':24s} {'base':>12s} {'head':>12s} "
-              f"{'worse by':>9s} {'bound':>6s}")
+        print(f"\n{workload}: Q1 / median / Q3 over {PAIRS} pairs; wins "
+              f"counts the pairs the head is better in (ties excluded)")
+        print(f"  {'metric':24s} {'side':4s} {'Q1':>12s} {'median':>12s} "
+              f"{'Q3':>12s}")
         for metric in spec["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
-            base, head = (
-                statistics.median(r["metrics"][name]["value"] for r in rs)
-                for rs in (runs["base"], runs["head"])
-            )
+            values = {side: [r["metrics"][name]["value"] for r in rs]
+                      for side, rs in runs.items()}
+            for side, vs in values.items():
+                q1, med, q3 = statistics.quantiles(vs, n=4,
+                                                   method="inclusive")
+                print(f"  {name:24s} {side:4s} {q1:12.6g} {med:12.6g} "
+                      f"{q3:12.6g}")
+            pairs = list(zip(values["base"], values["head"]))
+            sign = -1 if metric["better"] == "lower" else 1
+            wins = sum(sign * (h - b) > 0 for b, h in pairs)
+            ties = sum(h == b for b, h in pairs)
+            base, head = (statistics.median(values[side])
+                          for side in ("base", "head"))
             worse = (head - base if metric["better"] == "lower"
                      else base - head) / base
             verdict = "FAIL" if worse > bound else "ok"
-            print(f"  {name:24s} {base:12.6g} {head:12.6g} {worse:+9.1%} "
-                  f"{bound:6.0%}  {verdict}")
+            print(f"  {name:24s} head wins {wins}/{PAIRS - ties}, median "
+                  f"worse by {worse:+.1%} (bound {bound:.0%})  {verdict}")
             if worse > bound:
                 failures.append(
                     f"{workload}: {name} median {head:.6g} is {worse:.1%} "

@@ -10,10 +10,21 @@ what drive the memory system.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.units import MIB
 
-__all__ = ["CacheConfig", "Llc"]
+__all__ = ["CacheConfig", "Llc", "DIRTY", "PREFETCHED"]
+
+#: Line-state bits. A resident line's value is the OR of the bits that
+#: hold for it, an int in ``{0, 1, 2, 3}``.
+DIRTY = 1
+PREFETCHED = 2
+
+#: Sets loaded per block by :meth:`Llc.load_matrices`: bounds the
+#: Python-list temporaries of the conversion from the matrices.
+_MATERIALIZE_SETS = 2048
 
 
 class CacheConfig:
@@ -42,17 +53,20 @@ class CacheConfig:
 class Llc:
     """Set-associative write-back LLC shared by all cores.
 
-    Each set is a dict mapping tag -> [dirty, prefetched], exploiting
-    insertion order for LRU: the most recently used tag sits at the end,
-    the victim is the first key. Every hot operation (probe, LRU bump,
-    victim pick) is a C-level dict operation instead of a Python list
-    scan, with the exact same hit/miss/eviction sequence as an MRU list.
+    Each set is a dict mapping tag -> flags, exploiting insertion order
+    for LRU: the most recently used tag sits at the end, the victim is
+    the first key. The flags are the line's state as one small int,
+    :data:`DIRTY` and :data:`PREFETCHED` bits (the pre-warm kernel's
+    flags byte), so a line costs a dict slot and no object of its own.
+    Every hot operation (probe, LRU bump, victim pick) is a C-level
+    dict operation instead of a Python list scan, with the exact same
+    hit/miss/eviction sequence as an MRU list.
     """
 
     def __init__(self, config: CacheConfig | None = None) -> None:
         self.config = config if config is not None else CacheConfig()
-        # Per set: {tag: [dirty, prefetched]}, LRU first / MRU last.
-        self._sets: list[dict[int, list]] = [
+        # Per set: {tag: flags}, LRU first / MRU last.
+        self._sets: list[dict[int, int]] = [
             {} for _ in range(self.config.sets)
         ]
         self._offset_bits = self.config.line_bytes.bit_length() - 1
@@ -64,7 +78,7 @@ class Llc:
         self.writebacks = 0
         self.prefetch_fills = 0
 
-    def _locate(self, address: int) -> tuple[dict[int, list], int]:
+    def _locate(self, address: int) -> tuple[dict[int, int], int]:
         line = address >> self._offset_bits
         return self._sets[line & self._index_mask], line >> self._index_bits
 
@@ -81,30 +95,26 @@ class Llc:
         line = address >> self._offset_bits
         entries = self._sets[line & self._index_mask]
         tag = line >> self._index_bits
-        entry = entries.get(tag)
-        if entry is not None:
-            # Bump to MRU (dict end); insertion order is the LRU stack.
-            del entries[tag]
-            entries[tag] = entry
-            if is_write:
-                entry[0] = True
-            was_prefetched = entry[1]
-            entry[1] = False
+        flags = entries.pop(tag, None)
+        if flags is not None:
+            # Re-insert at MRU (dict end); insertion order is the LRU
+            # stack. A write sets the dirty bit; the prefetched bit clears.
+            entries[tag] = DIRTY if is_write else flags & DIRTY
             self.hits += 1
-            return True, None, was_prefetched
+            return True, None, flags >= PREFETCHED  # the high bit
         self.misses += 1
-        # Miss fill, inlined (the second set/tag decode _fill would redo
-        # is the hottest redundant work in warm-up-heavy runs).
+        # Miss fill, inlined (a second set/tag decode would be the
+        # hottest redundant work in warm-up-heavy runs).
         writeback = None
         if len(entries) >= self._ways:
             victim_tag = next(iter(entries))
-            if entries.pop(victim_tag)[0]:
+            if entries.pop(victim_tag) & DIRTY:
                 self.writebacks += 1
                 victim_line = (victim_tag << self._index_bits) | (
                     line & self._index_mask
                 )
                 writeback = victim_line << self._offset_bits
-        entries[tag] = [is_write, False]
+        entries[tag] = DIRTY if is_write else 0
         return False, writeback, False
 
     def warm(self, address: int, is_write: bool) -> None:
@@ -115,17 +125,13 @@ class Llc:
         line = address >> self._offset_bits
         entries = self._sets[line & self._index_mask]
         tag = line >> self._index_bits
-        entry = entries.get(tag)
-        if entry is not None:
-            del entries[tag]
-            entries[tag] = entry
-            if is_write:
-                entry[0] = True
-            entry[1] = False
+        flags = entries.pop(tag, None)
+        if flags is not None:
+            entries[tag] = DIRTY if is_write else flags & DIRTY
             return
         if len(entries) >= self._ways:
             del entries[next(iter(entries))]
-        entries[tag] = [is_write, False]
+        entries[tag] = DIRTY if is_write else 0
 
     def fill_prefetch(self, address: int) -> int | None:
         """Install a prefetched line (clean); returns any writeback."""
@@ -133,39 +139,88 @@ class Llc:
         if tag in entries:
             return None
         self.prefetch_fills += 1
-        return self._fill(address, dirty=False, prefetched=True)
+        writeback = self.peek_victim(address)
+        if writeback is not None:
+            self.writebacks += 1
+        if len(entries) >= self._ways:
+            del entries[next(iter(entries))]
+        entries[tag] = PREFETCHED
+        return writeback
 
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident."""
         entries, tag = self._locate(address)
         return tag in entries
 
-    def _fill(
-        self, address: int, dirty: bool, prefetched: bool = False
-    ) -> int | None:
-        entries, tag = self._locate(address)
-        writeback = None
-        if len(entries) >= self._ways:
-            victim_tag = next(iter(entries))
-            victim_dirty = entries.pop(victim_tag)[0]
-            if victim_dirty:
-                self.writebacks += 1
-                set_index = (address >> self._offset_bits) & self._index_mask
-                victim_line = (victim_tag << self._index_bits) | set_index
-                writeback = victim_line << self._offset_bits
-        entries[tag] = [dirty, prefetched]
-        return writeback
+    def peek_victim(self, address: int) -> int | None:
+        """Dirty-victim address a fill of ``address`` would evict, if
+        any, without changing the LLC (the port's stall decision)."""
+        entries, _tag = self._locate(address)
+        if len(entries) < self._ways:
+            return None
+        victim_tag = next(iter(entries))  # LRU sits first in the set dict
+        if not entries[victim_tag] & DIRTY:
+            return None
+        set_index = (address >> self._offset_bits) & self._index_mask
+        victim_line = (victim_tag << self._index_bits) | set_index
+        return victim_line << self._offset_bits
+
+    # ------------------------------------------------------------------
+    # Matrix form (the pre-warm kernel's state)
+    # ------------------------------------------------------------------
+    def lru_matrices(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The contents as ``(sets, ways)`` (tag, flags) matrices, LRU
+        column first.
+
+        ``-1`` marks an empty way. Empty ways sit at the *left*, so a
+        miss always evicts (or fills) column 0.
+        """
+        ways = self._ways
+        tag_state = np.full((self.config.sets, ways), -1, dtype=np.int64)
+        flag_state = np.zeros((self.config.sets, ways), dtype=np.int8)
+        for s, entries in enumerate(self._sets):
+            if entries:
+                first = ways - len(entries)
+                tag_state[s, first:] = list(entries)
+                flag_state[s, first:] = list(entries.values())
+        return tag_state, flag_state
+
+    def load_matrices(self, tag_state, flag_state) -> None:
+        """Replace the contents with :meth:`lru_matrices`-shaped state.
+
+        Sets convert in blocks of :data:`_MATERIALIZE_SETS`, and only the
+        valid ways are visited (a lightly warmed LLC is mostly empty).
+        Boolean-mask indexing is row-major, so per set the columns come
+        out left to right: the LRU-first key order. ``tolist()`` yields
+        plain Python ints, the flags among them cached small ones.
+        """
+        sets: list[dict[int, int]] = []
+        for lo in range(0, len(tag_state), _MATERIALIZE_SETS):
+            tags = tag_state[lo : lo + _MATERIALIZE_SETS]
+            valid = tags >= 0
+            block: list[dict[int, int]] = [{} for _ in range(len(tags))]
+            for s, tag, flags in zip(
+                np.nonzero(valid)[0].tolist(),
+                tags[valid].tolist(),
+                flag_state[lo : lo + _MATERIALIZE_SETS][valid].tolist(),
+            ):
+                block[s][tag] = flags
+            sets.extend(block)
+        self._sets = sets
 
     # ------------------------------------------------------------------
     # Snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Contents + stats. Sets serialize as ordered (tag, dirty,
-        prefetched) triples: dict insertion order *is* the LRU stack, so
-        order must survive the round trip exactly."""
+        prefetched) bool triples: dict insertion order *is* the LRU
+        stack, so order must survive the round trip exactly."""
         return {
             "sets": [
-                [(tag, e[0], e[1]) for tag, e in entries.items()]
+                [
+                    (tag, bool(flags & DIRTY), bool(flags & PREFETCHED))
+                    for tag, flags in entries.items()
+                ]
                 for entries in self._sets
             ],
             "hits": self.hits,
@@ -176,7 +231,11 @@ class Llc:
 
     def load_state_dict(self, state: dict) -> None:
         self._sets = [
-            {tag: [dirty, prefetched] for tag, dirty, prefetched in entries}
+            {
+                tag: (DIRTY if dirty else 0)
+                | (PREFETCHED if prefetched else 0)
+                for tag, dirty, prefetched in entries
+            }
             for entries in state["sets"]
         ]
         self.hits = state["hits"]

@@ -16,18 +16,21 @@ here leaves behind exactly the state that record-at-a-time loop
   (:meth:`VirtualMemory.bulk_map`), so the allocator RNG stream matches
   per-access translation draw for draw.
 * **All sets in parallel.** The LLC's exact-LRU automaton runs as a
-  ``(sets, ways)`` tag matrix, LRU column first. Accesses are grouped
-  per set with a stable sort, and round ``r`` applies the ``r``-th
-  access of every set that has one. A few hot sets left over finish
-  with plain list operations.
-* **Materialized back.** The final matrix becomes the LLC's
-  dict-of-sets layout in LRU-first key order, which snapshots and warm
-  images depend on.
+  ``(sets, ways)`` tag matrix, LRU column first
+  (:meth:`Llc.lru_matrices <repro.cpu.cache.Llc.lru_matrices>`).
+  Accesses are grouped per set with a stable sort, and round ``r``
+  applies the ``r``-th access of every set that has one. A few hot sets
+  left over finish with plain list operations.
+* **Loaded back.** :meth:`Llc.load_matrices
+  <repro.cpu.cache.Llc.load_matrices>` turns the final matrices into
+  the LLC's sets in LRU-first key order, which snapshots and warm
+  images depend on. Each way's flags byte becomes the line's value as
+  it is: the LLC keeps its lines in the same encoding.
 
 The state matrices start from the LLC's current contents, so warming
-twice continues from the first warm. Each way carries a flags byte:
-bit 0 is the dirty bit, bit 1 the prefetched bit, which a warm hit
-clears (as :meth:`Llc.warm` does).
+twice continues from the first warm. Each way carries the LLC's flags
+byte: the :data:`~repro.cpu.cache.DIRTY` bit and the prefetched bit,
+which a warm hit clears (as :meth:`Llc.warm` does).
 
 The final matrices, the page table as key/frame arrays, the allocator
 RNG state and the trace cursors are the *warm state*
@@ -42,6 +45,7 @@ from itertools import islice
 
 import numpy as np
 
+from repro.cpu.cache import DIRTY
 from repro.cpu.translation import ASID_SHIFT, PAGE_MASK, PAGE_SHIFT
 from repro.trace.chunks import records_to_chunk
 
@@ -61,13 +65,6 @@ _CHUNK_RECORDS = 32768
 #: scales with the hottest set's access count.
 _SCALAR_TAIL_SETS = 96
 
-#: Sets materialized per block: bounds the Python-list temporaries of
-#: the conversion back to the LLC's dict-of-sets layout.
-_MATERIALIZE_SETS = 2048
-
-_DIRTY = 1
-_PREFETCHED = 2
-
 
 def warm_llc(
     llc, vm, traces: list, accesses_per_core: int
@@ -77,8 +74,8 @@ def warm_llc(
     ``traces[i]`` is core ``i``'s trace (address space ``i``). Reads up
     to ``accesses_per_core`` records per trace, fewer where a finite
     trace runs dry, and resets the LLC statistics afterwards. Returns
-    the final (tag, flags) matrices the LLC was materialized from, for
-    a warm image (:func:`warm_state`).
+    the final (tag, flags) matrices the LLC was loaded from, for a warm
+    image (:func:`warm_state`).
     """
     offset_bits = llc._offset_bits
     index_mask = llc._index_mask
@@ -88,7 +85,7 @@ def warm_llc(
     bases = [core << ASID_SHIFT for core in range(len(traces))]
     per_core = max(1, _CHUNK_RECORDS // len(traces))
 
-    tag_state, flag_state = _lru_state(llc)
+    tag_state, flag_state = llc.lru_matrices()
     remaining = accesses_per_core
     while remaining > 0:
         n = min(per_core, remaining)
@@ -118,7 +115,7 @@ def warm_llc(
             line_ids >> index_bits,
             writes.astype(np.int8),
         )
-    _materialize(llc, tag_state, flag_state)
+    llc.load_matrices(tag_state, flag_state)
     llc.reset_stats()
     return tag_state, flag_state
 
@@ -146,7 +143,7 @@ def adopt_warm_state(state: dict, llc, vm, traces: list) -> None:
     """
     for trace, cursor in zip(traces, state["traces"], strict=True):
         trace.load_state_dict(cursor)
-    _materialize(llc, state["tags"], state["flags"])
+    llc.load_matrices(state["tags"], state["flags"])
     llc.reset_stats()
     frames = state["frames"].tolist()
     vm._page_table = dict(zip(state["pages"].tolist(), frames))
@@ -209,26 +206,6 @@ def _interleave(batches, bases, n):
     return vaddrs, writes, keys
 
 
-def _lru_state(llc) -> "tuple[np.ndarray, np.ndarray]":
-    """The LLC's contents as (tag, flags) matrices, LRU column first.
-
-    ``-1`` marks an empty way. Empty ways sit at the *left*, so a miss
-    always evicts (or fills) column 0.
-    """
-    ways = llc._ways
-    tag_state = np.full((llc.config.sets, ways), -1, dtype=np.int64)
-    flag_state = np.zeros((llc.config.sets, ways), dtype=np.int8)
-    for s, entries in enumerate(llc._sets):
-        if entries:
-            first = ways - len(entries)
-            tag_state[s, first:] = list(entries)
-            flag_state[s, first:] = [
-                (_DIRTY if dirty else 0) | (_PREFETCHED if prefetched else 0)
-                for dirty, prefetched in entries.values()
-            ]
-    return tag_state, flag_state
-
-
 def _apply_chunk(tag_state, flag_state, set_idx, tags, writes) -> None:
     """Apply one chunk of accesses to the LRU state, in order per set.
 
@@ -261,7 +238,7 @@ def _apply_chunk(tag_state, flag_state, set_idx, tags, writes) -> None:
                         w = 0
                         flags = write
                     else:
-                        flags = (frow[w] & _DIRTY) | write
+                        flags = (frow[w] & DIRTY) | write
                     del row[w]
                     del frow[w]
                     row.append(tag)
@@ -289,32 +266,8 @@ def _apply_chunk(tag_state, flag_state, set_idx, tags, writes) -> None:
         new_flags = old_flags[ar, gather]
         new_rows[:, ways - 1] = tag
         new_flags[:, ways - 1] = np.where(
-            hit, (touched & _DIRTY) | write, write
+            hit, (touched & DIRTY) | write, write
         )
         tag_state[active] = new_rows
         flag_state[active] = new_flags
         r += 1
-
-
-def _materialize(llc, tag_state, flag_state) -> None:
-    """Write the matrices back as the LLC's dict-of-sets layout.
-
-    Boolean-mask indexing is row-major, so per set the columns come out
-    left to right: the LRU-first key order. ``tolist()`` yields plain
-    Python ints and bools.
-    """
-    sets: list[dict] = []
-    for lo in range(0, len(tag_state), _MATERIALIZE_SETS):
-        tags = tag_state[lo : lo + _MATERIALIZE_SETS]
-        valid = tags >= 0
-        flags = flag_state[lo : lo + _MATERIALIZE_SETS][valid]
-        block: list[dict] = [{} for _ in range(len(tags))]
-        for s, tag, dirty, prefetched in zip(
-            np.nonzero(valid)[0].tolist(),
-            tags[valid].tolist(),
-            (flags & _DIRTY).astype(bool).tolist(),
-            (flags & _PREFETCHED).astype(bool).tolist(),
-        ):
-            block[s][tag] = [dirty, prefetched]
-        sets.extend(block)
-    llc._sets = sets

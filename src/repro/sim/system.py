@@ -229,8 +229,9 @@ class MemoryPort:
     def _post_writeback(self, address: int, now: int) -> None:
         """Post a dirty eviction to its channel's write queue.
 
-        Demand-path writebacks are guaranteed space by the peek_victim
-        stall check; fill-time (prefetch) writebacks may rarely find the
+        Demand-path writebacks are guaranteed space by the
+        :meth:`Llc.peek_victim <repro.cpu.cache.Llc.peek_victim>` stall
+        check; fill-time (prefetch) writebacks may rarely find the
         queue full and are counted — a bounded timing inaccuracy, since
         the LLC model does not carry data.
         """
@@ -379,7 +380,7 @@ class System:
         ]
         for controller in self.controllers:
             controller.next_wake = 0
-        self.llc = _PeekableLlc(config.llc_config())
+        self.llc = Llc(config.llc_config())
         self.vm = VirtualMemory(self.geometry.capacity_bytes, seed=config.seed)
         self.prefetchers = (
             [
@@ -1090,21 +1091,3 @@ class System:
         finally:
             if gc_was_enabled:
                 gc.enable()
-
-
-class _PeekableLlc(Llc):
-    """LLC extended with a no-mutation victim probe (stall decisions)."""
-
-    def peek_victim(self, address: int) -> int | None:
-        """Dirty-victim address a fill would evict (no mutation)."""
-        entries, _tag = self._locate(address)
-        if len(entries) < self.config.ways:
-            return None
-        victim_tag = next(iter(entries))  # LRU sits first in the set dict
-        if not entries[victim_tag][0]:
-            return None
-        set_index = (
-            address >> self._offset_bits
-        ) & self._index_mask
-        victim_line = (victim_tag << self._index_bits) | set_index
-        return victim_line << self._offset_bits

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import CacheConfig, Llc
+from repro.cpu.cache import DIRTY, PREFETCHED
 from repro.errors import ConfigError
+from repro.sim.config import SystemConfig
+from repro.sim.system import System
+from repro.trace.stream import TraceStream
 from repro.units import MIB
 
 
@@ -111,3 +115,36 @@ class TestWritebackConsistency:
                 written.add(address)
             if writeback is not None:
                 assert writeback in written
+
+
+class TestLineEncoding:
+    def test_lines_are_flag_ints_and_snapshot_format_is_unchanged(self):
+        """Every line is one small int (the DIRTY / PREFETCHED bits), and
+        ``state_dict`` still emits the (tag, dirty, prefetched) bool
+        triples that snapshots and warm images were written with."""
+        config = SystemConfig(cores=1, seed=3, prefetcher=True)
+        system = System(config, [TraceStream("mcf", 3)])
+        system.run(1_000, 200, prewarm_accesses=5_000)
+        values = [
+            flags for entries in system.llc._sets for flags in entries.values()
+        ]
+        assert values
+        assert all(type(flags) is int for flags in values)
+        assert set(values) <= {0, DIRTY, PREFETCHED, DIRTY | PREFETCHED}
+
+        llc = tiny_cache(ways=2, sets=2)
+        assert llc.access(0x000, False) == (False, None, False)
+        assert llc.access(0x000, True) == (True, None, False)  # write hit
+        assert llc.fill_prefetch(0x080) is None
+        assert llc.access(0x080, False) == (True, None, True)  # useful
+        assert llc.access(0x100, False) == (False, 0x000, False)  # dirty
+        assert llc.fill_prefetch(0x040) is None
+        assert llc.access(0x0C0, True) == (False, None, False)
+        assert llc.fill_prefetch(0x140) is None
+        assert llc.fill_prefetch(0x1C0) == 0x0C0  # dirty victim
+        assert llc.access(0x100, True) == (True, None, False)
+        # The snapshot and warm-image format: old containers must load.
+        assert llc.state_dict()["sets"] == [
+            [(1, False, False), (2, True, False)],
+            [(2, False, True), (3, False, True)],
+        ]

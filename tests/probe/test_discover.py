@@ -10,10 +10,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.circuit.mra import CrowTimingFactors, derive_crow_timing_factors
 from repro.dram.geometry import DramGeometry
+from repro.dram.timing import scale_cycles
 from repro.probe.infer import ground_truth
 from repro.probe.routines import discover
 from repro.probe.session import ProbeSession
+from repro.sim import factory
 from repro.sim.config import SystemConfig
 
 from tests.probe.conftest import shaved, small_config
@@ -121,6 +124,69 @@ def test_shaved_trcd_detected_as_mismatch():
         for diff in report.mismatched
     ]
     assert mismatched == [("trcd", base.trcd - 4, base.trcd)]
+
+
+#: Probed CROW gap -> (baseline parameter, Table 1 factor field).
+ACT_GAP_FACTORS = {
+    "trcd_act_t_full": ("trcd", "act_t_full_trcd"),
+    "trcd_act_t_partial": ("trcd", "act_t_partial_trcd"),
+    "tras_act_t_full": ("tras", "act_t_tras_full"),
+    "tras_act_t_early": ("tras", "act_t_tras_early"),
+    "tras_act_t_partial_early": ("tras", "act_t_partial_tras_early"),
+    "trcd_act_c": ("trcd", "act_c_trcd"),
+    "tras_act_c_full": ("tras", "act_c_tras_full"),
+    "tras_act_c_early": ("tras", "act_c_tras_early"),
+}
+
+
+def _factor_cycles(base, factors) -> dict:
+    return {
+        name: scale_cycles(getattr(base, param), getattr(factors, field))
+        for name, (param, field) in ACT_GAP_FACTORS.items()
+    }
+
+
+def test_derived_circuit_factors_reach_probed_act_gaps():
+    # The chain repro.circuit -> CrowTimings -> device: with
+    # use_derived_circuit_factors the probed ACT-t/ACT-c gaps are the
+    # circuit model's Table 1 factors applied to the baseline timing.
+    config = small_config("crow-cache", use_derived_circuit_factors=True)
+    base = factory.base_timing(config)
+    expected = _factor_cycles(base, derive_crow_timing_factors())
+    # The derived factors land on other cycle counts than the published
+    # ones, so a device that ignored the flag would fail below.
+    assert expected != _factor_cycles(base, CrowTimingFactors.paper())
+    profile = discover(ProbeSession(config))
+    assert {name: profile.value(name) for name in expected} == expected
+    assert profile.verify_against(config).ok
+
+
+def test_shaved_trcd_under_derived_factors_detected_as_mismatch():
+    # A derived-factor device whose true tRCD is 4 cycles short: the
+    # mismatch reaches exactly tRCD and the three CROW gaps scaled from
+    # it, each at its factor-scaled value; no tRAS gap moves.
+    config = small_config("crow-cache", use_derived_circuit_factors=True)
+    base = shaved(config)
+    lying = ProbeSession(
+        config, timing=shaved(config, trcd=base.trcd - 4), shadow=False
+    )
+    report = discover(lying).verify_against(config)
+    assert not report.ok
+    factors = derive_crow_timing_factors()
+    expected = [("trcd", base.trcd - 4, base.trcd)] + [
+        (
+            name,
+            scale_cycles(base.trcd - 4, getattr(factors, field)),
+            scale_cycles(base.trcd, getattr(factors, field)),
+        )
+        for name, (param, field) in ACT_GAP_FACTORS.items()
+        if param == "trcd"
+    ]
+    mismatched = [
+        (diff.name, diff.inferred, diff.actual)
+        for diff in report.mismatched
+    ]
+    assert sorted(mismatched) == sorted(expected)
 
 
 def test_probe_sequences_pass_strict_conformance():

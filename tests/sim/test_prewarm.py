@@ -11,6 +11,7 @@ divergence would surface as a digest change downstream.
 
 import pytest
 
+from repro.cpu.cache import PREFETCHED
 from repro.errors import ConfigError, SnapshotError
 from repro.sim.config import SystemConfig
 from repro.sim.prewarm import _CHUNK_RECORDS
@@ -121,17 +122,17 @@ class TestWarmStateEquivalence:
             system = build(("mcf",), 3)
             system.prewarm(5_000)
             for entries in system.llc._sets[::3]:
-                for entry in entries.values():
-                    entry[1] = True
+                for tag, flags in entries.items():
+                    entries[tag] = flags | PREFETCHED
             systems.append(system)
         oracle, kernel = systems
         _prewarm_scalar(oracle, 20_000)
         kernel.prewarm(20_000)
         assert_same_state(oracle, kernel)
         assert any(
-            entry[1]
+            flags & PREFETCHED
             for entries in kernel.llc._sets
-            for entry in entries.values()
+            for flags in entries.values()
         )
 
     @pytest.mark.parametrize("cores", [1, 3])
