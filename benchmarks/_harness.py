@@ -10,22 +10,20 @@ Run lengths are scaled for a pure-Python cycle simulator (the paper uses
 variable ``REPRO_BENCH_SCALE`` to a float to lengthen or shorten every run
 (e.g. ``REPRO_BENCH_SCALE=4`` for higher-fidelity overnight runs).
 
-Sweeps are embarrassingly parallel: set ``REPRO_BENCH_JOBS=N`` to fan the
-figure scripts' simulations out over N worker processes via
-:mod:`repro.exec` (``1``, the default, runs serially in-process; either
-way the mechanism variants of a workload share one functional warm-up).
-Set ``REPRO_BENCH_CACHE=<dir>`` to reuse a persistent result cache across
+Every file that simulates a ``System`` builds its whole ``TaskSpec`` list
+up front and hands it to :func:`sweep`, the one path from a figure to the
+simulator (:class:`repro.exec.ParallelCampaign`). Set
+``REPRO_BENCH_JOBS=N`` to fan a figure's simulations out over N worker
+processes (``1``, the default, runs serially in-process; either way the
+mechanism variants of a workload share one functional warm-up). Set
+``REPRO_BENCH_CACHE=<dir>`` to reuse a persistent result cache across
 benchmark invocations, and ``REPRO_BENCH_JOURNAL=<file>`` to append a
-JSONL execution journal. ``REPRO_BENCH_TELEMETRY=1`` turns on the
-telemetry registry for every swept task (per-task digests land in the
-journal; note telemetry is part of the cache key, so telemetry-on and
-telemetry-off sweeps cache separately).
+JSONL execution journal.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import sys
 import tempfile
@@ -36,14 +34,12 @@ from repro.analysis import format_table
 __all__ = [
     "SCALE",
     "JOBS",
-    "TELEMETRY",
     "INSTRUCTIONS",
     "WARMUP",
     "MIX_INSTRUCTIONS",
     "MIX_WARMUP",
     "SINGLE_CORE_SAMPLE",
     "report",
-    "fmt",
     "sweep",
 ]
 
@@ -51,9 +47,6 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 #: Worker processes for figure sweeps (1 = serial, no subprocesses).
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
-
-#: Collect telemetry for every swept task (0/1).
-TELEMETRY = os.environ.get("REPRO_BENCH_TELEMETRY", "") not in ("", "0")
 
 #: Single-core measured / warm-up instruction counts.
 INSTRUCTIONS = int(40_000 * SCALE)
@@ -74,25 +67,16 @@ SINGLE_CORE_SAMPLE = (
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def sweep(tasks, jobs: "int | None" = None) -> list:
-    """Run a list of ``repro.exec.TaskSpec``, results in task order.
+def sweep(tasks) -> list:
+    """Run an iterable of ``repro.exec.TaskSpec``, results in task order.
 
-    ``jobs`` defaults to ``REPRO_BENCH_JOBS``. Every sweep goes through
-    ``ParallelCampaign`` (``jobs=1`` runs in-process), so the tasks that
-    warm identical state share it at every job count, and results are
-    byte-identical to calling ``run_workload``/``run_mix`` directly.
-    The disk cache is ``REPRO_BENCH_CACHE``, or a temp dir removed
-    afterwards, so stale results can never leak into a sweep unless
-    explicitly requested.
+    Every sweep goes through ``ParallelCampaign`` on ``REPRO_BENCH_JOBS``
+    workers (``1`` runs in-process), so the tasks that warm identical
+    state share it at every job count, and results are byte-identical to
+    calling ``run_workload``/``run_mix`` directly. The disk cache is
+    ``REPRO_BENCH_CACHE``, or a temp dir removed afterwards, so stale
+    results can never leak into a sweep unless explicitly requested.
     """
-    tasks = list(tasks)
-    if TELEMETRY:
-        tasks = [
-            dataclasses.replace(
-                task, config=dataclasses.replace(task.config, telemetry=True)
-            )
-            for task in tasks
-        ]
     from repro.exec import ParallelCampaign
 
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
@@ -104,24 +88,11 @@ def sweep(tasks, jobs: "int | None" = None) -> list:
             )
         campaign = stack.enter_context(ParallelCampaign(
             cache_dir,
-            jobs=JOBS if jobs is None else jobs,
-            timeout_s=float(os.environ.get("REPRO_BENCH_TIMEOUT", "0") or 0)
-            or None,
+            jobs=JOBS,
             journal=os.environ.get("REPRO_BENCH_JOURNAL"),
             progress=bool(stderr is not None and stderr.isatty()),
         ))
         return campaign.results(tasks)
-
-
-def fmt(value: float, kind: str = "x") -> str:
-    """Compact cell formatting: 'x' ratios, '%' percents, 'f' floats."""
-    if kind == "x":
-        return f"{value:.3f}x"
-    if kind == "%":
-        return f"{value * 100:.1f}%"
-    if kind == "f":
-        return f"{value:.3f}"
-    return str(value)
 
 
 def report(

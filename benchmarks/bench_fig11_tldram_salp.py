@@ -12,10 +12,11 @@ Three panels: (a) single-core speedup, (b) DRAM chip area overhead,
 
 import statistics
 
-from repro import SystemConfig, run_workload
+from repro import SystemConfig
 from repro.circuit import DecoderAreaModel
+from repro.exec import TaskSpec
 
-from _harness import INSTRUCTIONS, WARMUP, report
+from _harness import INSTRUCTIONS, WARMUP, report, sweep
 
 CONFIGS = {
     "crow-1": SystemConfig(mechanism="crow-cache", copy_rows=1),
@@ -44,18 +45,18 @@ def _area_overhead(key: str) -> float:
 
 
 def _run():
+    run = dict(instructions=INSTRUCTIONS, warmup_instructions=WARMUP)
+    results = iter(sweep(
+        TaskSpec.workload(name, config, **run)
+        for name in SAMPLE
+        for config in (SystemConfig(), *CONFIGS.values())
+    ))
     speedups = {key: [] for key in CONFIGS}
     energies = {key: [] for key in CONFIGS}
     for name in SAMPLE:
-        base = run_workload(
-            name, SystemConfig(),
-            instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-        )
-        for key, config in CONFIGS.items():
-            result = run_workload(
-                name, config,
-                instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-            )
+        base = next(results)
+        for key in CONFIGS:
+            result = next(results)
             speedups[key].append(result.speedup_over(base))
             energies[key].append(result.energy_ratio(base))
     rows = []

@@ -8,9 +8,10 @@ average 5.7% on top of the prefetcher.
 
 import statistics
 
-from repro import SystemConfig, run_workload
+from repro import SystemConfig
+from repro.exec import TaskSpec
 
-from _harness import INSTRUCTIONS, WARMUP, report
+from _harness import INSTRUCTIONS, WARMUP, report, sweep
 
 #: Sampled to span prefetcher effectiveness, as the paper does: streaming
 #: and strided workloads prefetch well, random/pointer ones do not.
@@ -24,19 +25,19 @@ CONFIGS = {
 
 
 def _run():
+    run = dict(instructions=INSTRUCTIONS, warmup_instructions=WARMUP)
+    results = iter(sweep(
+        TaskSpec.workload(name, config, **run)
+        for name in SAMPLE
+        for config in (SystemConfig(), *CONFIGS.values())
+    ))
     rows = []
     speedups = {key: [] for key in CONFIGS}
     for name in SAMPLE:
-        base = run_workload(
-            name, SystemConfig(),
-            instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-        )
+        base = next(results)
         cells = [name]
-        for key, config in CONFIGS.items():
-            result = run_workload(
-                name, config,
-                instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-            )
+        for key in CONFIGS:
+            result = next(results)
             speedup = result.speedup_over(base)
             speedups[key].append(speedup)
             cells.append(f"{speedup:.3f}")

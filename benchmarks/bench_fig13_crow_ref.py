@@ -10,9 +10,10 @@ the futuristic 64 Gbit node (paper: +7.1%/-17.2% single-core,
 
 import statistics
 
-from repro import SystemConfig, build_mix, run_mix, run_workload
+from repro import SystemConfig, build_mix
+from repro.exec import TaskSpec
 
-from _harness import MIX_INSTRUCTIONS, MIX_WARMUP, report
+from _harness import MIX_INSTRUCTIONS, MIX_WARMUP, report, sweep
 
 #: Single-core sample; refresh pain is broad, so a small sample suffices.
 SAMPLE = ("mcf", "lbm", "omnetpp", "h264-dec", "sphinx3", "tpcc64")
@@ -20,44 +21,53 @@ DENSITIES = (8, 16, 32, 64)
 #: Longer runs so each measurement spans many tREFI windows.
 INSTR = MIX_INSTRUCTIONS * 4
 WARM = MIX_WARMUP * 2
+MIX_SEEDS = (1, 2)
+
+
+def _configs(density: int, cores: int) -> tuple[SystemConfig, SystemConfig]:
+    """The baseline and CROW-ref configurations at one density."""
+    return (
+        SystemConfig(cores=cores, density_gbit=density),
+        SystemConfig(
+            cores=cores, mechanism="crow-ref", density_gbit=density,
+            weak_rows_per_subarray=3,
+        ),
+    )
 
 
 def _run():
+    mix_names = {
+        seed: [w.name for w in build_mix("HHHH", seed=seed)]
+        for seed in MIX_SEEDS
+    }
+    tasks = []
+    for density in DENSITIES:
+        for name in SAMPLE:
+            for config in _configs(density, cores=1):
+                tasks.append(TaskSpec.workload(
+                    name, config,
+                    instructions=INSTR, warmup_instructions=WARM,
+                ))
+        for seed in MIX_SEEDS:
+            for config in _configs(density, cores=4):
+                tasks.append(TaskSpec.mix(
+                    mix_names[seed], config, seed=seed,
+                    instructions=MIX_INSTRUCTIONS,
+                    warmup_instructions=MIX_WARMUP,
+                ))
+    results = iter(sweep(tasks))
+
     rows = []
     by_density = {}
     for density in DENSITIES:
         speedups, energies = [], []
         for name in SAMPLE:
-            base = run_workload(
-                name, SystemConfig(density_gbit=density),
-                instructions=INSTR, warmup_instructions=WARM,
-            )
-            ref = run_workload(
-                name,
-                SystemConfig(
-                    mechanism="crow-ref", density_gbit=density,
-                    weak_rows_per_subarray=3,
-                ),
-                instructions=INSTR, warmup_instructions=WARM,
-            )
+            base, ref = next(results), next(results)
             speedups.append(ref.speedup_over(base))
             energies.append(ref.energy_ratio(base))
         mix_speedups, mix_energies = [], []
-        for seed in (1, 2):
-            mix = build_mix("HHHH", seed=seed)
-            mix_base = run_mix(
-                mix, SystemConfig(cores=4, density_gbit=density), seed=seed,
-                instructions=MIX_INSTRUCTIONS, warmup_instructions=MIX_WARMUP,
-            )
-            mix_ref = run_mix(
-                mix,
-                SystemConfig(
-                    cores=4, mechanism="crow-ref", density_gbit=density,
-                    weak_rows_per_subarray=3,
-                ),
-                seed=seed,
-                instructions=MIX_INSTRUCTIONS, warmup_instructions=MIX_WARMUP,
-            )
+        for seed in MIX_SEEDS:
+            mix_base, mix_ref = next(results), next(results)
             mix_speedups.append(mix_ref.speedup_over(mix_base))
             mix_energies.append(mix_ref.energy_ratio(mix_base))
         entry = {

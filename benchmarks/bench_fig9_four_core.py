@@ -40,7 +40,8 @@ def _run_groups():
         for index in range(MIXES_PER_GROUP)
     }
     alone_names = sorted({name for names in mixes.values() for name in names})
-    # alone_ipcs([name], seed=0) derives the per-core trace seed for core 0.
+    # An alone run replays the trace that core 0 of a seed-0 mix gets:
+    # derive_trace_seed(0, 0).
     alone_tasks = [
         TaskSpec.workload(
             name, SystemConfig(), seed=derive_trace_seed(0, 0), **run_kwargs

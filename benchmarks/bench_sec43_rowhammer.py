@@ -14,7 +14,7 @@ evaluation on the reproduction stack:
 
 import numpy as np
 
-from repro import SystemConfig, run_workload
+from repro import SystemConfig
 from repro.controller import ChannelController, MemRequest, RequestType
 from repro.core import RowHammerMitigation
 from repro.dram import (
@@ -26,8 +26,9 @@ from repro.dram import (
 )
 from repro.dram.address import DramAddress
 from repro.dram.commands import RowId
+from repro.exec import TaskSpec
 
-from _harness import INSTRUCTIONS, WARMUP, report
+from _harness import INSTRUCTIONS, WARMUP, report, sweep
 
 GEO = DramGeometry(rows_per_bank=4096, channels=1)
 TIMING = TimingParameters.lpddr4()
@@ -79,14 +80,15 @@ def _attack(mitigated: bool):
 def _run():
     flips_plain, corrupted_plain = _attack(mitigated=False)
     flips_guarded, corrupted_guarded = _attack(mitigated=True)
-    base = run_workload(
-        "h264-dec", SystemConfig(),
-        instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-    )
-    guarded = run_workload(
-        "h264-dec", SystemConfig(mechanism="crow-hammer",
-                                 hammer_threshold=2000),
-        instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
+    base, guarded = sweep(
+        TaskSpec.workload(
+            "h264-dec", config,
+            instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
+        )
+        for config in (
+            SystemConfig(),
+            SystemConfig(mechanism="crow-hammer", hammer_threshold=2000),
+        )
     )
     overhead = guarded.speedup_over(base)
     rows = [

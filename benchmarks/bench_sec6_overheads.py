@@ -9,11 +9,12 @@
 
 import pytest
 
-from repro import SystemConfig, run_workload
+from repro import SystemConfig
 from repro.circuit import DecoderAreaModel
 from repro.core import crow_table_entry_bits, crow_table_storage_kib
+from repro.exec import TaskSpec
 
-from _harness import INSTRUCTIONS, WARMUP, report
+from _harness import INSTRUCTIONS, WARMUP, report, sweep
 
 
 def _build_table():
@@ -22,18 +23,16 @@ def _build_table():
     storage = crow_table_storage_kib()
     shared = crow_table_storage_kib(subarrays=256)
 
-    base = run_workload(
-        "h264-dec", SystemConfig(mechanism="baseline"),
-        instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-    )
-    dedicated = run_workload(
-        "h264-dec", SystemConfig(mechanism="crow-cache"),
-        instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-    )
-    grouped = run_workload(
-        "h264-dec",
-        SystemConfig(mechanism="crow-cache", subarray_group_size=4),
-        instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
+    base, dedicated, grouped = sweep(
+        TaskSpec.workload(
+            "h264-dec", config,
+            instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
+        )
+        for config in (
+            SystemConfig(mechanism="baseline"),
+            SystemConfig(mechanism="crow-cache"),
+            SystemConfig(mechanism="crow-cache", subarray_group_size=4),
+        )
     )
     rows = [
         ["CROW-table entry size", f"{entry_bits} bits", "11 bits"],

@@ -26,7 +26,6 @@ from repro.sim import (
     SimResult,
     System,
     SystemConfig,
-    alone_ipcs,
     derive_trace_seed,
     run_mix,
     run_workload,
@@ -42,7 +41,6 @@ __all__ = [
     "SimResult",
     "run_workload",
     "run_mix",
-    "alone_ipcs",
     "derive_trace_seed",
     "weighted_speedup",
     "WORKLOADS",

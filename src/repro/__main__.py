@@ -14,9 +14,6 @@ Subcommands:
 * ``workloads`` — list the named workload suite.
 * ``mechanisms`` — list the mechanism plugin registry, or ``--verify``
   every plugin against the conformance oracle and the committed digests.
-* ``timings`` — print the baseline + CROW command timing parameters.
-* ``overheads`` — print the CROW substrate cost model (Section 6) from
-  the paper-calibrated area model (``repro.circuit.area``).
 * ``check`` — run the protocol-conformance oracle (``repro.check``) over
   seeded random scenarios or one reproduced counterexample; exits
   non-zero on any violation.
@@ -474,53 +471,6 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timings(args: argparse.Namespace) -> int:
-    from repro.dram import CrowTimings, TimingParameters
-
-    timing = TimingParameters.lpddr4(density_gbit=args.density)
-    crow = CrowTimings.from_factors(timing)
-    table = TextTable(
-        f"LPDDR4 timings at {args.density} Gbit (cycles @ 1600 MHz)",
-        ["parameter", "cycles"],
-    )
-    for name in ("trcd", "tras", "trp", "twr", "tcl", "trfc", "trefi"):
-        table.add_row(name.upper(), getattr(timing, name))
-    table.add_row("ACT-t tRCD (full pair)", crow.trcd_act_t_full)
-    table.add_row("ACT-t tRAS (early term.)", crow.tras_act_t_early)
-    table.add_row("ACT-c tRAS (full restore)", crow.tras_act_c_full)
-    print(table.render())
-    return 0
-
-
-def _cmd_overheads(args: argparse.Namespace) -> int:
-    """Substrate cost table from the paper-calibrated area model."""
-    from repro.circuit import DecoderAreaModel
-    from repro.core import crow_table_storage_kib
-
-    area = DecoderAreaModel()
-    table = TextTable(
-        f"CROW substrate overheads ({args.copy_rows} copy rows/subarray)",
-        ["quantity", "value"],
-    )
-    table.add_row(
-        "CROW-table storage / channel (KiB)",
-        crow_table_storage_kib(copy_rows_per_subarray=args.copy_rows),
-    )
-    table.add_row(
-        "decoder area overhead",
-        f"{area.copy_decoder_overhead(args.copy_rows):.2%}",
-    )
-    table.add_row(
-        "chip area overhead", f"{area.crow_chip_overhead(args.copy_rows):.2%}"
-    )
-    table.add_row(
-        "capacity overhead",
-        f"{area.crow_capacity_overhead(args.copy_rows):.2%}",
-    )
-    print(table.render())
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import CheckReport
     from repro.check.scenarios import Scenario, random_scenario, run_scenario
@@ -753,14 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one JSON verification report per mechanism to DIR",
     )
     mech.set_defaults(func=_cmd_mechanisms)
-
-    tm = sub.add_parser("timings", help="print timing parameters")
-    tm.add_argument("--density", type=int, default=8, choices=(8, 16, 32, 64))
-    tm.set_defaults(func=_cmd_timings)
-
-    ov = sub.add_parser("overheads", help="print substrate cost model")
-    ov.add_argument("--copy-rows", type=int, default=8)
-    ov.set_defaults(func=_cmd_overheads)
 
     check = sub.add_parser(
         "check",

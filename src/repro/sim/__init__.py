@@ -6,7 +6,6 @@ from repro.sim.metrics import SimResult, weighted_speedup
 from repro.sim.sweep import (
     run_workload,
     run_mix,
-    alone_ipcs,
     derive_trace_seed,
 )
 from repro.sim.campaign import Campaign
@@ -18,7 +17,6 @@ __all__ = [
     "weighted_speedup",
     "run_workload",
     "run_mix",
-    "alone_ipcs",
     "derive_trace_seed",
     "Campaign",
 ]

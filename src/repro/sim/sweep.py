@@ -1,8 +1,10 @@
 """Experiment helpers: run one workload or one mix under a configuration.
 
-These wrap the System construction + run boilerplate the benchmark harness
-uses; every figure script is "build config grid -> run_workload / run_mix
--> print the paper-style table".
+These wrap the System construction + run boilerplate. ``TaskSpec.run``
+(``repro.exec``) calls them, so every campaign and every figure benchmark
+(which hands its whole ``TaskSpec`` list to ``benchmarks/_harness.sweep``)
+reaches the simulator through them; the CLI's ``run`` and ``stats``
+commands call them directly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.sim.system import System
 from repro.trace.stream import TraceStream
 from repro.trace.workloads import Workload, workload as lookup_workload
 
-__all__ = ["run_workload", "run_mix", "alone_ipcs", "derive_trace_seed"]
+__all__ = ["run_workload", "run_mix", "derive_trace_seed"]
 
 
 def _resolve(w: "Workload | str") -> Workload:
@@ -106,23 +108,3 @@ def run_mix(
         snapshot_path=snapshot_path,
     )
 
-
-def alone_ipcs(
-    mix: "list[Workload | str]",
-    config: SystemConfig | None = None,
-    instructions: int = 40_000,
-    warmup_instructions: int = 20_000,
-    seed: int = 0,
-) -> list[float]:
-    """Per-workload IPC when run alone (weighted-speedup denominators)."""
-    results = []
-    for i, w in enumerate(mix):
-        result = run_workload(
-            w,
-            config=config,
-            instructions=instructions,
-            warmup_instructions=warmup_instructions,
-            seed=derive_trace_seed(seed, i),
-        )
-        results.append(result.ipc)
-    return results

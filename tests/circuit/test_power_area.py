@@ -97,8 +97,8 @@ class TestBaselineAreas:
 class TestStructuredGuardErrors:
     """Guard failures name the offending field and value.
 
-    The CLI prints these messages verbatim (``repro overheads``), so
-    they must identify what was wrong without the caller re-deriving it.
+    Callers surface these messages verbatim, so they must identify what
+    was wrong without the caller re-deriving it.
     """
 
     @pytest.fixture

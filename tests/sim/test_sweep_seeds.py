@@ -60,18 +60,3 @@ class TestWiring:
         sweep.run_mix(["a", "b", "c"], SystemConfig(cores=3), seed=5)
         assert captured == [derive_trace_seed(5, i) for i in range(3)]
 
-    def test_alone_ipcs_matches_mix_derivation(self, monkeypatch):
-        captured = []
-
-        def fake_run_workload(w, config=None, instructions=0,
-                              warmup_instructions=0, seed=0):
-            captured.append(seed)
-
-            class R:
-                ipc = 1.0
-
-            return R()
-
-        monkeypatch.setattr(sweep, "run_workload", fake_run_workload)
-        sweep.alone_ipcs(["a", "b"], SystemConfig(), seed=4)
-        assert captured == [derive_trace_seed(4, 0), derive_trace_seed(4, 1)]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.__main__ import build_parser, main
-from repro.circuit.area import DecoderAreaModel
 
 
 class TestParser:
@@ -41,26 +40,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "libq" in out and "h264-dec" in out and "mcf" in out
 
-    def test_timings(self, capsys):
-        assert main(["timings", "--density", "64"]) == 0
-        out = capsys.readouterr().out
-        assert "TRCD" in out and "ACT-t" in out
-
-    def test_overheads(self, capsys):
-        assert main(["overheads"]) == 0
-        out = capsys.readouterr().out
-        assert "chip area overhead" in out
-        assert "0.48%" in out
-
-    def test_overheads_without_copy_rows(self, capsys):
-        assert main(["overheads", "--copy-rows", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "(0 copy rows/subarray)" in out
-        for label in ("decoder area overhead", "chip area overhead",
-                      "capacity overhead"):
-            line = next(l for l in out.splitlines() if label in l)
-            assert line.split()[-1] == "0.00%"
-
     def test_run_with_baseline(self, capsys):
         code = main([
             "run", "h264-dec", "--mechanism", "crow-cache",
@@ -78,20 +57,6 @@ class TestCommands:
         ])
         assert code == 0
         assert "IPC (sum)" in capsys.readouterr().out
-
-
-class TestOverheadsRewire:
-    def test_overheads_output_identical_to_direct_model(self, capsys):
-        # `repro overheads` must print exactly the direct model's numbers
-        # (the paper's Section 6 cost story).
-        assert main(["overheads"]) == 0
-        out = capsys.readouterr().out
-        model = DecoderAreaModel()
-        assert f"{model.copy_decoder_overhead(8):.2%}" in out
-        assert f"{model.crow_chip_overhead(8):.2%}" in out
-        assert f"{model.crow_capacity_overhead(8):.2%}" in out
-        # The paper's Section 6 chip-overhead anchor.
-        assert "chip area overhead" in out and "0.48%" in out
 
 
 class TestStatsCommand:
