@@ -5,9 +5,11 @@ Usage::
     python3 .github/perf_ab.py BASE_DIR HEAD_DIR
 
 Both directories are full checkouts (for example two git worktrees).
-For every workload in the base checkout's ``BENCHMARK.json``, PAIRS
-pairs of ``perfbench/run.py --seed i --seconds SECONDS`` run, each side
-with its own perfbench, alternating which side goes first. The base's
+Each is byte-compiled first, so neither side's runs pay for compiling
+its sources. For every workload in the base checkout's
+``BENCHMARK.json``, PAIRS pairs of ``perfbench/run.py --seed i
+--seconds SECONDS`` run, each side with its own perfbench, alternating
+which side goes first. The base's
 ``BENCHMARK.json`` supplies the workloads, the end-to-end metrics, their
 ``better`` directions and their bounds, so a change is measured against
 the contract it started from.
@@ -25,6 +27,7 @@ median by more than the metric's bound.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -32,6 +35,21 @@ from pathlib import Path
 
 PAIRS = 5
 SECONDS = 5
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Write the ``.pyc`` files of a checkout's ``src`` and ``perfbench``.
+
+    With ``PYTHONDONTWRITEBYTECODE`` set, a checkout without them
+    recompiles its sources in every fresh interpreter, which alone can
+    move ``setup_s`` by more than its bound; so this call drops it.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+        cwd=checkout, env=env, check=True,
+    )
 
 
 def run(checkout: Path, workload: str, seed: int) -> dict:
@@ -53,6 +71,8 @@ def main(argv: list[str]) -> int:
         sys.exit(__doc__)
     sides = {"base": Path(argv[0]), "head": Path(argv[1])}
     spec = json.loads((sides["base"] / "BENCHMARK.json").read_text())
+    for checkout in sides.values():
+        compile_checkout(checkout)
     failures = []
     for entry in spec["workloads"]:
         workload = entry["name"]

@@ -39,6 +39,7 @@ __all__ = [
     "MIX_INSTRUCTIONS",
     "MIX_WARMUP",
     "SINGLE_CORE_SAMPLE",
+    "check_claims",
     "report",
     "sweep",
 ]
@@ -112,3 +113,16 @@ def report(
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def check_claims(claims: list[tuple[str, bool]]) -> None:
+    """Fail once, naming every ``(label, holds)`` claim that does not hold.
+
+    A bench that asserted its claims one by one would stop at the first
+    failure and hide the rest.
+    """
+    failing = [label for label, holds in claims if not holds]
+    assert not failing, (
+        f"{len(failing)} of {len(claims)} claims fail:\n  "
+        + "\n  ".join(failing)
+    )

@@ -15,7 +15,13 @@ import statistics
 from repro import SystemConfig, build_mix, derive_trace_seed
 from repro.exec import TaskSpec
 
-from _harness import MIX_INSTRUCTIONS, MIX_WARMUP, report, sweep
+from _harness import (
+    MIX_INSTRUCTIONS,
+    MIX_WARMUP,
+    check_claims,
+    report,
+    sweep,
+)
 
 #: Groups (subset of the paper's eight) and mixes per group, sized for a
 #: Python-speed run; REPRO_BENCH_SCALE lengthens the runs themselves.
@@ -113,10 +119,17 @@ def test_fig9_four_core(benchmark):
     low = statistics.mean(
         [mean("LLLL", "crow-8"), mean("LLHH", "crow-8")]
     )
-    assert high > low - 0.005
-    # Some memory-intensive group shows a win...
-    assert max(mean("MMHH", "crow-8"), mean("HHHH", "crow-8")) > 1.0
-    # ...while every group stays within the sane band (no disasters).
-    for group in GROUPS:
-        for key in CONFIGS:
-            assert 0.85 < mean(group, key) < 1.40, (group, key)
+    best = max(mean("MMHH", "crow-8"), mean("HHHH", "crow-8"))
+    check_claims([
+        (f"high > low - 0.005 (MMHH/HHHH crow-8 {high:.4f}, "
+         f"LLLL/LLHH {low:.4f})", high > low - 0.005),
+        # Some memory-intensive group shows a win...
+        (f"max(MMHH, HHHH) crow-8 > 1.0 ({best:.4f})", best > 1.0),
+        # ...while every group stays within the sane band (no disasters).
+        *(
+            (f"0.85 < {group} {key} < 1.40 ({mean(group, key):.4f})",
+             0.85 < mean(group, key) < 1.40)
+            for group in GROUPS
+            for key in CONFIGS
+        ),
+    ])

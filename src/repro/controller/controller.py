@@ -14,6 +14,7 @@ progress, so the simulation loop can skip dead time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -118,6 +119,14 @@ class ChannelController:
             if type(self.mechanism).next_wake is not Mechanism.next_wake
             else None
         )
+        # Likewise for mechanism-initiated activations: only mechanisms
+        # that override urgent_plan (the RowHammer mitigation, HiRA,
+        # CnC-PRAC) are polled on every tick.
+        self._urgent = (
+            self.mechanism.urgent_plan
+            if type(self.mechanism).urgent_plan is not Mechanism.urgent_plan
+            else None
+        )
         # Mechanisms that redirect rows at run time (CROW-ref and
         # friends) override service_row; their requests re-resolve on
         # every pass, everyone else's only when their bank changes.
@@ -127,6 +136,9 @@ class ChannelController:
 
         self.read_q: list[MemRequest] = []
         self.write_q: list[MemRequest] = []
+        # Write-forwarding index: address -> writes to it in write_q.
+        # Maintained by enqueue and _dequeue, rebuilt by load_state_dict.
+        self._write_lines: dict[int, int] = {}
         self.drain_mode = False
         self.next_ref = self.timing.trefi if refresh_enabled else IDLE
         self.hit_streak = [0] * self.geometry.banks_per_channel
@@ -155,11 +167,12 @@ class ChannelController:
         # bank and channel state, hit streaks, mechanism state — change
         # only on enqueue, dequeue or a command issue. A queue pass that
         # issued nothing is kept as ``(channel version, queue,
-        # candidates, earliest_any)`` until an enqueue or dequeue drops
-        # it: under the same channel version a fresh pass would rank the
-        # same candidates with the same readiness times, so the next
-        # tick scans the record instead. A pure cache: never serialized,
-        # cleared on load_state_dict.
+        # candidates, class bounds, earliest_any)`` until an enqueue or
+        # dequeue drops it: under the same channel version a fresh pass
+        # would rank the same candidates with the same readiness times
+        # (their ``sched_bound`` memos and the pass's class bounds), so
+        # the next tick scans the record instead. A pure cache: never
+        # serialized, cleared on load_state_dict.
         self._idle_pass: tuple | None = None
 
         # Statistics.
@@ -196,15 +209,18 @@ class ChannelController:
         self._idle_pass = None
         request.arrival = now
         if request.type is RequestType.READ:
-            if self.config.write_forwarding:
-                for pending in self.write_q:
-                    if pending.address == request.address:
-                        self.stats["forwarded_reads"] += 1
-                        self._complete(request, now + self.timing.tcl)
-                        return True
+            if (
+                self.config.write_forwarding
+                and request.address in self._write_lines
+            ):
+                self.stats["forwarded_reads"] += 1
+                self._complete(request, now + self.timing.tcl)
+                return True
             self.read_q.append(request)
         else:
             self.write_q.append(request)
+            lines = self._write_lines
+            lines[request.address] = lines.get(request.address, 0) + 1
             if len(self.write_q) >= self.config.write_drain_high:
                 if not self.drain_mode:
                     self.stats["write_drains"] += 1
@@ -222,14 +238,15 @@ class ChannelController:
     # ------------------------------------------------------------------
     def tick(self, now: int) -> int:
         """Issue at most one command; return the next useful wake time."""
-        if self.refresh_enabled and now >= self.next_ref:
+        if now >= self.next_ref and self.refresh_enabled:
             return self._do_refresh(now)
 
-        urgent = self.mechanism.urgent_plan(now)
-        if urgent is not None:
-            wake = self._serve_urgent(urgent, now)
-            if wake is not None:
-                return wake
+        if self._urgent is not None:
+            urgent = self._urgent(now)
+            if urgent is not None:
+                wake = self._serve_urgent(urgent, now)
+                if wake is not None:
+                    return wake
 
         queue = self._active_queue()
         if queue:
@@ -240,10 +257,18 @@ class ChannelController:
         else:
             wake = IDLE
 
+        # Inline comparisons instead of min()/max() calls: most ticks
+        # end here.
         timeout_wake = self._apply_row_timeout(now)
+        if timeout_wake < wake:
+            wake = timeout_wake
         if self._mech_wake is not None:
-            wake = min(wake, self._mech_wake(now))
-        return max(now + 1, min(wake, timeout_wake, self.next_ref))
+            mech_wake = self._mech_wake(now)
+            if mech_wake < wake:
+                wake = mech_wake
+        if self.next_ref < wake:
+            wake = self.next_ref
+        return wake if wake > now else now + 1
 
     # ------------------------------------------------------------------
     # Refresh handling
@@ -338,11 +363,16 @@ class ChannelController:
             and idle[0] == channel.version
             and idle[1] is queue
         ):
-            for request, earliest in idle[2]:
+            class_bounds = idle[3]
+            for request in idle[2]:
+                earliest = request.sched_bound
+                bound = class_bounds[request.sched_kind]
+                if bound > earliest:
+                    earliest = bound
                 if earliest <= now:
                     self._issue_candidate(request, now)
                     return True, now
-            return False, idle[3]
+            return False, idle[4]
 
         act_bound, rd_bound, wr_bound, pre_bound = channel.channel_bounds()
         # A queue holds one request type: its column accesses share a
@@ -367,7 +397,6 @@ class ChannelController:
         window = self.config.scheduler_window
         if len(ranked) > window:
             ranked = ranked[:window]
-        candidates: list[tuple] = []
         earliest_any = IDLE
         for request in ranked:
             earliest = request.sched_bound
@@ -377,10 +406,11 @@ class ChannelController:
             if earliest <= now:
                 self._issue_candidate(request, now)
                 return True, now
-            candidates.append((request, earliest))
             if earliest < earliest_any:
                 earliest_any = earliest
-        self._idle_pass = (channel.version, queue, candidates, earliest_any)
+        self._idle_pass = (
+            channel.version, queue, ranked, class_bounds, earliest_any
+        )
         return False, earliest_any
 
     def _resolve(self, request: MemRequest, bank: int) -> None:
@@ -483,8 +513,16 @@ class ChannelController:
         self.channel.issue(command, now)
 
     def _dequeue(self, request: MemRequest) -> None:
-        queue = self.read_q if request.type is RequestType.READ else self.write_q
-        queue.remove(request)
+        if request.type is RequestType.READ:
+            self.read_q.remove(request)
+        else:
+            self.write_q.remove(request)
+            lines = self._write_lines
+            count = lines[request.address] - 1
+            if count:
+                lines[request.address] = count
+            else:
+                del lines[request.address]
         self.bank_pending[request.location.bank] -= 1
         self._idle_pass = None
 
@@ -531,6 +569,7 @@ class ChannelController:
     def load_state_dict(self, state: dict, decode_request) -> None:
         self.read_q = [decode_request(r) for r in state["read_q"]]
         self.write_q = [decode_request(r) for r in state["write_q"]]
+        self._write_lines = dict(Counter(r.address for r in self.write_q))
         self.drain_mode = state["drain_mode"]
         self.next_ref = state["next_ref"]
         self.hit_streak = list(state["hit_streak"])
@@ -552,6 +591,8 @@ class ChannelController:
         pending = self.bank_pending
         last_use = self.bank_last_use
         salp = self._salp
+        if 0 not in pending:
+            return IDLE  # every bank has requests waiting
         for bank_index, bank in enumerate(self.channel.banks):
             if pending[bank_index]:
                 continue
@@ -562,14 +603,16 @@ class ChannelController:
                 continue
             expiry = last_use[bank_index] + timeout
             if expiry > now:
-                next_expiry = min(next_expiry, expiry)
+                if expiry < next_expiry:
+                    next_expiry = expiry
                 continue
             pre = self._pre_command_for_bank(bank_index)
             earliest = self.channel.earliest_issue(pre)
             if earliest <= now:
                 self._issue_pre(pre, now)
                 return now + 1
-            next_expiry = min(next_expiry, earliest)
+            if earliest < next_expiry:
+                next_expiry = earliest
         return next_expiry
 
     def _issue_pre(self, pre: Command, now: int) -> None:

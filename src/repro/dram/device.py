@@ -105,12 +105,16 @@ class DramChannel:
         self.counts = {kind: 0 for kind in CommandKind}
         self.busy_reads = 0
         #: State versions for schedulers that keep derived per-request
-        #: state. ``version`` counts accepted commands and restores;
+        #: state. ``version`` moves with every accepted command (and one
+        #: that raises part-way through its state change) and restore;
         #: ``bank_versions[b]`` is the ``version`` at which bank ``b``'s
         #: state last changed (REF and ``load_state_dict`` change every
         #: bank). Never serialized: a restore is itself a change.
         self.version = 0
         self.bank_versions = [0] * geometry.banks_per_channel
+        # channel_bounds() memo, valid while _bounds_version == version.
+        self._bounds_version = -1
+        self._bounds: tuple[int, int, int, int] = (0, 0, 0, 0)
         #: Command observers, called ``observer(now, command)`` in attach
         #: order after every accepted command (telemetry's
         #: ``EventTrace.record_command``, the shadow
@@ -222,7 +226,14 @@ class DramChannel:
         bank slot's (``earliest_act``/``earliest_col``/``earliest_pre``),
         so a caller probing many commands in one channel state can
         compute these once and combine them with per-slot bounds.
+
+        Memoized on :attr:`version`: every change to the state read here
+        bumps it, so the scheduling pass, the ``issue`` re-validation of
+        the command it picked and the row-timeout and refresh probes of
+        one channel state share one computation.
         """
+        if self._bounds_version == self.version:
+            return self._bounds
         # Inline comparisons instead of max() calls: this runs on every
         # scheduling pass and the builtin-call overhead is measurable.
         earliest = self.cmd_bus_free
@@ -255,7 +266,10 @@ class DramChannel:
             bound = last_wr + self._wr_after_wr
             if bound > wr:
                 wr = bound
-        return act, rd, wr, earliest
+        bounds = (act, rd, wr, earliest)
+        self._bounds = bounds
+        self._bounds_version = self.version
+        return bounds
 
     def earliest_act(self, bank: int, subarray: int) -> int:
         """Earliest cycle at which any activation of ``bank`` can issue.
@@ -333,6 +347,11 @@ class DramChannel:
         timing = self.timing
         kind = command.kind
         result = IssueResult()
+        # Bumped before any state changes, so a command that raises
+        # part-way (a functional-layer DataIntegrityError) cannot leave
+        # a stale channel_bounds() memo behind.
+        version = self.version + 1
+        self.version = version
 
         if kind in _ACTIVATION_KINDS:
             slot = self._bank_slot(command)
@@ -384,8 +403,6 @@ class DramChannel:
         # CROW commands carry an extra copy-row address cycle (footnote 3).
         bus_cycles = 2 if kind in (CommandKind.ACT_C, CommandKind.ACT_T) else 1
         self.cmd_bus_free = now + bus_cycles
-        version = self.version + 1
-        self.version = version
         if kind is CommandKind.REF:
             self.bank_versions[:] = [version] * len(self.banks)
         else:

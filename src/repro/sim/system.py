@@ -424,10 +424,6 @@ class System:
         )
         self._measure_start: int | None = None
         self.warm_image = None if warm_image is None else Path(warm_image)
-        # Flat wake-source tuple for the timed loop: the component set is
-        # fixed after construction, so the per-step candidate list is
-        # replaced by an allocation-free scan over this tuple.
-        self._tickables: tuple = (*self.cores, *self.controllers)
         self.now = 0
 
     def check_report(self, finalize: bool = True):
@@ -471,23 +467,27 @@ class System:
         reordered. After each step the ``max_cycles`` limit is checked,
         then ``between()`` runs (checkpoint and snapshot saving), so
         snapshots are only ever taken between steps.
+
+        The next horizon is computed while ticking: each component's wake
+        is read once its tick (if due) has returned, and the heap head
+        last. That fused scan is exact because a tick never lowers the
+        wake of a component scanned before it: core ticks lower a
+        controller's wake only through ``enqueue``, and controllers come
+        after cores; every other wake-up goes through the event heap.
+        ``done()`` reads only core state that :meth:`Core.tick` changes,
+        so it is re-checked only after a step in which a core ticked.
+        ``between()`` may do anything, so the horizon is re-scanned in
+        full after it.
         """
-        # Allocation-free min-wake scan. With at most a handful of cores
-        # and controllers, an inline pass over the precomputed tuple beats
-        # both a per-step list build and a lazily repaired heap (whose
-        # invariant every MemoryPort callback would disturb).
         cores = self.cores
         controllers = self.controllers
-        tickables = self._tickables
         heap = self.events._heap
         pop = heapq.heappop
         limit = IDLE if max_cycles is None else max_cycles
-        while not done():
-            t = heap[0][0] if heap else IDLE
-            for component in tickables:
-                wake = component.next_wake
-                if wake < t:
-                    t = wake
+        if done():
+            return
+        t = self._horizon()
+        while True:
             if t >= IDLE:
                 raise ReproError(self._deadlock_message())
             if t > self.now:
@@ -496,16 +496,38 @@ class System:
             while heap and heap[0][0] <= now:
                 when, _, fn = pop(heap)
                 fn(when)
+            t = IDLE
+            core_ticked = False
             for core in cores:
-                if core.next_wake <= now:
-                    core.next_wake = core.tick(now)
+                wake = core.next_wake
+                if wake <= now:
+                    wake = core.next_wake = core.tick(now)
+                    core_ticked = True
+                if wake < t:
+                    t = wake
             for controller in controllers:
-                if controller.next_wake <= now:
-                    controller.next_wake = controller.tick(now)
+                wake = controller.next_wake
+                if wake <= now:
+                    wake = controller.next_wake = controller.tick(now)
+                if wake < t:
+                    t = wake
+            if heap and heap[0][0] < t:
+                t = heap[0][0]
             if now > limit:
                 raise ReproError(f"{phase} exceeded max_cycles")
             if between is not None:
                 between()
+                t = self._horizon()
+            if core_ticked and done():
+                return
+
+    def _horizon(self) -> int:
+        """Earliest pending event or component wake (IDLE if none)."""
+        return min(
+            self.events.next_time(),
+            *(core.next_wake for core in self.cores),
+            *(controller.next_wake for controller in self.controllers),
+        )
 
     def _deadlock_message(self) -> str:
         """Diagnostic for a stuck simulation: every component's wake time."""
