@@ -33,29 +33,34 @@ from repro.errors import ConfigError, ReproError
 from repro.mech import get_plugin, mechanism_names
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _simulate(args: argparse.Namespace, mechanism=None, **config_fields):
+    """Run ``args.workload`` under the shared run flags.
+
+    One workload is a single-core :func:`run_workload`; several are a
+    multiprogrammed :func:`run_mix`. ``mechanism`` overrides
+    ``--mechanism``; ``config_fields`` are further :class:`SystemConfig`
+    fields.
+    """
     names = args.workload
-    config_kwargs = dict(
-        mechanism=args.mechanism,
+    config = SystemConfig(
+        cores=len(names),
+        mechanism=mechanism or args.mechanism,
         density_gbit=args.density,
-        copy_rows=args.copy_rows,
         prefetcher=args.prefetcher,
         seed=args.seed,
+        **config_fields,
     )
     run_kwargs = dict(
-        instructions=args.instructions,
-        warmup_instructions=args.warmup,
+        instructions=args.instructions, warmup_instructions=args.warmup
     )
+    if len(names) == 1:
+        return run_workload(names[0], config, **run_kwargs)
+    return run_mix(names, config, **run_kwargs)
 
-    def simulate(mechanism: str):
-        config = SystemConfig(
-            cores=len(names), **{**config_kwargs, "mechanism": mechanism}
-        )
-        if len(names) == 1:
-            return run_workload(names[0], config, **run_kwargs)
-        return run_mix(names, config, **run_kwargs)
 
-    result = simulate(args.mechanism)
+def _cmd_run(args: argparse.Namespace) -> int:
+    names = args.workload
+    result = _simulate(args, copy_rows=args.copy_rows)
     table = TextTable(
         f"{'+'.join(names)} under {args.mechanism}",
         ["metric", "value"],
@@ -71,7 +76,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.crow_hit_rate is not None:
         table.add_row("CROW-table hit rate", result.crow_hit_rate)
     if args.baseline and args.mechanism != "baseline":
-        base = simulate("baseline")
+        base = _simulate(args, copy_rows=args.copy_rows, mechanism="baseline")
         table.add_row("speedup vs baseline", result.speedup_over(base))
         table.add_row("energy vs baseline", result.energy_ratio(base))
     print(table.render())
@@ -88,24 +93,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.analysis import ascii_timeseries
 
     names = args.workload
-    trace_capacity = args.trace_capacity if args.trace else 0
-    config = SystemConfig(
-        cores=len(names),
-        mechanism=args.mechanism,
-        density_gbit=args.density,
-        prefetcher=args.prefetcher,
-        seed=args.seed,
+    if args.trace and args.trace_capacity < 1:
+        raise ConfigError(
+            "--trace-capacity must be >= 1 to record a command trace "
+            f"(got {args.trace_capacity})"
+        )
+    result = _simulate(
+        args,
         telemetry=True,
         telemetry_epoch_cycles=args.epoch,
-        telemetry_trace_capacity=trace_capacity,
+        telemetry_trace_capacity=args.trace_capacity if args.trace else 0,
     )
-    run_kwargs = dict(
-        instructions=args.instructions, warmup_instructions=args.warmup
-    )
-    if len(names) == 1:
-        result = run_workload(names[0], config, **run_kwargs)
-    else:
-        result = run_mix(names, config, **run_kwargs)
     export = result.telemetry
     assert export is not None
 
@@ -546,36 +544,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate a workload or mix")
-    run.add_argument("workload", nargs="+", choices=sorted(WORKLOADS),
-                     metavar="workload")
-    run.add_argument("--mechanism", default="crow-cache", metavar="MECH",
-                     help="mechanism name (`repro mechanisms` lists them)")
-    run.add_argument("--instructions", type=int, default=40_000)
-    run.add_argument("--warmup", type=int, default=15_000)
-    run.add_argument("--density", type=int, default=8,
-                     choices=(8, 16, 32, 64))
+    # Flags every simulating subcommand shares ...
+    simulated = argparse.ArgumentParser(add_help=False)
+    simulated.add_argument("workload", nargs="+", choices=sorted(WORKLOADS),
+                           metavar="workload")
+    simulated.add_argument("--instructions", type=int, default=40_000)
+    simulated.add_argument("--warmup", type=int, default=15_000)
+    simulated.add_argument("--density", type=int, default=8,
+                           choices=(8, 16, 32, 64))
+    # ... and those of the two that simulate one configuration.
+    single = argparse.ArgumentParser(add_help=False, parents=[simulated])
+    single.add_argument("--mechanism", default="crow-cache", metavar="MECH",
+                        help="mechanism name (`repro mechanisms` lists them)")
+    single.add_argument("--prefetcher", action="store_true")
+    single.add_argument("--seed", type=int, default=1)
+
+    run = sub.add_parser(
+        "run", parents=[single], help="simulate a workload or mix"
+    )
     run.add_argument("--copy-rows", type=int, default=8)
-    run.add_argument("--prefetcher", action="store_true")
-    run.add_argument("--seed", type=int, default=1)
     run.add_argument("--no-baseline", dest="baseline", action="store_false",
                      help="skip the baseline comparison run")
     run.set_defaults(func=_cmd_run)
 
     stats = sub.add_parser(
         "stats",
+        parents=[single],
         help="run with telemetry and print the observability report",
     )
-    stats.add_argument("workload", nargs="+", choices=sorted(WORKLOADS),
-                       metavar="workload")
-    stats.add_argument("--mechanism", default="crow-cache", metavar="MECH",
-                       help="mechanism name (`repro mechanisms` lists them)")
-    stats.add_argument("--instructions", type=int, default=40_000)
-    stats.add_argument("--warmup", type=int, default=15_000)
-    stats.add_argument("--density", type=int, default=8,
-                       choices=(8, 16, 32, 64))
-    stats.add_argument("--prefetcher", action="store_true")
-    stats.add_argument("--seed", type=int, default=1)
     stats.add_argument(
         "--epoch", type=int, default=10_000, metavar="CYCLES",
         help="epoch length of the time series, in memory cycles",
@@ -601,10 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     camp = sub.add_parser(
         "campaign",
+        parents=[simulated],
         help="run a workloads x mechanisms sweep on a parallel worker pool",
-    )
-    camp.add_argument(
-        "workload", nargs="+", choices=sorted(WORKLOADS), metavar="workload",
     )
     camp.add_argument(
         "--mechanisms", nargs="+", default=["baseline", "crow-cache"],
@@ -621,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", action="store_true",
         help="collect telemetry per task (digests appear in the journal)",
     )
-    camp.add_argument("--instructions", type=int, default=40_000)
-    camp.add_argument("--warmup", type=int, default=15_000)
-    camp.add_argument("--density", type=int, default=8,
-                      choices=(8, 16, 32, 64))
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument(
         "--jobs", type=int, default=None,

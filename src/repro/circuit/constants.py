@@ -108,26 +108,3 @@ class TechnologyParameters:
     def capacitance_ratio(self) -> float:
         """Cell-to-bitline capacitance ratio ``Cc / Cb``."""
         return self.cell_capacitance_ff / self.bitline_capacitance_ff
-
-    def scaled(self, factor: float) -> "TechnologyParameters":
-        """Return a copy with all analog constants scaled by ``factor``.
-
-        Used by the Monte-Carlo analyzer to model process variation.
-        """
-        return TechnologyParameters(
-            vdd_volts=self.vdd_volts,
-            cell_capacitance_ff=self.cell_capacitance_ff * factor,
-            bitline_capacitance_ff=self.bitline_capacitance_ff,
-            wordline_delay_ns=self.wordline_delay_ns,
-            senseamp_gain_ns_v=self.senseamp_gain_ns_v,
-            restore_resistance_time_ns=self.restore_resistance_time_ns,
-            full_restore_fraction=self.full_restore_fraction,
-            ready_to_access_fraction=self.ready_to_access_fraction,
-            copy_row_connect_penalty_ns=self.copy_row_connect_penalty_ns,
-            retention_base_ms=self.retention_base_ms,
-            sense_threshold_v=self.sense_threshold_v,
-            trcd_ns=self.trcd_ns,
-            tras_ns=self.tras_ns,
-            twr_ns=self.twr_ns,
-            write_fixed_ns=self.write_fixed_ns,
-        )

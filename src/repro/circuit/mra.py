@@ -45,14 +45,6 @@ class MraTimings:
     tras_ns: float
     twr_ns: float
 
-    def normalized(self, baseline: "MraTimings") -> "MraTimings":
-        """Return timings as multipliers of ``baseline``."""
-        return MraTimings(
-            trcd_ns=self.trcd_ns / baseline.trcd_ns,
-            tras_ns=self.tras_ns / baseline.tras_ns,
-            twr_ns=self.twr_ns / baseline.twr_ns,
-        )
-
 
 @dataclass(frozen=True)
 class TradeoffPoint:

@@ -645,34 +645,3 @@ class ChannelController:
                     return self._pre_command(bank_index, subarray)
             raise ConfigError("no open subarray to precharge")
         return self._pre_cmds[bank_index]
-
-    # ------------------------------------------------------------------
-    # Metrics helpers
-    # ------------------------------------------------------------------
-    @property
-    def average_read_latency(self) -> float:
-        """Mean arrival-to-data latency of served reads.
-
-        **Defined for the empty case**: returns ``0.0`` (never raises)
-        when no reads — demand or forwarded — were served yet, e.g. on a
-        freshly-built controller or a write-only phase. Telemetry exports
-        the same quantity as a ``Ratio`` whose value is ``None`` when
-        undefined; this property keeps the plain-float contract for
-        arithmetic consumers.
-        """
-        served = self.stats["reads_served"] + self.stats["forwarded_reads"]
-        if not served:
-            return 0.0
-        return self.stats["read_latency_sum"] / served
-
-    def row_hit_rate(self) -> float:
-        """Column accesses served from open rows, as a fraction.
-
-        **Defined for the empty case**: returns ``0.0`` (never divides)
-        when no activation or column command has been issued yet. The
-        telemetry ``Ratio`` form distinguishes "no traffic" (``None``)
-        from "all misses" (``0.0``) for consumers that care.
-        """
-        hits = self.stats["row_hits"]
-        total = hits + self.stats["row_misses"] + self.stats["row_conflicts"]
-        return hits / total if total else 0.0

@@ -55,14 +55,6 @@ class CrowEntry:
         self.is_fully_restored = True
         self.last_use = -1
 
-    def free(self) -> None:
-        """Return the entry to the unallocated state."""
-        self.allocated = False
-        self.regular_row = -1
-        self.owner = EntryOwner.NONE
-        self.is_fully_restored = True
-        self.last_use = -1
-
     def state_dict(self) -> tuple:
         """Compact positional encoding (tables hold thousands of these)."""
         return (

@@ -296,14 +296,6 @@ class SalpBankState:
             total += now - self._active_since
         return total
 
-    def precharge_all_earliest(self) -> int:
-        """Earliest time by which every open subarray could be precharged."""
-        earliest = 0
-        for slot in self.subarrays.values():
-            if slot.is_open:
-                earliest = max(earliest, slot.earliest_pre())
-        return earliest
-
     def refresh_completed(self, done_at: int) -> None:
         """Block until an all-bank refresh finishes."""
         for slot in self.subarrays.values():

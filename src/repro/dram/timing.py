@@ -138,45 +138,6 @@ class TimingParameters:
             refresh_window_ms=refresh_window_ms,
         )
 
-    @classmethod
-    def ddr4(
-        cls,
-        density_gbit: int = 8,
-        refresh_window_ms: float = 64.0,
-        clock_mhz: float = 1200.0,
-    ) -> "TimingParameters":
-        """DDR4-2400-class timings (the paper's mechanisms are not
-        LPDDR4-specific — Section 7 notes they apply to other DRAM types).
-
-        DDR4 runs a slightly different tCL/tRCD/tRP point and a 64 ms
-        standard refresh window (Section 2.2).
-        """
-        if density_gbit not in TRFC_NS_BY_DENSITY:
-            raise ConfigError(
-                f"density_gbit must be one of {sorted(TRFC_NS_BY_DENSITY)}"
-            )
-        if refresh_window_ms <= 0:
-            raise ConfigError("refresh_window_ms must be positive")
-        trefi = ms_to_cycles(refresh_window_ms, clock_mhz) // REF_COMMANDS_PER_WINDOW
-        return cls(
-            clock_mhz=clock_mhz,
-            trcd=ns_to_cycles(13.32, clock_mhz),
-            tras=ns_to_cycles(32.0, clock_mhz),
-            trp=ns_to_cycles(13.32, clock_mhz),
-            twr=ns_to_cycles(15.0, clock_mhz),
-            tcl=ns_to_cycles(13.32, clock_mhz),
-            tcwl=ns_to_cycles(10.0, clock_mhz),
-            tbl=4,
-            tccd=4,
-            trtp=ns_to_cycles(7.5, clock_mhz),
-            twtr=ns_to_cycles(7.5, clock_mhz),
-            trrd=ns_to_cycles(6.4, clock_mhz),
-            tfaw=ns_to_cycles(25.0, clock_mhz),
-            trfc=ns_to_cycles(TRFC_NS_BY_DENSITY[density_gbit], clock_mhz),
-            trefi=trefi,
-            refresh_window_ms=refresh_window_ms,
-        )
-
     def with_refresh_window(self, refresh_window_ms: float) -> "TimingParameters":
         """Copy with the refresh window (and hence tREFI) changed."""
         if refresh_window_ms <= 0:

@@ -49,6 +49,13 @@ class ParallelCampaign:
         progress: bool = False,
         observers=(),
     ) -> None:
+        # The runner validates its knobs before anything touches disk.
+        self.runner = ProcessPoolRunner(
+            jobs=jobs,
+            timeout_s=timeout_s,
+            retries=retries,
+            backoff_s=backoff_s,
+        )
         self.campaign = Campaign(directory)
         self.hits = 0
         self.misses = 0
@@ -59,13 +66,7 @@ class ParallelCampaign:
             self.observers.append(self._journal)
         if progress:
             self.observers.append(ProgressReporter(jobs=jobs or 1))
-        self.runner = ProcessPoolRunner(
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            observers=self.observers,
-        )
+        self.runner.observers.extend(self.observers)
 
     # -- cache bookkeeping ----------------------------------------------
 

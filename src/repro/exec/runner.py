@@ -26,6 +26,7 @@ import time
 import traceback
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
 from repro.exec.task import execute_task
 
 __all__ = ["ProcessPoolRunner", "TaskOutcome", "retry_backoff"]
@@ -150,8 +151,9 @@ class ProcessPoolRunner:
     :param jobs: worker slots; ``1`` means serial in-process execution
         (no subprocesses — note per-task timeouts need worker processes
         and are not enforced serially). ``None`` uses the CPU count.
-    :param timeout_s: per-attempt wall-clock budget; an overrunning
-        worker is terminated and the attempt counts as a failure.
+    :param timeout_s: per-attempt wall-clock budget in seconds (> 0, or
+        ``None`` for no budget); an overrunning worker is terminated and
+        the attempt counts as a failure.
     :param retries: extra attempts after the first failure.
     :param backoff_s: base of the exponential retry backoff; the actual
         delay before attempt N+1 is :func:`retry_backoff` — the
@@ -166,18 +168,21 @@ class ProcessPoolRunner:
         retries: int = 2,
         backoff_s: float = 0.5,
         observers=(),
-        start_method: "str | None" = None,
     ) -> None:
+        if timeout_s is not None and not timeout_s > 0:
+            raise ConfigError(
+                f"timeout_s must be positive (or None), got {timeout_s}"
+            )
         self.jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
         self.observers = list(observers)
         self._on_outcome = None
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
 
     # -- events ---------------------------------------------------------
 

@@ -139,11 +139,3 @@ class Campaign:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-
-    def clear(self) -> int:
-        """Delete every cached result; returns the number removed."""
-        removed = 0
-        for file in self.directory.glob("*.pkl"):
-            file.unlink()
-            removed += 1
-        return removed

@@ -8,9 +8,8 @@ here leaves behind exactly the state that record-at-a-time loop
 (``Llc.warm`` after ``VirtualMemory.translate``) would:
 
 * **Columns, not records.** Traces hand over whole ``(vaddr,
-  is_write)`` column arrays (:meth:`TraceStream.take_arrays`); traces
-  without an array view are read record by record and packed with
-  :func:`~repro.trace.chunks.records_to_chunk`.
+  is_write)`` column arrays (:meth:`TraceStream.take_arrays`); a trace
+  without that array view is a :class:`~repro.errors.ConfigError`.
 * **Bulk translation.** One ``np.unique`` per chunk finds the distinct
   pages; missing frames are allocated in first-touch order
   (:meth:`VirtualMemory.bulk_map`), so the allocator RNG stream matches
@@ -41,13 +40,11 @@ positions the kernel left behind.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from repro.cpu.cache import DIRTY
 from repro.cpu.translation import ASID_SHIFT, PAGE_MASK, PAGE_SHIFT
-from repro.trace.chunks import records_to_chunk
+from repro.errors import ConfigError
 
 __all__ = ["warm_llc", "warm_state", "adopt_warm_state"]
 
@@ -77,6 +74,13 @@ def warm_llc(
     the final (tag, flags) matrices the LLC was loaded from, for a warm
     image (:func:`warm_state`).
     """
+    for core, trace in enumerate(traces):
+        if not hasattr(trace, "take_arrays"):
+            raise ConfigError(
+                f"core {core}'s trace ({type(trace).__name__}) has no "
+                "take_arrays view; prewarm reads a ChunkTrace or a "
+                "TraceStream over one"
+            )
     offset_bits = llc._offset_bits
     index_mask = llc._index_mask
     index_bits = llc._index_bits
@@ -90,7 +94,7 @@ def warm_llc(
     while remaining > 0:
         n = min(per_core, remaining)
         remaining -= n
-        batches = [_take_columns(trace, n) for trace in traces]
+        batches = [trace.take_arrays(n) for trace in traces]
         if not any(len(vaddrs) for vaddrs, _ in batches):
             break
         vaddrs, writes, keys = _interleave(batches, bases, n)
@@ -149,20 +153,6 @@ def adopt_warm_state(state: dict, llc, vm, traces: list) -> None:
     vm._page_table = dict(zip(state["pages"].tolist(), frames))
     vm._used_frames = set(frames)
     vm._rng.bit_generator.state = state["rng"]
-
-
-def _take_columns(trace, n: int) -> "tuple[np.ndarray, np.ndarray]":
-    """The (vaddrs, writes) columns of ``trace``'s next ``n`` records."""
-    take_arrays = getattr(trace, "take_arrays", None)
-    columns = take_arrays(n) if take_arrays is not None else None
-    if columns is not None:
-        return columns
-    # No array view (a plain iterator, or a stream over one): read
-    # records, through take() where the trace keeps a consumed count.
-    take = getattr(trace, "take", None)
-    records = take(n) if take is not None else list(islice(trace, n))
-    _, vaddrs, writes, _ = records_to_chunk(records)
-    return vaddrs, writes
 
 
 def _interleave(batches, bases, n):

@@ -17,9 +17,6 @@ byte-identical across runs of the same configuration and seed.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.errors import ConfigError
 
 __all__ = ["EventTrace"]
@@ -127,13 +124,3 @@ class EventTrace:
             "dropped": self.dropped,
             "events": self.to_dicts(),
         }
-
-    def write_jsonl(self, path: "str | Path") -> int:
-        """Write one JSON object per event; returns the event count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        events = self.to_dicts()
-        with path.open("w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(events)

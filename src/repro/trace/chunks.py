@@ -5,9 +5,8 @@ randomness in whole-chunk numpy arrays. :class:`ChunkTrace` keeps those
 arrays visible to bulk consumers instead of flattening them into Python
 records eagerly:
 
-* record iteration (``next()`` / :meth:`take`) materializes records
-  lazily, one chunk at a time, exactly as the old per-record generators
-  did;
+* record iteration (``next()``) materializes records lazily, one chunk
+  at a time, exactly as the old per-record generators did;
 * :meth:`take_arrays` hands the (vaddr, is_write) columns of the next
   ``n`` records to vectorized consumers — the functional pre-warm
   kernel — without ever constructing :class:`TraceRecord` objects;
@@ -33,20 +32,10 @@ import numpy as np
 
 from repro.cpu.core import TraceRecord
 
-__all__ = ["ChunkTrace", "Chunk", "records_to_chunk"]
+__all__ = ["ChunkTrace", "Chunk"]
 
 #: One decoded trace chunk: (bubbles, vaddrs, writes, pcs) column arrays.
 Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def records_to_chunk(records: "list[TraceRecord]") -> Chunk:
-    """Pack scalar records into one chunk (fallback for plain iterators)."""
-    return (
-        np.asarray([r[0] for r in records], dtype=np.int64),
-        np.asarray([r[1] for r in records], dtype=np.int64),
-        np.asarray([r[2] for r in records], dtype=bool),
-        np.asarray([r[3] for r in records], dtype=np.int64),
-    )
 
 
 class ChunkTrace:
@@ -101,33 +90,6 @@ class ChunkTrace:
         return TraceRecord(
             lists[0][pos], lists[1][pos], lists[2][pos], lists[3][pos]
         )
-
-    def take(self, n: int) -> "list[TraceRecord]":
-        """Up to ``n`` records as a list (bulk record-level path)."""
-        out: list[TraceRecord] = []
-        while n > 0:
-            arrays = self._arrays
-            if arrays is None or self._pos >= len(arrays[1]):
-                if not self._advance():
-                    break
-                arrays = self._arrays
-            lists = self._lists
-            if lists is None:
-                lists = self._lists = tuple(c.tolist() for c in arrays)
-            pos = self._pos
-            stop = min(pos + n, len(lists[1]))
-            out.extend(
-                map(
-                    TraceRecord,
-                    lists[0][pos:stop],
-                    lists[1][pos:stop],
-                    lists[2][pos:stop],
-                    lists[3][pos:stop],
-                )
-            )
-            n -= stop - pos
-            self._pos = stop
-        return out
 
     # ------------------------------------------------------------------
     # Array-level views

@@ -4,19 +4,19 @@
 facts a snapshot needs to rebuild it — the workload name, the seed, and
 how many records have been consumed. Restoring replays the (cheap,
 deterministic) synthetic generator and fast-forwards past the consumed
-prefix at C speed, so the snapshot itself never stores trace records.
+prefix at chunk granularity, so the snapshot itself never stores trace
+records. The wrapped iterator is the workload's
+:class:`~repro.trace.chunks.ChunkTrace`.
 
-``System`` still accepts plain iterators; only snapshotting requires the
-provenance this wrapper carries (``save_snapshot`` raises a structured
-error otherwise). ``run_workload``/``run_mix`` and the check scenarios
+``System`` also accepts bare ``ChunkTrace`` objects; only snapshotting
+requires the provenance this wrapper carries (``save_snapshot`` raises a
+structured error otherwise). ``run_workload``/``run_mix`` and the check scenarios
 construct :class:`TraceStream` objects so every supported entry point is
 snapshot-ready by default.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
 from typing import Iterator
 
 from repro.cpu.core import TraceRecord
@@ -28,10 +28,10 @@ __all__ = ["TraceStream"]
 class TraceStream:
     """A workload trace iterator that knows how to rebuild itself.
 
-    Iteration protocol matches the raw generator (``next()`` yields
-    :class:`~repro.cpu.core.TraceRecord`); :meth:`take` exists so bulk
-    consumers (``System.prewarm``) keep their C-level ``islice`` speed
-    while the consumed count stays exact.
+    Iteration protocol matches the wrapped :class:`~repro.trace.chunks.
+    ChunkTrace` (``next()`` yields :class:`~repro.cpu.core.TraceRecord`);
+    :meth:`take_arrays` hands the pre-warm kernel whole columns while the
+    consumed count stays exact.
     """
 
     __slots__ = ("workload_name", "seed", "consumed", "_it")
@@ -59,27 +59,9 @@ class TraceStream:
         self.consumed += 1
         return record
 
-    def take(self, n: int) -> list[TraceRecord]:
-        """Up to ``n`` records as a list (bulk-path for prewarm)."""
-        take = getattr(self._it, "take", None)
-        if take is not None:
-            batch = take(n)
-        else:
-            batch = list(islice(self._it, n))
-        self.consumed += len(batch)
-        return batch
-
     def take_arrays(self, n):
-        """The (vaddrs, writes) columns of the next ``n`` records.
-
-        Returns ``None`` when the wrapped iterator has no array view
-        (the pre-warm kernel then reads records through :meth:`take`).
-        The consumed count stays exact either way.
-        """
-        take_arrays = getattr(self._it, "take_arrays", None)
-        if take_arrays is None:
-            return None
-        vaddrs, writes = take_arrays(n)
+        """The (vaddrs, writes) columns of the next ``n`` records."""
+        vaddrs, writes = self._it.take_arrays(n)
         self.consumed += len(vaddrs)
         return vaddrs, writes
 
@@ -105,14 +87,8 @@ class TraceStream:
 
         self._it = workload(self.workload_name).trace(self.seed)
         consumed = state["consumed"]
-        if consumed:
-            skip = getattr(self._it, "skip", None)
-            if skip is not None:
-                # Chunk-level fast-forward: no record decode at all.
-                skip(consumed)
-            else:
-                # Exhaust-into-a-zero-length deque: C-speed fast-forward.
-                deque(islice(self._it, consumed), maxlen=0)
+        # Chunk-level fast-forward: no record decode at all.
+        self._it.skip(consumed)
         self.consumed = consumed
 
     @classmethod

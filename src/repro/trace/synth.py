@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.cpu.core import TraceRecord
 from repro.errors import ConfigError
-from repro.trace.chunks import Chunk, ChunkTrace, records_to_chunk
+from repro.trace.chunks import Chunk, ChunkTrace
 
 __all__ = [
     "streaming_trace",
@@ -325,9 +325,15 @@ def _multistream_chunks(
 def mixed_trace(
     phases: "list[tuple[Iterator[TraceRecord], int]]",
 ) -> Iterator[TraceRecord]:
-    """Interleave generators in round-robin phases of the given lengths."""
+    """Interleave ``ChunkTrace`` phases round-robin, each for its length."""
     if not phases:
         raise ConfigError("mixed_trace needs at least one phase")
+    for source, _ in phases:
+        if not isinstance(source, ChunkTrace):
+            raise ConfigError(
+                f"mixed_trace phases must be ChunkTrace objects, got "
+                f"{type(source).__name__}"
+            )
     return ChunkTrace(_mixed_chunks(list(phases)))
 
 
@@ -338,18 +344,7 @@ def _mixed_chunks(phases) -> Iterator[Chunk]:
     size = 0
     while True:
         for source, length in phases:
-            if isinstance(source, ChunkTrace):
-                segment = source.take_columns(length)
-            else:
-                # Arbitrary record iterators still compose; they pay a
-                # per-record pack here, exactly like the old scalar path.
-                records = []
-                for _ in range(length):
-                    record = next(source, None)
-                    if record is None:
-                        break
-                    records.append(record)
-                segment = records_to_chunk(records)
+            segment = source.take_columns(length)
             got = len(segment[1])
             if got:
                 parts.append(segment)

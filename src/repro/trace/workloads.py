@@ -17,10 +17,10 @@ prints each workload's simulated MPKI next to its speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
-from repro.cpu.core import TraceRecord
 from repro.errors import ConfigError
+from repro.trace.chunks import ChunkTrace
 from repro.trace.synth import (
     hotset_trace,
     mixed_trace,
@@ -42,11 +42,18 @@ class Workload:
     expected_class: str      # 'L', 'M' or 'H' (verified by measurement)
     suite: str               # which paper suite it stands in for
     description: str
-    factory: Callable[[int], Iterator[TraceRecord]]
+    factory: Callable[[int], ChunkTrace]
 
-    def trace(self, seed: int = 0) -> Iterator[TraceRecord]:
-        """A fresh trace iterator (deterministic in ``seed``)."""
-        return self.factory(seed)
+    def trace(self, seed: int = 0) -> ChunkTrace:
+        """A fresh trace (deterministic in ``seed``)."""
+        trace = self.factory(seed)
+        if not isinstance(trace, ChunkTrace):
+            # Pre-warm and snapshot restore read the chunk views.
+            raise ConfigError(
+                f"workload {self.name!r}: factory returned "
+                f"{type(trace).__name__}, not a ChunkTrace"
+            )
+        return trace
 
 
 def _w(name, cls, suite, description, factory) -> Workload:

@@ -103,14 +103,6 @@ class TestTechnologyParameters:
         with pytest.raises(ConfigError):
             TechnologyParameters(full_restore_fraction=0.3)
 
-    def test_scaled_preserves_structure(self):
-        tech = TechnologyParameters()
-        scaled = tech.scaled(1.05)
-        assert scaled.cell_capacitance_ff == pytest.approx(
-            tech.cell_capacitance_ff * 1.05
-        )
-        assert scaled.vdd_volts == tech.vdd_volts
-
     def test_capacitance_ratio(self):
         tech = TechnologyParameters(
             cell_capacitance_ff=20.0, bitline_capacitance_ff=100.0

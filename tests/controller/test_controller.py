@@ -236,14 +236,19 @@ class TestConfigValidation:
 
 class TestStatistics:
     def test_average_read_latency(self):
+        # The counters telemetry's read_latency_avg ratio is built from.
         controller, _ = make_controller()
         controller.enqueue(make_request(channel0_address(row=1)), 0)
         run_until_drained(controller)
-        assert controller.average_read_latency > 0
+        assert controller.stats["reads_served"] == 1
+        assert controller.stats["read_latency_sum"] > 0
 
     def test_row_hit_rate(self):
+        # The counters telemetry's row_hit_rate ratio is built from.
         controller, _ = make_controller()
         for col in range(4):
             controller.enqueue(make_request(channel0_address(row=1, col=col)), 0)
         run_until_drained(controller)
-        assert controller.row_hit_rate() > 0.5
+        stats = controller.stats
+        accesses = stats["row_hits"] + stats["row_misses"] + stats["row_conflicts"]
+        assert stats["row_hits"] / accesses > 0.5

@@ -1,11 +1,9 @@
 """Tests for the conditions retention profiling runs under: the
-temperature-scaled retention model and the DDR4 timing preset."""
+temperature-scaled retention model."""
 
 import pytest
 
 from repro.dram.retention import bit_error_rate
-from repro.dram.timing import TimingParameters
-from repro.errors import ConfigError
 
 
 class TestTemperatureScaledRetention:
@@ -31,30 +29,3 @@ class TestTemperatureScaledRetention:
             bit_error_rate(128.0, temperature_c=t) for t in (45, 55, 65, 75, 85)
         ]
         assert values == sorted(values)
-
-
-class TestDdr4Preset:
-    def test_distinct_from_lpddr4(self):
-        ddr4 = TimingParameters.ddr4()
-        lp = TimingParameters.lpddr4()
-        assert ddr4.clock_mhz != lp.clock_mhz
-        assert ddr4.tbl == 4     # BL8 on a x64 channel
-
-    def test_sixty_four_ms_window(self):
-        ddr4 = TimingParameters.ddr4()
-        assert ddr4.refresh_window_ms == 64.0
-        assert ddr4.trefi == pytest.approx(
-            64e-3 * ddr4.clock_mhz * 1e6 / 8192, rel=0.01
-        )
-
-    def test_crow_timings_derive_on_ddr4(self):
-        from repro.dram import CrowTimings
-
-        ddr4 = TimingParameters.ddr4()
-        crow = CrowTimings.from_factors(ddr4)
-        assert crow.trcd_act_t_full < ddr4.trcd
-        assert crow.tras_act_c_full > ddr4.tras
-
-    def test_unknown_density_rejected(self):
-        with pytest.raises(ConfigError):
-            TimingParameters.ddr4(density_gbit=128)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro import SystemConfig
+from repro.errors import ConfigError
 from repro.exec import ProcessPoolRunner, TaskSpec, execute_task
 
 FAST = dict(retries=1, backoff_s=0.01)
@@ -140,6 +141,12 @@ class TestParallel:
         assert "timed out" in outcomes[0].error
         assert outcomes[1].result == 10
         assert wall < 30  # the sleeping worker did not run to completion
+
+    @pytest.mark.parametrize("timeout_s", [0, 0.0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected(self, timeout_s):
+        # A zero budget would kill every worker at launch.
+        with pytest.raises(ConfigError, match="timeout_s"):
+            ProcessPoolRunner(jobs=2, timeout_s=timeout_s)
 
     def test_serial_and_parallel_results_are_identical(self):
         """Tasks are pure functions of their spec: worker-process

@@ -76,13 +76,6 @@ class TestCaching:
         assert campaign.hits == 1
         assert first.core_ipcs == second.core_ipcs
 
-    def test_clear(self, tmp_path):
-        campaign = ParallelCampaign(tmp_path, jobs=1)
-        _run(campaign, _libq())
-        assert campaign.campaign.clear() == 1
-        _run(campaign, _libq())
-        assert campaign.misses == 2
-
     def test_config_digest_covers_every_field(self, tmp_path):
         """Changing any SystemConfig field must change the cache key."""
         base = SystemConfig()

@@ -9,6 +9,8 @@ loop below leaves behind — that state seeds the timed run, so any
 divergence would surface as a digest change downstream.
 """
 
+import itertools
+
 import pytest
 
 from repro.cpu.cache import PREFETCHED
@@ -16,6 +18,7 @@ from repro.errors import ConfigError, SnapshotError
 from repro.sim.config import SystemConfig
 from repro.sim.prewarm import _CHUNK_RECORDS
 from repro.sim.system import System
+from repro.trace.chunks import ChunkTrace
 from repro.trace.stream import TraceStream
 from repro.trace.workloads import workload
 
@@ -136,21 +139,26 @@ class TestWarmStateEquivalence:
         )
 
     @pytest.mark.parametrize("cores", [1, 3])
-    def test_plain_iterator_traces(self, cores):
-        """Traces without an array view (plain record iterators, here
-        with one finite stream running dry mid-chunk) go through the
-        record path and land on the oracle's state."""
+    def test_finite_chunk_traces(self, cores):
+        """Finite ChunkTraces, the last one running dry mid-chunk (both
+        the trace's own chunk and the kernel's), land on the oracle's
+        state: the kernel's ragged-tail interleave skips the exhausted
+        stream and keeps going."""
         names = ("libq", "random", "mcf")[:cores]
 
+        def finite(name, seed, records):
+            source = workload(name).trace(seed)
+            chunks = []
+            while records > 0:
+                chunks.append(source.take_columns(min(1000, records)))
+                records -= 1000
+            return ChunkTrace(iter(chunks))
+
         def traces():
-            out = []
-            for core, name in enumerate(names):
-                records = workload(name).trace(5 + core)
-                if core == cores - 1:
-                    out.append(iter([next(records) for _ in range(7_000)]))
-                else:
-                    out.append(record for record in records)
-            return out
+            return [
+                finite(name, 5 + core, 7_050 if core == cores - 1 else 20_000)
+                for core, name in enumerate(names)
+            ]
 
         config = SystemConfig(cores=cores, seed=5)
         oracle = System(config, traces())
@@ -158,6 +166,23 @@ class TestWarmStateEquivalence:
         kernel = System(config, traces())
         kernel.prewarm(12_000)
         assert_same_state(oracle, kernel)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_plain_iterator_traces(self, cores):
+        """Pre-warm reads columns: a plain record iterator (here the last
+        core's) has no array view and is a ConfigError naming its core,
+        raised before any trace is read."""
+        names = ("libq", "random", "mcf")[:cores]
+        traces = [workload(name).trace(5 + core)
+                  for core, name in enumerate(names)]
+        records = list(itertools.islice(traces[-1], 100))
+        traces[-1] = iter(records)
+        system = System(SystemConfig(cores=cores, seed=5), traces)
+        with pytest.raises(ConfigError, match=f"core {cores - 1}"):
+            system.prewarm(1_000)
+        assert list(traces[-1]) == records
+        for core, trace in enumerate(traces[:-1]):
+            assert next(trace) == next(workload(names[core]).trace(5 + core))
 
 
 def assert_same_warm_state(a, b):

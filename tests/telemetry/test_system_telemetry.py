@@ -5,10 +5,8 @@ import json
 import pytest
 
 from repro import SystemConfig, run_workload
-from repro.controller.controller import ChannelController, ControllerConfig
-from repro.dram.device import DramChannel
-from repro.dram.geometry import DramGeometry
-from repro.dram.timing import TimingParameters
+from repro.sim.system import System
+from repro.trace.stream import TraceStream
 
 FAST = dict(instructions=8_000, warmup_instructions=2_000)
 
@@ -96,25 +94,33 @@ class TestDeterminism:
 
 
 class TestDefinedEmptyValues:
-    """Satellite: Controller metrics must be well-defined with no traffic."""
+    """Satellite: controller metrics must be well-defined with no traffic.
 
-    def _idle_controller(self):
-        geometry = DramGeometry()
-        timing = TimingParameters.lpddr4(density_gbit=8)
-        channel = DramChannel(geometry, timing)
-        return ChannelController(channel, config=ControllerConfig())
+    The served forms are telemetry's: the ``row_hit_rate`` ratio and the
+    ``read_latency`` histogram read ``None`` (undefined), not 0.0, on a
+    controller that has served nothing.
+    """
+
+    def _idle_controller_export(self):
+        system = System(
+            SystemConfig(telemetry=True), [TraceStream("libq", 0)]
+        )
+        return system.telemetry.finalize(0, 0)["controller"]["ch0"]
 
     def test_row_hit_rate_defined_without_traffic(self):
-        controller = self._idle_controller()
-        assert controller.row_hit_rate() == 0.0
+        ratio = self._idle_controller_export()["row_hit_rate"]
+        assert ratio["denominator"] == 0
+        assert ratio["value"] is None
 
     def test_average_read_latency_defined_without_traffic(self):
-        controller = self._idle_controller()
-        assert controller.average_read_latency == 0.0
+        export = self._idle_controller_export()
+        assert export["read_latency"]["count"] == 0
+        assert export["read_latency"]["mean"] is None
+        assert export["read_latency_avg"]["value"] is None
 
     def test_telemetry_ratio_distinguishes_no_traffic(self):
         # The telemetry Ratio reports None (undefined), not 0.0, when the
-        # denominator is zero — unlike the float helpers above.
+        # denominator is zero.
         from repro.telemetry import Ratio
 
         ratio = Ratio("rate", numerator=0, denominator=0)

@@ -1,7 +1,5 @@
 """Tests for the command event trace (repro.telemetry.trace)."""
 
-import json
-
 import pytest
 
 from repro.errors import ConfigError
@@ -71,14 +69,3 @@ class TestCommandAdapter:
         assert event["bank"] == 3
         assert event["row"] == "s0:r300"
         assert event["detail"] == "pair:s0:c1"
-
-
-class TestJsonlExport:
-    def test_write_jsonl_round_trips(self, tmp_path):
-        trace = EventTrace(8)
-        trace.record(1, "ACT", bank=0, row="s0:r1")
-        trace.record(2, "RD", bank=0, row="col:3")
-        path = tmp_path / "trace.jsonl"
-        assert trace.write_jsonl(path) == 2
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["tick"] for line in lines] == [1, 2]

@@ -100,6 +100,17 @@ class TestStatsCommand:
         assert code == 0
         assert "read_latency per epoch" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("capacity", ["0", "-1"])
+    def test_trace_needs_positive_capacity(self, capsys, tmp_path, capacity):
+        trace_path = tmp_path / "trace.jsonl"
+        code = main([
+            "stats", "libq", "--instructions", "2000", "--warmup", "500",
+            "--trace", str(trace_path), "--trace-capacity", capacity,
+        ])
+        assert code == 2
+        assert "--trace-capacity" in capsys.readouterr().err
+        assert not trace_path.exists()  # rejected before any simulation
+
     def test_unknown_series_rejected(self, capsys):
         code = main([
             "stats", "libq", "--instructions", "2000", "--warmup", "500",
@@ -133,6 +144,18 @@ class TestCampaignCommand:
         assert code == 2
         assert "invalid instruction counts" in capsys.readouterr().err
         assert not journal.exists()  # no pool, no attempts
+
+    def test_rejects_zero_timeout_before_starting(self, capsys, tmp_path):
+        # A zero budget would time out every task at launch.
+        journal = tmp_path / "journal.jsonl"
+        code = main([
+            "campaign", "libq", "--instructions", "1000", "--warmup", "10",
+            "--jobs", "2", "--timeout", "0", "--retries", "0",
+            "--cache-dir", str(tmp_path / "cache"), "--journal", str(journal),
+        ])
+        assert code == 2
+        assert "timeout_s must be positive" in capsys.readouterr().err
+        assert not journal.exists()
 
     def test_serial_campaign(self, capsys, tmp_path):
         code = main([

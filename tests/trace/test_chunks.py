@@ -1,7 +1,7 @@
 """Chunk-array trace production vs. the scalar reference generators.
 
 The functional pre-warm consumes traces through
-:meth:`ChunkTrace.take_arrays`; record consumers use ``next()``/``take``.
+:meth:`ChunkTrace.take_arrays`; record consumers use ``next()``.
 Both must see exactly the record sequence the original per-record
 generators produced — same RNG draw order, same values, same Python
 types. The reference implementations below are verbatim copies of the
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.cpu.core import TraceRecord
-from repro.trace.chunks import ChunkTrace, records_to_chunk
+from repro.errors import ConfigError
+from repro.trace.chunks import ChunkTrace
 from repro.trace.synth import (
     LINE,
     hotset_trace,
@@ -219,7 +220,7 @@ def test_take_arrays_matches_records(make_new, make_ref):
         assert vaddrs.tolist() == [r[1] for r in expected]
         assert writes.tolist() == [r[2] for r in expected]
     # Interleaving record and array views continues the same stream.
-    tail = trace.take(100)
+    tail = list(itertools.islice(trace, 100))
     assert tail == list(itertools.islice(ref, 100))
 
 
@@ -233,7 +234,9 @@ def test_skip_is_equivalent_to_reading(make_new, make_ref):
     ref = make_ref()
     for _ in range(3333):
         next(ref)
-    assert trace.take(200) == list(itertools.islice(ref, 200))
+    assert list(itertools.islice(trace, 200)) == list(
+        itertools.islice(ref, 200)
+    )
 
 
 def test_mixed_trace_matches_round_robin_reference():
@@ -259,28 +262,32 @@ def test_mixed_trace_matches_round_robin_reference():
     assert list(itertools.islice(new, N)) == list(itertools.islice(ref(), N))
 
 
-def test_mixed_trace_accepts_plain_iterators():
-    # Non-ChunkTrace children compose through the records_to_chunk
-    # fallback; a finite child ends the mixed stream cleanly.
-    plain = iter([TraceRecord(1, 64 * i, False, 0x10) for i in range(7)])
-    trace = mixed_trace([(plain, 2)])
-    records = list(trace)
-    assert records == [TraceRecord(1, 64 * i, False, 0x10) for i in range(7)]
+def _finite_chunk_trace(records):
+    """A finite ChunkTrace holding exactly ``records``, in one chunk."""
+    columns = list(zip(*records))
+    dtypes = (np.int64, np.int64, bool, np.int64)
+    return ChunkTrace(iter([
+        tuple(np.asarray(c, dtype=t) for c, t in zip(columns, dtypes))
+    ]))
 
 
-def test_records_to_chunk_round_trip():
-    records = [
-        TraceRecord(3, 128, True, 0x40),
-        TraceRecord(0, 192, False, 0x44),
-    ]
-    chunk = records_to_chunk(records)
-    assert [c.dtype.kind for c in chunk] == ["i", "i", "b", "i"]
-    assert list(ChunkTrace(iter([chunk]))) == records
+def test_mixed_trace_stops_when_a_finite_phase_runs_dry():
+    records = [TraceRecord(1, 64 * i, False, 0x10) for i in range(7)]
+    trace = mixed_trace([(_finite_chunk_trace(records), 2)])
+    decoded = list(trace)
+    assert decoded == records
+    assert [type(v) for v in decoded[0]] == [int, int, bool, int]
+
+
+def test_mixed_trace_rejects_plain_iterators():
+    plain = iter([TraceRecord(1, 64, False, 0x10)])
+    with pytest.raises(ConfigError, match="ChunkTrace"):
+        mixed_trace([(plain, 2)])
 
 
 def test_take_arrays_on_exhausted_stream_returns_empty():
     trace = ChunkTrace(iter([]))
     vaddrs, writes = trace.take_arrays(10)
     assert len(vaddrs) == 0 and len(writes) == 0
-    assert trace.take(10) == []
+    assert list(trace) == []
     assert trace.skip(10) == 0

@@ -114,6 +114,15 @@ class TestWorkloadSuite:
         with pytest.raises(ConfigError):
             workload("quake3")
 
+    def test_factory_must_return_a_chunk_trace(self):
+        from repro.trace import Workload
+
+        records = take(workload("libq").trace(0), 5)
+        plain = Workload("plain", "L", "test", "records",
+                         lambda seed: iter(records))
+        with pytest.raises(ConfigError, match="'plain'.*ChunkTrace"):
+            plain.trace(0)
+
     def test_traces_are_fresh_iterators(self):
         w = workload("libq")
         first = take(w.trace(0), 5)
