@@ -11,14 +11,13 @@
   mechanism runs it with refresh disabled (the Figure 14 combined bound).
 """
 
-from repro.baselines.tldram import TlDram, TLDRAM_TIMING_FACTORS
+from repro.baselines.tldram import TlDram
 from repro.baselines.salp import SalpMasa
 from repro.baselines.chargecache import ChargeCache
 from repro.baselines.ideal import IdealCrowCache
 
 __all__ = [
     "TlDram",
-    "TLDRAM_TIMING_FACTORS",
     "SalpMasa",
     "ChargeCache",
     "IdealCrowCache",

@@ -23,6 +23,10 @@ from repro.units import ms_to_cycles
 
 __all__ = ["ChargeCache"]
 
+#: Latency scaling for a highly-charged row: tRCD -21%, tRAS -5% [26].
+TRCD_FACTOR = 0.79
+TRAS_FACTOR = 0.95
+
 
 class ChargeCache(Mechanism):
     """Recently-precharged (highly-charged) row tracking."""
@@ -35,20 +39,17 @@ class ChargeCache(Mechanism):
         timing: TimingParameters,
         entries: int = 1024,
         window_ms: float = 1.0,
-        trcd_factor: float = 0.79,
-        tras_factor: float = 0.95,
     ) -> None:
         super().__init__(geometry, timing)
         if entries < 1:
             raise ConfigError("entries must be >= 1")
-        if not 0.0 < trcd_factor <= 1.0 or not 0.0 < tras_factor <= 1.0:
-            raise ConfigError("timing factors must be in (0, 1]")
         self.capacity = entries
         self.window_cycles = ms_to_cycles(window_ms, timing.clock_mhz)
+        tras = scale_cycles(timing.tras, TRAS_FACTOR)
         self._fast_timings = ActTimings(
-            trcd=scale_cycles(timing.trcd, trcd_factor),
-            tras_full=scale_cycles(timing.tras, tras_factor),
-            tras_early=scale_cycles(timing.tras, tras_factor),
+            trcd=scale_cycles(timing.trcd, TRCD_FACTOR),
+            tras_full=tras,
+            tras_early=tras,
             twr=timing.twr,
         )
         # (bank, row) -> precharge cycle; ordered for LRU eviction.
@@ -65,6 +66,9 @@ class ChargeCache(Mechanism):
                 kind=CommandKind.ACT, rows=(regular,), timings=self._fast_timings
             )
         return ActivationPlan(kind=CommandKind.ACT, rows=(regular,))
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {"act-charged": self._fast_timings}
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
         """Mechanism hook: an activation command was issued."""

@@ -9,6 +9,7 @@ never the copy/eviction costs. Combined with disabled refresh it forms the
 from __future__ import annotations
 
 from repro.controller.mechanism import ActivationPlan, Mechanism
+from repro.core.cache import crow_act_t_timings
 from repro.dram.commands import ActTimings, CommandKind, RowId
 from repro.dram.timing import CrowTimings, TimingParameters
 
@@ -29,16 +30,9 @@ class IdealCrowCache(Mechanism):
     ) -> None:
         super().__init__(geometry, timing)
         crow = crow if crow is not None else CrowTimings.from_factors(timing)
-        self._timings = ActTimings(
-            trcd=crow.trcd_act_t_full,
-            tras_full=crow.tras_act_t_full,
-            tras_early=(
-                crow.tras_act_t_early
-                if allow_partial_restore
-                else crow.tras_act_t_full
-            ),
-            twr=crow.twr_mra_early if allow_partial_restore else crow.twr_mra_full,
-            twr_full=crow.twr_mra_full if allow_partial_restore else None,
+        # A fully-restored pair; reduced tWR rides on partial restoration.
+        self._timings = crow_act_t_timings(
+            crow, allow_partial_restore, allow_partial_restore, True
         )
         self.activations = 0
 
@@ -50,6 +44,9 @@ class IdealCrowCache(Mechanism):
             rows=(regular, RowId.copy(regular.subarray, 0)),
             timings=self._timings,
         )
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {"act-t-ideal": self._timings}
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
         """Mechanism hook: an activation command was issued."""

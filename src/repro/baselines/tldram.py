@@ -15,28 +15,29 @@ transistors cost 6.9% of chip area versus CROW's 0.48% (Figure 11b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.controller.mechanism import ActivationPlan, Mechanism
 from repro.dram.commands import ActTimings, CommandKind, RowId, RowKind
-from repro.dram.timing import TimingParameters, scale_cycles as _scale
+from repro.dram.timing import TimingParameters, scale_cycles
 from repro.core.table import CrowTable, EntryOwner
 
-__all__ = ["TldramTimingFactors", "TLDRAM_TIMING_FACTORS", "TlDram"]
+__all__ = ["TlDram"]
+
+#: Timing multipliers for near/far segment accesses.
+NEAR_TRCD = 0.27     # -73% (8-row near segment, Section 8.1.4)
+NEAR_TRAS = 0.20     # -80%
+FAR_TRCD = 1.04      # isolation transistor penalty
+FAR_TRAS = 1.09
+COPY_TRAS = 1.18     # far->near in-DRAM copy (ACT-c-like)
 
 
-@dataclass(frozen=True)
-class TldramTimingFactors:
-    """Timing multipliers for near/far segment accesses."""
-
-    near_trcd: float = 0.27     # -73% (8-row near segment, Section 8.1.4)
-    near_tras: float = 0.20     # -80%
-    far_trcd: float = 1.04      # isolation transistor penalty
-    far_tras: float = 1.09
-    copy_tras: float = 1.18     # far->near in-DRAM copy (ACT-c-like)
-
-
-TLDRAM_TIMING_FACTORS = TldramTimingFactors()
+def _act(timing: TimingParameters, trcd: float, tras: float) -> ActTimings:
+    tras_cycles = scale_cycles(timing.tras, tras)
+    return ActTimings(
+        trcd=scale_cycles(timing.trcd, trcd),
+        tras_full=tras_cycles,
+        tras_early=tras_cycles,
+        twr=timing.twr,
+    )
 
 
 class TlDram(Mechanism):
@@ -44,35 +45,12 @@ class TlDram(Mechanism):
 
     name = "tl-dram"
 
-    def __init__(
-        self,
-        geometry,
-        timing: TimingParameters,
-        factors: TldramTimingFactors | None = None,
-        table: CrowTable | None = None,
-    ) -> None:
+    def __init__(self, geometry, timing: TimingParameters) -> None:
         super().__init__(geometry, timing)
-        self.factors = factors if factors is not None else TLDRAM_TIMING_FACTORS
-        self.table = table if table is not None else CrowTable(geometry)
-        f = self.factors
-        self._near_timings = ActTimings(
-            trcd=_scale(timing.trcd, f.near_trcd),
-            tras_full=_scale(timing.tras, f.near_tras),
-            tras_early=_scale(timing.tras, f.near_tras),
-            twr=timing.twr,
-        )
-        self._far_timings = ActTimings(
-            trcd=_scale(timing.trcd, f.far_trcd),
-            tras_full=_scale(timing.tras, f.far_tras),
-            tras_early=_scale(timing.tras, f.far_tras),
-            twr=timing.twr,
-        )
-        self._copy_timings = ActTimings(
-            trcd=_scale(timing.trcd, f.far_trcd),
-            tras_full=_scale(timing.tras, f.copy_tras),
-            tras_early=_scale(timing.tras, f.copy_tras),
-            twr=timing.twr,
-        )
+        self.table = CrowTable(geometry)
+        self._near_timings = _act(timing, NEAR_TRCD, NEAR_TRAS)
+        self._far_timings = _act(timing, FAR_TRCD, FAR_TRAS)
+        self._copy_timings = _act(timing, FAR_TRCD, COPY_TRAS)
         self.hits = 0
         self.misses = 0
 
@@ -108,6 +86,13 @@ class TlDram(Mechanism):
             rows=(regular, RowId.copy(subarray, victim.way)),
             timings=self._copy_timings,
         )
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {
+            "act-near": self._near_timings,
+            "act-far": self._far_timings,
+            "act-c-copy": self._copy_timings,
+        }
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
         """Mechanism hook: an activation command was issued."""

@@ -114,6 +114,16 @@ class Mechanism:
             rows=(self.service_row(bank, row),),
         )
 
+    def timing_variants(self) -> dict[str, ActTimings]:
+        """Every activation-timing override this mechanism issues, by name.
+
+        The values are the very :class:`ActTimings` objects its plans
+        carry, so every non-``None`` ``timings`` on the command stream is
+        one of them. The base mechanism only issues base-timing
+        activations and declares none.
+        """
+        return {}
+
     # ------------------------------------------------------------------
     # Event notifications
     # ------------------------------------------------------------------

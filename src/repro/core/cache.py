@@ -30,6 +30,7 @@ __all__ = [
     "CrowCache",
     "crow_act_t_timings",
     "crow_act_c_timings",
+    "crow_safe_copy_timings",
 ]
 
 
@@ -49,9 +50,7 @@ def crow_act_t_timings(
 ) -> ActTimings:
     """``ACT-t`` timing set for a given pair restoration state.
 
-    Pure function of the CROW timing factors and the config knobs — the
-    single source both the live mechanism (:class:`CrowCache`) and the
-    compiled timing tables (:mod:`repro.dram.tables`) derive from.
+    Pure function of the CROW timing factors and the config knobs.
     Cached: the controller re-plans candidate activations every
     scheduling pass, and all inputs are frozen dataclasses or bools.
     """
@@ -101,6 +100,21 @@ def crow_act_c_timings(
         tras_early=tras_early,
         twr=twr,
         twr_full=twr_full,
+    )
+
+
+@lru_cache(maxsize=None)
+def crow_safe_copy_timings(crow: CrowTimings) -> ActTimings:
+    """``ACT-c`` that restores fully (cached, pure).
+
+    A remap copy (CROW-ref, the RowHammer mitigation) is later activated
+    alone, so its restoration must never terminate early.
+    """
+    return ActTimings(
+        trcd=crow.trcd_act_c,
+        tras_full=crow.tras_act_c_full,
+        tras_early=crow.tras_act_c_full,
+        twr=crow.twr_mra_full,
     )
 
 
@@ -173,6 +187,14 @@ class CrowCache(Mechanism):
             self.reduced_twr,
             self.act_c_early_termination,
         )
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {
+            "act-t-full": self.act_t_timings(True),
+            "act-t-partial": self.act_t_timings(False),
+            "act-t-restore": self.act_t_timings(False, force_full=True),
+            "act-c": self.act_c_timings(),
+        }
 
     # ------------------------------------------------------------------
     # Mechanism interface

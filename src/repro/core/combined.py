@@ -10,7 +10,7 @@ the two uses of an entry.
 from __future__ import annotations
 
 from repro.controller.mechanism import ActivationPlan, Mechanism
-from repro.dram.commands import CommandKind, RowId, RowKind
+from repro.dram.commands import ActTimings, CommandKind, RowId, RowKind
 from repro.dram.retention import RetentionModel
 from repro.dram.timing import CrowTimings, TimingParameters
 from repro.core.cache import CrowCache
@@ -79,6 +79,9 @@ class CrowCacheRef(Mechanism):
         if (bank, row) in self.ref.remap:
             return self.ref.plan_activation(bank, row, now)
         return self.cache.plan_activation(bank, row, now)
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {**self.cache.timing_variants(), **self.ref.timing_variants()}
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
         # A plain ACT whose target is a copy row is a CROW-ref redirect;

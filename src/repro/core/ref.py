@@ -24,6 +24,7 @@ from repro.controller.mechanism import ActivationPlan, Mechanism
 from repro.dram.commands import ActTimings, CommandKind, RowId
 from repro.dram.retention import RetentionModel
 from repro.dram.timing import CrowTimings, TimingParameters
+from repro.core.cache import crow_safe_copy_timings
 from repro.core.table import CrowTable, EntryOwner
 
 __all__ = ["CrowRef"]
@@ -130,19 +131,14 @@ class CrowRef(Mechanism):
         if entry is None:
             return None
         regular = RowId.regular(row, self.geometry.rows_per_subarray)
-        # The copy must end up fully restored: it will later be activated
-        # alone, so early restoration termination is forbidden here.
-        timings = ActTimings(
-            trcd=self.crow.trcd_act_c,
-            tras_full=self.crow.tras_act_c_full,
-            tras_early=self.crow.tras_act_c_full,
-            twr=self.crow.twr_mra_full,
-        )
         return ActivationPlan(
             kind=CommandKind.ACT_C,
             rows=(regular, RowId.copy(subarray, entry.way)),
-            timings=timings,
+            timings=crow_safe_copy_timings(self.crow),
         )
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {"act-c-remap": crow_safe_copy_timings(self.crow)}
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
         """Mechanism hook: an activation command was issued."""

@@ -16,6 +16,7 @@ from collections import deque
 from repro.controller.mechanism import ActivationPlan, Mechanism
 from repro.dram.commands import ActTimings, CommandKind, RowId, RowKind
 from repro.dram.timing import CrowTimings, TimingParameters
+from repro.core.cache import crow_safe_copy_timings
 from repro.core.table import CrowTable, EntryOwner
 
 __all__ = ["RowHammerMitigation"]
@@ -73,18 +74,15 @@ class RowHammerMitigation(Mechanism):
                 self.protection_failures += 1
                 continue
             regular = RowId.regular(victim, self.geometry.rows_per_subarray)
-            timings = ActTimings(
-                trcd=self.crow.trcd_act_c,
-                tras_full=self.crow.tras_act_c_full,
-                tras_early=self.crow.tras_act_c_full,
-                twr=self.crow.twr_mra_full,
-            )
             return bank, ActivationPlan(
                 kind=CommandKind.ACT_C,
                 rows=(regular, RowId.copy(subarray, entry.way)),
-                timings=timings,
+                timings=crow_safe_copy_timings(self.crow),
             )
         return None
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {"act-c-remap": crow_safe_copy_timings(self.crow)}
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
         """Mechanism hook: an activation command was issued."""

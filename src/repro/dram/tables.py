@@ -1,20 +1,13 @@
 """Precompiled command-legality and timing-advance tables.
 
 Every cross-command spacing the device layer enforces is a fixed sum of
-:class:`~repro.dram.timing.TimingParameters` fields, and every
-activation-timing variant a mechanism can issue is a fixed function of
-its :class:`~repro.dram.timing.CrowTimings` and config knobs. This
-module resolves both *once per configuration*:
-
-* :func:`compile_timing_tables` → :class:`CommandTables`, consumed by
-  :class:`~repro.dram.device.DramChannel` as the single source of truth
-  for its per-issue constants (the channel used to compute the same
-  sums inline);
-* :func:`compile_act_variants` → the named activation-timing overrides
-  the configured mechanism can put on the wire, gathered through the
-  :meth:`~repro.mech.plugin.MechanismPlugin.timing_variants` plugin
-  hook. The table tests cross-validate these against the live
-  mechanism objects.
+:class:`~repro.dram.timing.TimingParameters` fields. This module
+resolves them *once per configuration*: :func:`compile_timing_tables`
+→ :class:`CommandTables`, consumed by
+:class:`~repro.dram.device.DramChannel` as the single source of truth
+for its per-issue constants. The activation-timing overrides a
+mechanism issues are declared by the mechanism itself
+(:meth:`~repro.controller.mechanism.Mechanism.timing_variants`).
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ from repro.dram.timing import TimingParameters
 __all__ = [
     "CommandTables",
     "compile_timing_tables",
-    "compile_act_variants",
     "COMMAND_LEGALITY",
 ]
 
@@ -110,23 +102,3 @@ def compile_timing_tables(timing: TimingParameters) -> CommandTables:
         bus_cycles=tuple(bus),
     )
 
-
-def compile_act_variants(
-    config, timing: TimingParameters, crow_timings=None
-) -> "dict[str, ActTimings]":
-    """Named activation-timing sets the configured mechanism may issue.
-
-    Always contains ``"act"`` (the base single-row activation); the
-    mechanism plugin contributes its overrides through the
-    ``timing_variants`` hook. Used for cross-validation and docs — the
-    live command path carries the same objects via ``ActivationPlan``.
-    """
-    from repro.mech import get_plugin
-
-    variants = {"act": compile_timing_tables(timing).base_act}
-    variants.update(
-        get_plugin(config.mechanism).timing_variants(
-            config, timing, crow_timings
-        )
-    )
-    return variants

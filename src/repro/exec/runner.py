@@ -148,15 +148,16 @@ class _Running:
 class ProcessPoolRunner:
     """Run tasks on a bounded worker pool with timeouts and retries.
 
-    :param jobs: worker slots; ``1`` means serial in-process execution
-        (no subprocesses — note per-task timeouts need worker processes
-        and are not enforced serially). ``None`` uses the CPU count.
+    :param jobs: worker slots (>= 1); ``1`` means serial in-process
+        execution (no subprocesses — note per-task timeouts need worker
+        processes and are not enforced serially). ``None`` uses the CPU
+        count.
     :param timeout_s: per-attempt wall-clock budget in seconds (> 0, or
         ``None`` for no budget); an overrunning worker is terminated and
         the attempt counts as a failure.
-    :param retries: extra attempts after the first failure.
-    :param backoff_s: base of the exponential retry backoff; the actual
-        delay before attempt N+1 is :func:`retry_backoff` — the
+    :param retries: extra attempts after the first failure (>= 0).
+    :param backoff_s: base (>= 0) of the exponential retry backoff; the
+        actual delay before attempt N+1 is :func:`retry_backoff` — the
         exponential schedule scaled by deterministic per-task jitter.
     :param observers: ``(event, fields)`` callables (journal, progress).
     """
@@ -173,9 +174,15 @@ class ProcessPoolRunner:
             raise ConfigError(
                 f"timeout_s must be positive (or None), got {timeout_s}"
             )
-        self.jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
+        if jobs is not None and jobs < 1:
+            raise ConfigError(f"jobs must be >= 1 (or None), got {jobs}")
+        if retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {retries}")
+        if not backoff_s >= 0:
+            raise ConfigError(f"backoff_s must be >= 0, got {backoff_s}")
+        self.jobs = jobs if jobs is not None else os.cpu_count() or 1
         self.timeout_s = timeout_s
-        self.retries = max(0, retries)
+        self.retries = retries
         self.backoff_s = backoff_s
         self.observers = list(observers)
         self._on_outcome = None

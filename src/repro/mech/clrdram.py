@@ -33,6 +33,9 @@ TRCD_FACTOR = 0.40
 TRAS_FACTOR = 0.36
 TWR_FACTOR = 0.65
 
+#: Full-latency activations before a row couples its pair.
+PROMOTE_THRESHOLD = 4
+
 
 def fast_timings(timing: TimingParameters) -> ActTimings:
     """The activation timing set for a coupled (max-latency-mode) row.
@@ -59,7 +62,7 @@ class ClrDram(Mechanism):
         self,
         geometry,
         timing: TimingParameters,
-        promote_threshold: int = 4,
+        promote_threshold: int = PROMOTE_THRESHOLD,
     ) -> None:
         super().__init__(geometry, timing)
         if promote_threshold < 1:
@@ -90,6 +93,9 @@ class ClrDram(Mechanism):
                 kind=CommandKind.ACT, rows=(regular,), timings=self._fast
             )
         return ActivationPlan(kind=CommandKind.ACT, rows=(regular,))
+
+    def timing_variants(self) -> dict[str, ActTimings]:
+        return {"act-coupled": self._fast}
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
         if plan.timings is self._fast:
@@ -253,19 +259,10 @@ class ClrDramPlugin(MechanismPlugin):
     """CLR-DRAM: adaptive capacity–latency row-pair coupling."""
 
     def build(self, ctx: BuildContext):
-        return ClrDram(
-            ctx.geometry,
-            ctx.timing,
-            promote_threshold=ctx.config.clr_promote_threshold,
-        )
+        return ClrDram(ctx.geometry, ctx.timing)
 
     def geometry_overrides(self, config) -> dict:
         return {"copy_rows_per_subarray": 0}
 
     def checker_invariant(self, config, geometry, timing):
-        return ClrInvariant(
-            geometry, timing, threshold=config.clr_promote_threshold
-        )
-
-    def timing_variants(self, config, timing, crow_timings) -> dict:
-        return {"act-coupled": fast_timings(timing)}
+        return ClrInvariant(geometry, timing, threshold=PROMOTE_THRESHOLD)

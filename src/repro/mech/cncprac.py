@@ -33,6 +33,12 @@ __all__ = ["CncPrac", "PracInvariant"]
 #: cycles — the slack absorbs refresh blackouts and queue contention.
 MITIGATION_DEADLINE_TREFI = 2
 
+#: Per-row activation count that raises an alert.
+PRAC_THRESHOLD = 512
+
+#: Neighbours per side an alert queues for mitigation.
+PRAC_BLAST_RADIUS = 1
+
 
 class CncPrac(Mechanism):
     """Per-row activation counters + coalesced neighbour mitigation."""
@@ -44,8 +50,8 @@ class CncPrac(Mechanism):
         self,
         geometry,
         timing: TimingParameters,
-        threshold: int = 512,
-        blast_radius: int = 1,
+        threshold: int = PRAC_THRESHOLD,
+        blast_radius: int = PRAC_BLAST_RADIUS,
     ) -> None:
         super().__init__(geometry, timing)
         self.threshold = threshold
@@ -279,12 +285,7 @@ class CncPracPlugin(MechanismPlugin):
     """CnC-PRAC: counter-based RowHammer defense, coalesced mitigation."""
 
     def build(self, ctx: BuildContext):
-        return CncPrac(
-            ctx.geometry,
-            ctx.timing,
-            threshold=ctx.config.prac_threshold,
-            blast_radius=ctx.config.prac_blast_radius,
-        )
+        return CncPrac(ctx.geometry, ctx.timing)
 
     def geometry_overrides(self, config) -> dict:
         return {"copy_rows_per_subarray": 0}
@@ -293,6 +294,6 @@ class CncPracPlugin(MechanismPlugin):
         return PracInvariant(
             geometry,
             timing,
-            threshold=config.prac_threshold,
-            blast_radius=config.prac_blast_radius,
+            threshold=PRAC_THRESHOLD,
+            blast_radius=PRAC_BLAST_RADIUS,
         )

@@ -6,7 +6,10 @@ hook, what the name does to the DRAM geometry, whether the controller
 runs the REF loop, and which conformance invariants the shadow checker
 should enforce on top of the JEDEC/CROW rules. The plugin itself holds
 no run state — everything mutable lives on the ``Mechanism`` instances
-it builds (one per channel), which snapshot with the controller.
+it builds (one per channel), which snapshot with the controller. The
+activation timings a mechanism issues are declared by those instances
+(:meth:`~repro.controller.mechanism.Mechanism.timing_variants`), so no
+plugin hook re-derives them.
 """
 
 from __future__ import annotations
@@ -101,27 +104,6 @@ class MechanismPlugin:
     ) -> "ControllerConfig":
         """Adjust the controller policy (e.g. SALP's open-page rows)."""
         return controller_config
-
-    # ------------------------------------------------------------------
-    # Timing
-    # ------------------------------------------------------------------
-    def timing_variants(
-        self,
-        config: "SystemConfig",
-        timing: "TimingParameters",
-        crow_timings: "CrowTimings | None",
-    ) -> dict:
-        """Named activation-timing overrides this mechanism can issue.
-
-        Consumed by :func:`repro.dram.tables.compile_act_variants`:
-        the returned ``{name: ActTimings}`` mapping must cover every
-        timing override the mechanism puts on an ``ActivationPlan``, so
-        the compiled timing tables (and the tests built on them)
-        enumerate the full per-config timing universe. The
-        default — no overrides — matches mechanisms that only ever
-        issue base-timing activations.
-        """
-        return {}
 
     # ------------------------------------------------------------------
     # Conformance

@@ -34,8 +34,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from repro.core.cache import (
+    crow_act_c_timings,
+    crow_act_t_timings,
+    crow_safe_copy_timings,
+)
 from repro.dram import DramChannel, TimingParameters
-from repro.dram.commands import ActTimings, Command, CommandKind, RowId
+from repro.dram.commands import Command, CommandKind, RowId
 from repro.errors import (
     ConformanceError,
     DataIntegrityError,
@@ -176,7 +181,11 @@ class ProbeSession:
         dest = RowId.copy(source.subarray, slot)
         return Command(
             CommandKind.ACT_C, bank, (source, dest),
-            timings=self._act_c_timings(early),
+            timings=(
+                crow_act_c_timings(self._crow(), True, True, True)
+                if early
+                else crow_safe_copy_timings(self._crow())
+            ),
         )
 
     def cmd_act_t(
@@ -195,7 +204,9 @@ class ProbeSession:
         dest = RowId.copy(source.subarray, slot)
         return Command(
             CommandKind.ACT_T, bank, (source, dest),
-            timings=self._act_t_timings(partial, early),
+            timings=crow_act_t_timings(
+                self._crow(), True, True, not partial, force_full=not early
+            ),
         )
 
     def cmd_rd(
@@ -220,46 +231,6 @@ class ProbeSession:
                 "device has no copy-row decoder (0 copy rows per subarray)"
             )
         return self.crow_timings
-
-    def _act_c_timings(self, early: bool) -> ActTimings:
-        crow = self._crow()
-        if early:
-            return ActTimings(
-                trcd=crow.trcd_act_c,
-                tras_full=crow.tras_act_c_full,
-                tras_early=crow.tras_act_c_early,
-                twr=crow.twr_mra_early,
-                twr_full=crow.twr_mra_full,
-            )
-        return ActTimings(
-            trcd=crow.trcd_act_c,
-            tras_full=crow.tras_act_c_full,
-            tras_early=crow.tras_act_c_full,
-            twr=crow.twr_mra_full,
-        )
-
-    def _act_t_timings(self, partial: bool, early: bool) -> ActTimings:
-        crow = self._crow()
-        trcd = crow.trcd_act_t_partial if partial else crow.trcd_act_t_full
-        if early:
-            tras_early = (
-                crow.tras_act_t_partial_early
-                if partial
-                else crow.tras_act_t_early
-            )
-            return ActTimings(
-                trcd=trcd,
-                tras_full=crow.tras_act_t_full,
-                tras_early=tras_early,
-                twr=crow.twr_mra_early,
-                twr_full=crow.twr_mra_full,
-            )
-        return ActTimings(
-            trcd=trcd,
-            tras_full=crow.tras_act_t_full,
-            tras_early=crow.tras_act_t_full,
-            twr=crow.twr_mra_full,
-        )
 
     # ------------------------------------------------------------------
     # Mark / restore (the SoftMC "re-initialize between experiments")

@@ -54,17 +54,9 @@ class SystemConfig:
     tldram_near_rows: int = 8
     salp_subarrays_per_bank: int = 128
     salp_open_page: bool = True
-    # --- related-work plugins (repro.mech) -----------------------------
-    #: CnC-PRAC per-row activation-count alert threshold.
-    prac_threshold: int = 512
-    #: CnC-PRAC mitigation blast radius (neighbours per side).
-    prac_blast_radius: int = 1
-    #: CLR-DRAM full-latency activations before a row couples its pair.
-    clr_promote_threshold: int = 4
     # --- processor side --------------------------------------------------
     llc_size_bytes: int = 8 * MIB
     prefetcher: bool = False
-    prefetch_degree: int = 2
     core: CoreConfig = field(default_factory=CoreConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     # --- telemetry -------------------------------------------------------
@@ -101,12 +93,6 @@ class SystemConfig:
         get_plugin(self.mechanism)
         if self.copy_rows < 0:
             raise ConfigError("copy_rows must be non-negative")
-        if self.prac_threshold < 1:
-            raise ConfigError("prac_threshold must be >= 1")
-        if self.prac_blast_radius < 1:
-            raise ConfigError("prac_blast_radius must be >= 1")
-        if self.clr_promote_threshold < 1:
-            raise ConfigError("clr_promote_threshold must be >= 1")
         if self.telemetry_epoch_cycles < 1:
             raise ConfigError("telemetry_epoch_cycles must be >= 1")
         if self.telemetry_trace_capacity < 0:

@@ -384,8 +384,7 @@ class System:
         self.vm = VirtualMemory(self.geometry.capacity_bytes, seed=config.seed)
         self.prefetchers = (
             [
-                RptPrefetcher(degree=config.prefetch_degree)
-                for _ in range(config.cores)
+                RptPrefetcher() for _ in range(config.cores)
             ]
             if config.prefetcher
             else []

@@ -63,7 +63,14 @@ class TestRowHammerMitigation:
 
     def test_detection_queues_victims(self):
         controller, channel, mitigation = self._build(threshold=5)
+        issued = []
+        channel.attach(lambda now, command: issued.append(command))
         run_requests(controller, [100] * 5)
+        # Each victim copy carries the declared fully-restoring ACT-c.
+        copies = [c for c in issued if c.kind is CommandKind.ACT_C]
+        remap = mitigation.timing_variants()["act-c-remap"]
+        assert len(copies) == 2
+        assert all(c.timings is remap for c in copies)
         assert mitigation.counters[(0, 100)] >= 5
         # Victims 99 and 101 were copied to copy rows.
         assert mitigation.protected_victims == 2

@@ -65,6 +65,8 @@ class TestVrtFlow:
         """The dynamically-remapped copy row must be usable alone, so the
         ACT-c must honor the full tRAS before precharge."""
         ref, channel, controller = self._build()
+        issued = []
+        channel.attach(lambda now, command: issued.append(command))
         ref.request_remap(0, 7)
         addr = MAPPER.encode(
             DramAddress(channel=0, rank=0, bank=0, row=7, col=0)
@@ -73,6 +75,9 @@ class TestVrtFlow:
             MemRequest(RequestType.READ, addr, MAPPER.decode(addr)), 0
         )
         now = drain(controller)
+        # The copy was made with the declared fully-restoring set.
+        [act_c] = [c for c in issued if c.kind is CommandKind.ACT_C]
+        assert act_c.timings is ref.timing_variants()["act-c-remap"]
         # Force the row closed; the PRE must have waited the full tRAS.
         for _ in range(600):
             if not channel.banks[0].is_open:

@@ -1,23 +1,21 @@
-"""Compiled-table validation: one source of truth, checked three ways.
+"""Timing-table validation.
 
 * :class:`CommandTables` values equal the constants the device layer
-  actually schedules with (the channel now *consumes* the tables, so
-  this pins the compilation, not a parallel reimplementation);
-* the per-mechanism ``timing_variants`` hook reproduces the exact
-  :class:`ActTimings` objects the live mechanism instances put on the
-  wire;
-* compilation is cached per parameter set.
+  actually schedules with (the channel *consumes* the tables, so this
+  pins the compilation, not a parallel reimplementation), and
+  compilation is cached per parameter set;
+* every activation-timing override a run puts on the wire is one of the
+  sets its mechanisms declare through ``Mechanism.timing_variants``.
 """
 
 import pytest
 
+from repro.core.cache import crow_safe_copy_timings
 from repro.dram.commands import CommandKind
-from repro.dram.timing import TimingParameters
-from repro.dram.tables import (
-    COMMAND_LEGALITY,
-    compile_act_variants,
-    compile_timing_tables,
-)
+from repro.dram.geometry import DramGeometry
+from repro.dram.timing import CrowTimings, TimingParameters
+from repro.dram.tables import COMMAND_LEGALITY, compile_timing_tables
+from repro.mech import mechanism_names
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.trace.stream import TraceStream
@@ -64,86 +62,70 @@ class TestCommandTables:
             COMMAND_LEGALITY[CommandKind.ACT] = "open"
 
 
-class TestActVariantsMatchLiveMechanisms:
-    """The compiled variants must be the live objects' timing sets."""
+#: Short runs that issue every mechanism's overrides: the oracle run
+#: shape (libq, 2k instructions) issues a handful and none at all for
+#: chargecache or clr-dram.
+DECLARED_WORKLOADS = ("mcf", "h264-dec")
+DECLARED_GEOMETRY = DramGeometry(channels=1, rows_per_bank=8192)
 
-    def variants_for(self, system):
-        return compile_act_variants(
-            system.config, system.timing, system.crow_timings
+#: Mechanisms these runs must see issue at least one override, so the
+#: subset check below cannot pass vacuously for them.
+MUST_OVERRIDE = {
+    "crow-cache", "crow-combined", "ideal-crow-cache", "ideal",
+    "tl-dram", "chargecache", "clr-dram",
+}
+
+
+def issued_overrides(mechanism, **extra):
+    """Every non-``None`` command ``timings`` of the declared-timing runs,
+    after asserting each is an object the run's mechanisms declare."""
+    issued, declared = [], []
+    for workload in DECLARED_WORKLOADS:
+        config = SystemConfig(
+            mechanism=mechanism, geometry=DECLARED_GEOMETRY, **extra
         )
+        system = System(config, [TraceStream(workload, 1)])
 
-    def test_base_act_always_present(self):
-        system = build_system("baseline")
-        variants = self.variants_for(system)
-        assert set(variants) == {"act"}
-        assert variants["act"] == system.channels[0]._base_act_timings
+        def observe(now, command):
+            if command.timings is not None:
+                issued.append(command.timings)
 
-    def test_crow_cache_variants(self):
-        system = build_system("crow-cache")
-        mech = system.mechanisms[0]
-        variants = self.variants_for(system)
-        assert variants["act-t-full"] == mech.act_t_timings(True)
-        assert variants["act-t-partial"] == mech.act_t_timings(False)
-        assert variants["act-t-restore"] == mech.act_t_timings(
-            False, force_full=True
-        )
-        assert variants["act-c"] == mech.act_c_timings()
+        for channel in system.channels:
+            channel.attach(observe)
+        system.run(8_000, 1_000, prewarm_accesses=20_000)
+        for mech in system.mechanisms:
+            declared.extend(mech.timing_variants().values())
+    # By identity: the declared sets must be the objects plans carry.
+    declared_ids = {id(timings) for timings in declared}
+    undeclared = [t for t in issued if id(t) not in declared_ids]
+    assert not undeclared, f"{mechanism} issued undeclared {undeclared[0]}"
+    return issued
 
-    def test_crow_cache_variants_track_config_knobs(self):
-        system = build_system(
+
+class TestDeclaredTimings:
+    """A mechanism's declared timings are the objects its plans carry."""
+
+    @pytest.mark.parametrize("mechanism", mechanism_names())
+    def test_issued_overrides_are_declared(self, mechanism):
+        issued = issued_overrides(mechanism)
+        if mechanism in MUST_OVERRIDE:
+            assert issued, f"{mechanism} issued no timing override"
+
+    def test_declared_set_tracks_the_crow_knobs(self):
+        assert issued_overrides(
             "crow-cache",
             allow_partial_restore=False,
             reduced_twr=False,
             act_c_early_termination=False,
         )
-        mech = system.mechanisms[0]
-        variants = self.variants_for(system)
-        assert variants["act-t-full"] == mech.act_t_timings(True)
-        assert variants["act-c"] == mech.act_c_timings()
 
-    def test_crow_ref_remap_variant(self):
-        from repro.dram.commands import ActTimings
-
-        system = build_system("crow-ref")
-        mech = system.mechanisms[0]
-        variants = self.variants_for(system)
-        # CrowRef constructs its safe-copy set inline from its crow
-        # factors (ref.py _plan_dynamic_remap); mirror that construction.
-        assert variants["act-c-remap"] == ActTimings(
-            trcd=mech.crow.trcd_act_c,
-            tras_full=mech.crow.tras_act_c_full,
-            tras_early=mech.crow.tras_act_c_full,
-            twr=mech.crow.twr_mra_full,
-        )
-
-    def test_clr_dram_variant(self):
-        system = build_system("clr-dram")
-        mech = system.mechanisms[0]
-        variants = self.variants_for(system)
-        assert variants["act-coupled"] == mech._fast
-
-    def test_tldram_variants(self):
-        system = build_system("tl-dram")
-        mech = system.mechanisms[0]
-        variants = self.variants_for(system)
-        assert variants["act-near"] == mech._near_timings
-        assert variants["act-far"] == mech._far_timings
-        assert variants["act-c-copy"] == mech._copy_timings
-
-    def test_chargecache_variant(self):
-        system = build_system("chargecache")
-        mech = system.mechanisms[0]
-        variants = self.variants_for(system)
-        assert variants["act-charged"] == mech._fast_timings
-
-    def test_ideal_crow_variant(self):
-        system = build_system("ideal-crow-cache")
-        mech = system.mechanisms[0]
-        variants = self.variants_for(system)
-        assert variants["act-t-ideal"] == mech._timings
-
-    def test_combined_union(self):
-        system = build_system("crow-combined")
-        variants = self.variants_for(system)
-        assert {"act", "act-t-full", "act-t-partial", "act-t-restore",
-                "act-c", "act-c-remap"} == set(variants)
+    def test_act_c_remap_restores_fully(self):
+        crow = CrowTimings.from_factors(TimingParameters.lpddr4())
+        remap = crow_safe_copy_timings(crow)
+        assert remap.tras_early == remap.tras_full
+        assert remap.twr == crow.twr_mra_full
+        assert remap.twr_full is None
+        for mechanism in ("crow-ref", "crow-hammer", "crow-combined"):
+            system = build_system(mechanism)
+            variants = system.mechanisms[0].timing_variants()
+            assert variants["act-c-remap"] is remap

@@ -148,6 +148,25 @@ class TestParallel:
         with pytest.raises(ConfigError, match="timeout_s"):
             ProcessPoolRunner(jobs=2, timeout_s=timeout_s)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(jobs=0), "jobs"),
+            (dict(jobs=-3), "jobs"),
+            (dict(retries=-5), "retries"),
+            (dict(backoff_s=-1.0), "backoff_s"),
+            (dict(backoff_s=float("nan")), "backoff_s"),
+        ],
+    )
+    def test_out_of_range_knobs_rejected(self, kwargs, name):
+        # Clamping would run with a setting nobody asked for; a negative
+        # backoff would raise from time.sleep on the first retry.
+        with pytest.raises(ConfigError, match=name):
+            ProcessPoolRunner(**{"jobs": 1, **kwargs})
+
+    def test_none_jobs_uses_the_cpu_count(self):
+        assert ProcessPoolRunner(jobs=None).jobs == (os.cpu_count() or 1)
+
     def test_serial_and_parallel_results_are_identical(self):
         """Tasks are pure functions of their spec: worker-process
         execution must reproduce the in-process result exactly (every

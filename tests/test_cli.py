@@ -157,6 +157,27 @@ class TestCampaignCommand:
         assert "timeout_s must be positive" in capsys.readouterr().err
         assert not journal.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "0"], "jobs must be >= 1"),
+            (["--jobs", "-3"], "jobs must be >= 1"),
+            (["--retries", "-5"], "retries must be >= 0"),
+        ],
+    )
+    def test_rejects_out_of_range_pool_knobs(
+        self, capsys, tmp_path, flags, message
+    ):
+        journal = tmp_path / "journal.jsonl"
+        code = main([
+            "campaign", "libq", "--instructions", "1000", "--warmup", "10",
+            "--mechanisms", "baseline", *flags,
+            "--cache-dir", str(tmp_path / "cache"), "--journal", str(journal),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not journal.exists()
+
     def test_serial_campaign(self, capsys, tmp_path):
         code = main([
             "campaign", "libq", "--jobs", "1",
