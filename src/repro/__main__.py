@@ -312,7 +312,7 @@ def _diff_values(path: str, a, b, lines: list) -> None:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.snapshot import read_header, read_snapshot
+    from repro.snapshot import read_header, read_snapshot, state_tree
 
     try:
         if args.action == "inspect":
@@ -342,14 +342,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
             header_b, payload_b = read_snapshot(args.path2)
             lines: list = []
             _diff_values("header", header_a, header_b, lines)
-            state_a = (
-                payload_a.get("state") if isinstance(payload_a, dict) else None
+            _diff_values(
+                "", state_tree(payload_a), state_tree(payload_b), lines
             )
-            state_b = (
-                payload_b.get("state") if isinstance(payload_b, dict) else None
-            )
-            if state_a is not None and state_b is not None:
-                _diff_values("state", state_a, state_b, lines)
             if not lines:
                 print("snapshots are identical")
                 return 0

@@ -93,24 +93,6 @@ class ChargeCache(Mechanism):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Table contents (order = LRU stack) plus counters."""
-        return {
-            "table": list(self._table.items()),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._table = OrderedDict(
-            (tuple(key), stamp) for key, stamp in state["table"]
-        )
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-
     def stats(self) -> dict[str, float]:
         """Mechanism-specific statistics for the metrics layer."""
         return {

@@ -52,12 +52,6 @@ class IdealCrowCache(Mechanism):
         """Mechanism hook: an activation command was issued."""
         self.activations += 1
 
-    def state_dict(self) -> dict:
-        return {"activations": self.activations}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.activations = state["activations"]
-
     def stats(self) -> dict[str, float]:
         """Mechanism-specific statistics for the metrics layer."""
         return {"ideal_activations": float(self.activations)}

@@ -119,21 +119,6 @@ class TlDram(Mechanism):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "table": self.table.state_dict(),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.table.load_state_dict(state["table"])
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-
     def stats(self) -> dict[str, float]:
         """Mechanism-specific statistics for the metrics layer."""
         return {

@@ -92,13 +92,6 @@ class _ShadowSlot:
         #: slot: its earliest-precharge tRAS plus tRP.
         self.prev_act_gap: tuple[int, int] | None = None
 
-    def state_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def load_state_dict(self, state: dict) -> None:
-        for name in self.__slots__:
-            setattr(self, name, state[name])
-
 
 class ProtocolChecker:
     """Conformance oracle for one channel's issued command stream."""
@@ -640,67 +633,6 @@ class ProtocolChecker:
                     restored.append((bank, row))
             for key in restored:
                 self._partial.discard(key)
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Shadow-oracle state; loaded wholesale after construction
-        (``seed_remap`` boot state is part of ``_crow_map`` and is simply
-        overwritten by the saved map, which includes it)."""
-        return {
-            "slots": {
-                key: slot.state_dict() for key, slot in self._slots.items()
-            },
-            "bus_free": self._bus_free,
-            "act_window": list(self._act_window),
-            "last_act": self._last_act,
-            "last_rd": self._last_rd,
-            "last_wr": self._last_wr,
-            "ref_busy_until": self._ref_busy_until,
-            "last_ref": self._last_ref,
-            "refs_seen": self._refs_seen,
-            "refresh_cursor": self._refresh_cursor,
-            "crow_map": dict(self._crow_map),
-            "remapped_copies": sorted(self._remapped_copies),
-            "partial": list(self._partial),
-            "report": {
-                "violations": list(self.report.violations),
-                "commands": self.report.commands,
-                "truncated": self.report.truncated,
-            },
-            "invariants": [inv.state_dict() for inv in self.invariants],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._finalized_at = None
-        self._slots = {}
-        for key, slot_state in state["slots"].items():
-            slot = _ShadowSlot()
-            slot.load_state_dict(slot_state)
-            self._slots[tuple(key)] = slot
-        self._bus_free = state["bus_free"]
-        self._act_window = deque(state["act_window"], maxlen=4)
-        self._last_act = state["last_act"]
-        self._last_rd = state["last_rd"]
-        self._last_wr = state["last_wr"]
-        self._ref_busy_until = state["ref_busy_until"]
-        self._last_ref = state["last_ref"]
-        self._refs_seen = state["refs_seen"]
-        self._refresh_cursor = state["refresh_cursor"]
-        self._crow_map = dict(state["crow_map"])
-        self._remapped_copies = set(
-            tuple(k) for k in state["remapped_copies"]
-        )
-        self._partial = set(tuple(p) for p in state["partial"])
-        self.report.violations = list(state["report"]["violations"])
-        self.report.commands = state["report"]["commands"]
-        self.report.truncated = state["report"]["truncated"]
-        # Snapshots written before invariants existed lack the key.
-        for invariant, inv_state in zip(
-            self.invariants, state.get("invariants", ())
-        ):
-            invariant.load_state_dict(inv_state)
 
     # ------------------------------------------------------------------
     # End-of-run checks

@@ -10,8 +10,7 @@ mode the first flag raises :class:`~repro.errors.ConformanceError`.
 
 Invariants must be deterministic functions of the observed stream (the
 checker can be snapshotted mid-run and restored in a fresh process, so
-all mutable state has to round-trip through ``state_dict``), and they
-must observe from cycle 0: the mechanism's policy state also evolves
+all their state must be picklable), and they must observe from cycle 0: the mechanism's policy state also evolves
 from cycle 0, warm-up only resets *statistics*.
 """
 
@@ -40,12 +39,3 @@ class CheckerInvariant:
     def finalize(self, checker: "ProtocolChecker", end_cycle: int) -> None:
         """End-of-run whole-window checks (e.g. coverage pro rata)."""
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Mutable invariant state; rides the checker's state dict."""
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict` (base: nothing)."""

@@ -14,7 +14,6 @@ progress, so the simulation loop can skip dead time.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,7 +136,7 @@ class ChannelController:
         self.read_q: list[MemRequest] = []
         self.write_q: list[MemRequest] = []
         # Write-forwarding index: address -> writes to it in write_q.
-        # Maintained by enqueue and _dequeue, rebuilt by load_state_dict.
+        # Maintained by enqueue and _dequeue.
         self._write_lines: dict[int, int] = {}
         self.drain_mode = False
         self.next_ref = self.timing.trefi if refresh_enabled else IDLE
@@ -171,8 +170,8 @@ class ChannelController:
         # dequeue drops it: under the same channel version a fresh pass
         # would rank the same candidates with the same readiness times
         # (their ``sched_bound`` memos and the pass's class bounds), so
-        # the next tick scans the record instead. A pure cache: never
-        # serialized, cleared on load_state_dict.
+        # the next tick scans the record instead. A pure cache, pickled
+        # with the queue and channel version it describes.
         self._idle_pass: tuple | None = None
 
         # Statistics.
@@ -539,45 +538,6 @@ class ChannelController:
             request.callback(request, finish)
         else:
             self.schedule_event(finish, request)
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self, encode_request) -> dict:
-        """Queues, policy state, statistics and the mechanism's state.
-
-        ``encode_request`` maps a queued :class:`MemRequest` to its state
-        dict (the owner knows how to tag callbacks). A request is never
-        simultaneously queued and scheduled on the event heap — completion
-        always dequeues first — so queue entries are serialized here and
-        in-flight completions by the event heap, without aliasing.
-        ``latency_hist`` is telemetry-owned wiring; its contents restore
-        with the telemetry state.
-        """
-        return {
-            "read_q": [encode_request(r) for r in self.read_q],
-            "write_q": [encode_request(r) for r in self.write_q],
-            "drain_mode": self.drain_mode,
-            "next_ref": self.next_ref,
-            "hit_streak": list(self.hit_streak),
-            "bank_last_use": list(self.bank_last_use),
-            "bank_pending": list(self.bank_pending),
-            "stats": dict(self.stats),
-            "mechanism": self.mechanism.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict, decode_request) -> None:
-        self.read_q = [decode_request(r) for r in state["read_q"]]
-        self.write_q = [decode_request(r) for r in state["write_q"]]
-        self._write_lines = dict(Counter(r.address for r in self.write_q))
-        self.drain_mode = state["drain_mode"]
-        self.next_ref = state["next_ref"]
-        self.hit_streak = list(state["hit_streak"])
-        self.bank_last_use = list(state["bank_last_use"])
-        self.bank_pending = list(state["bank_pending"])
-        self.stats = dict(state["stats"])
-        self.mechanism.load_state_dict(state["mechanism"])
-        self._idle_pass = None
 
     # ------------------------------------------------------------------
     # Row-buffer policy

@@ -159,20 +159,6 @@ class Mechanism:
         return IDLE
 
     # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Mutable mechanism state for snapshots.
-
-        The base mechanism is stateless apart from the ``_service_rows``
-        memo, which is a pure cache and is rebuilt on demand.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict` (base: nothing)."""
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:

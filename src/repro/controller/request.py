@@ -84,47 +84,6 @@ class MemRequest:
         """
         self.callback(self, finish)
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self, callback_tag: str | None) -> dict:
-        """Request state minus live object references.
-
-        ``location`` is rebuilt from the address by the mapper and the
-        ``col_cmd`` and ``sched_*`` memos are dropped (they regenerate on
-        the next scheduler pass); ``callback_tag`` names the callback
-        symbolically (the owner resolves it back to a bound method on
-        load).
-        """
-        return {
-            "type": int(self.type),
-            "address": self.address,
-            "core_id": self.core_id,
-            "arrival": self.arrival,
-            "is_prefetch": self.is_prefetch,
-            "completed_at": self.completed_at,
-            "callback": callback_tag,
-        }
-
-    @classmethod
-    def from_state_dict(
-        cls,
-        state: dict,
-        location: DramAddress,
-        callback: Callable[["MemRequest", int], None] | None,
-    ) -> "MemRequest":
-        request = cls(
-            RequestType(state["type"]),
-            state["address"],
-            location,
-            core_id=state["core_id"],
-            arrival=state["arrival"],
-            callback=callback,
-            is_prefetch=state["is_prefetch"],
-        )
-        request.completed_at = state["completed_at"]
-        return request
-
     @property
     def latency(self) -> int | None:
         """Arrival-to-completion latency in memory cycles, once finished."""

@@ -298,38 +298,6 @@ class CrowCache(Mechanism):
                     entry.is_fully_restored = True
 
     # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self, include_table: bool = True) -> dict:
-        """Counters plus (optionally) the shared CROW-table.
-
-        Composite mechanisms (:class:`~repro.core.combined.CrowCacheRef`)
-        share one table across sub-mechanisms and serialize it exactly
-        once at the wrapper, passing ``include_table=False`` here.
-        """
-        state = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "uncached": self.uncached,
-            "restores": self.restores,
-            "evictions": self.evictions,
-            "partial_restores": self.partial_restores,
-        }
-        if include_table:
-            state["table"] = self.table.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.uncached = state["uncached"]
-        self.restores = state["restores"]
-        self.evictions = state["evictions"]
-        self.partial_restores = state["partial_restores"]
-        if "table" in state:
-            self.table.load_state_dict(state["table"])
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     @property

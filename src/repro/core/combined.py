@@ -13,7 +13,7 @@ from repro.controller.mechanism import ActivationPlan, Mechanism
 from repro.dram.commands import ActTimings, CommandKind, RowId, RowKind
 from repro.dram.retention import RetentionModel
 from repro.dram.timing import CrowTimings, TimingParameters
-from repro.core.cache import CrowCache
+from repro.core.cache import CrowCache, crow_safe_copy_timings
 from repro.core.ref import CrowRef
 from repro.core.table import CrowTable
 
@@ -75,19 +75,38 @@ class CrowCacheRef(Mechanism):
         return self.ref.service_row(bank, row)
 
     def plan_activation(self, bank: int, row: int, now: int) -> ActivationPlan:
-        """Mechanism hook: choose the activation command for ``row``."""
-        if (bank, row) in self.ref.remap:
-            return self.ref.plan_activation(bank, row, now)
+        """Mechanism hook: choose the activation command for ``row``.
+
+        A remapped row is CROW-ref's; so is a row with a pending dynamic
+        (VRT) remap while a free copy row can take it. Everything else
+        is CROW-cache's.
+        """
+        ref = self.ref
+        if (bank, row) in ref.remap:
+            return ref.plan_activation(bank, row, now)
+        if (bank, row) in ref.pending_remaps:
+            plan = ref.plan_activation(bank, row, now)
+            if plan.kind is CommandKind.ACT_C:
+                return plan
         return self.cache.plan_activation(bank, row, now)
 
     def timing_variants(self) -> dict[str, ActTimings]:
         return {**self.cache.timing_variants(), **self.ref.timing_variants()}
 
     def on_activate(self, bank: int, plan: ActivationPlan, now: int) -> None:
-        # A plain ACT whose target is a copy row is a CROW-ref redirect;
-        # everything else belongs to CROW-cache.
-        """Mechanism hook: an activation command was issued."""
-        if plan.kind is CommandKind.ACT and plan.rows[0].kind is RowKind.COPY:
+        """Mechanism hook: an activation command was issued.
+
+        A plain ACT whose target is a copy row is a CROW-ref redirect,
+        and an ACT-c with CROW-ref's remap timings its dynamic remap;
+        everything else belongs to CROW-cache.
+        """
+        kind = plan.kind
+        if (
+            kind is CommandKind.ACT and plan.rows[0].kind is RowKind.COPY
+        ) or (
+            kind is CommandKind.ACT_C
+            and plan.timings is crow_safe_copy_timings(self.ref.crow)
+        ):
             self.ref.on_activate(bank, plan, now)
             return
         self.cache.on_activate(bank, plan, now)
@@ -103,22 +122,6 @@ class CrowCacheRef(Mechanism):
     def hit_rate(self) -> float:
         """CROW-table hit rate of the cache component."""
         return self.cache.hit_rate()
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """The shared table is serialized once, at this wrapper."""
-        return {
-            "table": self.table.state_dict(),
-            "ref": self.ref.state_dict(include_table=False),
-            "cache": self.cache.state_dict(include_table=False),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.table.load_state_dict(state["table"])
-        self.ref.load_state_dict(state["ref"])
-        self.cache.load_state_dict(state["cache"])
 
     def stats(self) -> dict[str, float]:
         """Mechanism-specific statistics for the metrics layer."""

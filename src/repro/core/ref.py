@@ -183,37 +183,6 @@ class CrowRef(Mechanism):
         self.pending_remaps.add((bank, row))
         return True
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self, include_table: bool = True) -> dict:
-        """Remap state plus (optionally) the shared CROW-table.
-
-        Boot-time profiling (:meth:`_profile`) re-runs deterministically at
-        construction; loading then overwrites the table and remap with the
-        saved state, which includes both the boot remaps and any runtime
-        (VRT) remaps taken since.
-        """
-        state = {
-            "remap": dict(self.remap),
-            "pending_remaps": sorted(self.pending_remaps),
-            "remap_failures": self.remap_failures,
-            "fallback_subarrays": self.fallback_subarrays,
-            "dynamic_remaps": self.dynamic_remaps,
-        }
-        if include_table:
-            state["table"] = self.table.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.remap = dict(state["remap"])
-        self.pending_remaps = set(state["pending_remaps"])
-        self.remap_failures = state["remap_failures"]
-        self.fallback_subarrays = state["fallback_subarrays"]
-        self.dynamic_remaps = state["dynamic_remaps"]
-        if "table" in state:
-            self.table.load_state_dict(state["table"])
-
     def stats(self) -> dict[str, float]:
         """Mechanism-specific statistics for the metrics layer."""
         return {

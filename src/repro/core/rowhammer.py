@@ -127,27 +127,6 @@ class RowHammerMitigation(Mechanism):
         for key in [k for k in self.counters if k[1] in rows]:
             del self.counters[key]
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "counters": dict(self.counters),
-            "remap": dict(self.remap),
-            "urgent": list(self._urgent),
-            "protected_victims": self.protected_victims,
-            "protection_failures": self.protection_failures,
-            "table": self.table.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.counters = dict(state["counters"])
-        self.remap = dict(state["remap"])
-        self._urgent = deque(tuple(v) for v in state["urgent"])
-        self.protected_victims = state["protected_victims"]
-        self.protection_failures = state["protection_failures"]
-        self.table.load_state_dict(state["table"])
-
     def stats(self) -> dict[str, float]:
         """Mechanism-specific statistics for the metrics layer."""
         return {

@@ -55,28 +55,6 @@ class CrowEntry:
         self.is_fully_restored = True
         self.last_use = -1
 
-    def state_dict(self) -> tuple:
-        """Compact positional encoding (tables hold thousands of these)."""
-        return (
-            self.subarray,
-            self.allocated,
-            self.regular_row,
-            int(self.owner),
-            self.is_fully_restored,
-            self.last_use,
-        )
-
-    def load_state_dict(self, state: tuple) -> None:
-        (
-            self.subarray,
-            self.allocated,
-            self.regular_row,
-            owner,
-            self.is_fully_restored,
-            self.last_use,
-        ) = state
-        self.owner = EntryOwner(owner)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CrowEntry(sa={self.subarray}, way={self.way}, "
@@ -114,8 +92,7 @@ class CrowTable:
         # × groups × ways entries (tens of thousands), and short runs
         # touch a small fraction of the subarrays. ``None`` stands for a
         # set whose entries are all still in the freshly-constructed
-        # state; :meth:`state_dict` emits the equivalent default tuples,
-        # so snapshots are byte-identical to an eager table's.
+        # state.
         self._sets: list[list[list[CrowEntry] | None]] = [
             [None] * groups_per_bank
             for _ in range(geometry.banks_per_channel)
@@ -226,40 +203,6 @@ class CrowTable:
         entry.regular_row = -1
         entry.owner = EntryOwner.UNUSABLE
         entry.is_fully_restored = True
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Entry contents; the set/way structure is construction-fixed."""
-        default_set = [
-            CrowEntry(subarray=-1, way=w).state_dict()
-            for w in range(self.ways)
-        ]
-        return {
-            "sets": [
-                [
-                    list(default_set)
-                    if entries is None
-                    else [entry.state_dict() for entry in entries]
-                    for entries in bank_sets
-                ]
-                for bank_sets in self._sets
-            ],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        for bank_sets, bank_state in zip(self._sets, state["sets"]):
-            for group, entries_state in enumerate(bank_state):
-                entries = bank_sets[group]
-                if entries is None:
-                    entries = [
-                        CrowEntry(subarray=-1, way=w)
-                        for w in range(self.ways)
-                    ]
-                    bank_sets[group] = entries
-                for entry, entry_state in zip(entries, entries_state):
-                    entry.load_state_dict(entry_state)
 
     # ------------------------------------------------------------------
     # Statistics / overhead accounting

@@ -209,41 +209,6 @@ class Llc:
         self._sets = sets
 
     # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Contents + stats. Sets serialize as ordered (tag, dirty,
-        prefetched) bool triples: dict insertion order *is* the LRU
-        stack, so order must survive the round trip exactly."""
-        return {
-            "sets": [
-                [
-                    (tag, bool(flags & DIRTY), bool(flags & PREFETCHED))
-                    for tag, flags in entries.items()
-                ]
-                for entries in self._sets
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-            "writebacks": self.writebacks,
-            "prefetch_fills": self.prefetch_fills,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._sets = [
-            {
-                tag: (DIRTY if dirty else 0)
-                | (PREFETCHED if prefetched else 0)
-                for tag, dirty, prefetched in entries
-            }
-            for entries in state["sets"]
-        ]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.writebacks = state["writebacks"]
-        self.prefetch_fills = state["prefetch_fills"]
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     @property

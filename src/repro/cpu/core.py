@@ -74,7 +74,7 @@ class _MemOp:
     The op itself is the ``on_complete`` callable handed to the memory
     port — call it with the finish cycle and it retires/wakes its core.
     Being a plain object with value state (rather than a closure) is what
-    lets :mod:`repro.snapshot` serialize in-flight accesses.
+    lets :mod:`repro.snapshot` pickle in-flight accesses.
     """
 
     __slots__ = ("core", "is_store", "counts_mshr", "done")
@@ -91,19 +91,6 @@ class _MemOp:
         if self.counts_mshr:
             core.outstanding -= 1
         core.notify(finish)
-
-    def state_dict(self) -> dict:
-        """Serializable value state (the owning core is contextual)."""
-        return {
-            "is_store": self.is_store,
-            "counts_mshr": self.counts_mshr,
-            "done": self.done,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.is_store = state["is_store"]
-        self.counts_mshr = state["counts_mshr"]
-        self.done = state["done"]
 
 
 class Core:
@@ -331,68 +318,3 @@ class Core:
         ):
             self.finish_cycle = now
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def window_op(self, index: int) -> _MemOp:
-        """The in-flight load at window position ``index`` (snapshot ref
-        target: the event heap stores ``("win", core, index)`` for loads
-        that live both in the window and on the heap/waiter lists)."""
-        entry = self._window[index]
-        if not isinstance(entry, _MemOp):
-            raise TypeError(f"window[{index}] is a bubble run, not a _MemOp")
-        return entry
-
-    def state_dict(self) -> dict:
-        """Window contents, trace position, and retire/measure state.
-
-        Requires the trace to be a :class:`repro.trace.TraceStream` (the
-        snapshot layer checks and raises a structured error first).
-        """
-        window: list = []
-        for entry in self._window:
-            if isinstance(entry, _MemOp):
-                window.append(("op", entry.state_dict()))
-            else:
-                window.append(("bub", entry[0]))
-        return {
-            "trace": self.trace.state_dict(),
-            "window": window,
-            "occupancy": self._occupancy,
-            "bubbles_left": self._bubbles_left,
-            "pending": tuple(self._pending) if self._pending is not None else None,
-            "trace_done": self._trace_done,
-            "outstanding": self.outstanding,
-            "retired": self.retired,
-            "next_wake": self.next_wake,
-            "mshr_stalls": self.mshr_stalls,
-            "measure_start_cycle": self.measure_start_cycle,
-            "measure_start_retired": self.measure_start_retired,
-            "target_instructions": self.target_instructions,
-            "finish_cycle": self.finish_cycle,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.trace.load_state_dict(state["trace"])
-        window: deque = deque()
-        for tag, payload in state["window"]:
-            if tag == "op":
-                op = _MemOp(self)
-                op.load_state_dict(payload)
-                window.append(op)
-            else:
-                window.append([payload])
-        self._window = window
-        self._occupancy = state["occupancy"]
-        self._bubbles_left = state["bubbles_left"]
-        pending = state["pending"]
-        self._pending = TraceRecord(*pending) if pending is not None else None
-        self._trace_done = state["trace_done"]
-        self.outstanding = state["outstanding"]
-        self.retired = state["retired"]
-        self.next_wake = state["next_wake"]
-        self.mshr_stalls = state["mshr_stalls"]
-        self.measure_start_cycle = state["measure_start_cycle"]
-        self.measure_start_retired = state["measure_start_retired"]
-        self.target_instructions = state["target_instructions"]
-        self.finish_cycle = state["finish_cycle"]

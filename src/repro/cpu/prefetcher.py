@@ -65,24 +65,6 @@ class RptPrefetcher:
         entry[:] = [address, new_stride, _TRANSIENT]
         return []
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Table contents (order = LRU stack) plus counters."""
-        return {
-            "table": [(pc, list(entry)) for pc, entry in self._table.items()],
-            "issued": self.issued,
-            "useful": self.useful,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._table = OrderedDict(
-            (pc, list(entry)) for pc, entry in state["table"]
-        )
-        self.issued = state["issued"]
-        self.useful = state["useful"]
-
     def accuracy(self) -> float:
         """Useful prefetches over issued prefetches."""
         return self.useful / self.issued if self.issued else 0.0

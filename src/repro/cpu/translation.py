@@ -115,25 +115,6 @@ class VirtualMemory:
                 self._used_frames.add(frame)
                 return frame
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Page table plus the allocator RNG position.
-
-        ``_used_frames`` is derivable (the page table's value set), so it
-        is rebuilt on load rather than stored.
-        """
-        return {
-            "page_table": dict(self._page_table),
-            "rng_state": self._rng.bit_generator.state,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._page_table = dict(state["page_table"])
-        self._used_frames = set(self._page_table.values())
-        self._rng.bit_generator.state = state["rng_state"]
-
     @property
     def mapped_pages(self) -> int:
         """Virtual pages translated so far."""

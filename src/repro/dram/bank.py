@@ -198,32 +198,6 @@ class BankState:
             raise ProtocolError("refresh requires all banks precharged")
         self.ready_act = max(self.ready_act, done_at)
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """All mutable bank state (timing config is construction-owned)."""
-        return {
-            "open_rows": self.open_rows,
-            "act_time": self.act_time,
-            "act_timings": self.act_timings,
-            "ready_act": self.ready_act,
-            "last_rd_time": self.last_rd_time,
-            "last_wr_time": self.last_wr_time,
-            "wrote_with_reduced_twr": self.wrote_with_reduced_twr,
-            "open_cycles_total": self.open_cycles_total,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.open_rows = state["open_rows"]
-        self.act_time = state["act_time"]
-        self.act_timings = state["act_timings"]
-        self.ready_act = state["ready_act"]
-        self.last_rd_time = state["last_rd_time"]
-        self.last_wr_time = state["last_wr_time"]
-        self.wrote_with_reduced_twr = state["wrote_with_reduced_twr"]
-        self.open_cycles_total = state["open_cycles_total"]
-
 
 class SalpBankState:
     """A SALP-MASA bank: per-subarray row buffers, shared global bus.
@@ -301,22 +275,3 @@ class SalpBankState:
         for slot in self.subarrays.values():
             slot.refresh_completed(done_at)
 
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "subarrays": {
-                i: slot.state_dict() for i, slot in self.subarrays.items()
-            },
-            "open_cycles_total": self.open_cycles_total,
-            "bank_active_cycles": self.bank_active_cycles,
-            "active_since": self._active_since,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        for i, slot_state in state["subarrays"].items():
-            self.subarrays[i].load_state_dict(slot_state)
-        self.open_cycles_total = state["open_cycles_total"]
-        self.bank_active_cycles = state["bank_active_cycles"]
-        self._active_since = state["active_since"]

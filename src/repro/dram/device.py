@@ -106,10 +106,10 @@ class DramChannel:
         self.busy_reads = 0
         #: State versions for schedulers that keep derived per-request
         #: state. ``version`` moves with every accepted command (and one
-        #: that raises part-way through its state change) and restore;
+        #: that raises part-way through its state change);
         #: ``bank_versions[b]`` is the ``version`` at which bank ``b``'s
-        #: state last changed (REF and ``load_state_dict`` change every
-        #: bank). Never serialized: a restore is itself a change.
+        #: state last changed (REF changes every bank). A snapshot
+        #: carries both with the request memos stamped by them.
         self.version = 0
         self.bank_versions = [0] * geometry.banks_per_channel
         # channel_bounds() memo, valid while _bounds_version == version.
@@ -421,45 +421,6 @@ class DramChannel:
         stop = start + rows_per_ref
         self.refresh_cursor = stop % self.geometry.rows_per_bank
         return range(start, stop)
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """All mutable channel/rank/bank state.
-
-        Observers are wiring, not state: ``System`` construction
-        re-attaches them, and each carries its own state.
-        """
-        return {
-            "banks": [bank.state_dict() for bank in self.banks],
-            "cmd_bus_free": self.cmd_bus_free,
-            "act_history": list(self.act_history),
-            "last_act_time": self.last_act_time,
-            "last_rd_issue": self.last_rd_issue,
-            "last_wr_issue": self.last_wr_issue,
-            "ref_busy_until": self.ref_busy_until,
-            "refresh_cursor": self.refresh_cursor,
-            "counts": {int(kind): n for kind, n in self.counts.items()},
-            "busy_reads": self.busy_reads,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        for bank, bank_state in zip(self.banks, state["banks"]):
-            bank.load_state_dict(bank_state)
-        self.cmd_bus_free = state["cmd_bus_free"]
-        self.act_history = deque(state["act_history"], maxlen=4)
-        self.last_act_time = state["last_act_time"]
-        self.last_rd_issue = state["last_rd_issue"]
-        self.last_wr_issue = state["last_wr_issue"]
-        self.ref_busy_until = state["ref_busy_until"]
-        self.refresh_cursor = state["refresh_cursor"]
-        self.counts = {
-            CommandKind(kind): n for kind, n in state["counts"].items()
-        }
-        self.busy_reads = state["busy_reads"]
-        self.version += 1
-        self.bank_versions[:] = [self.version] * len(self.banks)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -12,7 +12,7 @@ mechanism issues are declared by the mechanism itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -67,9 +67,6 @@ class CommandTables:
     tfaw_window: int
     trfc: int
     bus_cycles: tuple
-    legality: Mapping[CommandKind, str] = field(
-        default_factory=lambda: COMMAND_LEGALITY
-    )
 
 
 @lru_cache(maxsize=None)

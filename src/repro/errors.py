@@ -83,8 +83,8 @@ class SnapshotError(ReproError):
     """A snapshot could not be written, read, or applied.
 
     Raised by :mod:`repro.snapshot` for corrupt or truncated containers,
-    format-version mismatches, and system configurations that cannot be
-    serialized (functional cell arrays, traces without provenance).
+    format-version mismatches, and systems that cannot be serialized
+    (traces without provenance, unpicklable state).
     Configuration *incompatibility* between a snapshot and the system
     restoring it raises :class:`ConfigError` instead.
     """

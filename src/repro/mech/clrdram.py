@@ -129,29 +129,6 @@ class ClrDram(Mechanism):
             self.counters[key] = count
 
     # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "coupled": list(self.coupled.items()),
-            "counters": list(self.counters.items()),
-            "fast_acts": self.fast_acts,
-            "promotions": self.promotions,
-            "demotions": self.demotions,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.coupled = {
-            tuple(key): owner for key, owner in state["coupled"]
-        }
-        self.counters = {
-            tuple(key): count for key, count in state["counters"]
-        }
-        self.fast_acts = state["fast_acts"]
-        self.promotions = state["promotions"]
-        self.demotions = state["demotions"]
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
@@ -238,20 +215,6 @@ class ClrInvariant(CheckerInvariant):
             self._counters.pop((bank, bank_row ^ 1), None)
         else:
             self._counters[key] = count
-
-    def state_dict(self) -> dict:
-        return {
-            "coupled": list(self._coupled.items()),
-            "counters": list(self._counters.items()),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._coupled = {
-            tuple(key): owner for key, owner in state["coupled"]
-        }
-        self._counters = {
-            tuple(key): count for key, count in state["counters"]
-        }
 
 
 @register_mechanism("clr-dram")

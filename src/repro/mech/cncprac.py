@@ -122,29 +122,6 @@ class CncPrac(Mechanism):
             self.ref_absorbed += 1
 
     # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "counters": list(self.counters.items()),
-            "pending": list(self.pending),
-            "alerts": self.alerts,
-            "mitigations": self.mitigations,
-            "coalesced": self.coalesced,
-            "ref_absorbed": self.ref_absorbed,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.counters = {
-            tuple(key): count for key, count in state["counters"]
-        }
-        self.pending = {tuple(key): True for key in state["pending"]}
-        self.alerts = state["alerts"]
-        self.mitigations = state["mitigations"]
-        self.coalesced = state["coalesced"]
-        self.ref_absorbed = state["ref_absorbed"]
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
@@ -262,22 +239,6 @@ class PracInvariant(CheckerInvariant):
                         f"its deadline at end of run"
                     ),
                 )
-
-    def state_dict(self) -> dict:
-        return {
-            "counters": list(self._counters.items()),
-            "pending": list(self._pending.items()),
-            "refresh_cursor": self._refresh_cursor,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._counters = {
-            tuple(key): count for key, count in state["counters"]
-        }
-        self._pending = {
-            tuple(key): deadline for key, deadline in state["pending"]
-        }
-        self._refresh_cursor = state["refresh_cursor"]
 
 
 @register_mechanism("cnc-prac")

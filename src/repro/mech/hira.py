@@ -71,8 +71,8 @@ class HiddenRowActivation(Mechanism):
         #: over the channel instead of hammering one bank.
         self._cursor = 0
         self._next_due = self.interval
-        # Derived, never serialized: the memoized urgent plan for the
-        # current cursor position (identity-compared in on_activate).
+        # The memoized urgent plan for the current cursor position
+        # (identity-compared in on_activate).
         self._plan: ActivationPlan | None = None
         self._plan_cursor = -1
         self.refresh_acts = 0
@@ -116,25 +116,6 @@ class HiddenRowActivation(Mechanism):
     def next_wake(self, now: int) -> int:
         """Wake an idle controller when the next refresh comes due."""
         return self._next_due if self.refresh_on else IDLE
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "cursor": self._cursor,
-            "next_due": self._next_due,
-            "refresh_acts": self.refresh_acts,
-            "refresh_rounds": self.refresh_rounds,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._cursor = state["cursor"]
-        self._next_due = state["next_due"]
-        self.refresh_acts = state["refresh_acts"]
-        self.refresh_rounds = state["refresh_rounds"]
-        self._plan = None
-        self._plan_cursor = -1
 
     # ------------------------------------------------------------------
     # Statistics
@@ -202,13 +183,6 @@ class HiraRefreshInvariant(CheckerInvariant):
                     f"cannot cover the refresh window"
                 ),
             )
-
-    def state_dict(self) -> dict:
-        return {"cursor": self._cursor, "advanced": self._advanced}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._cursor = state["cursor"]
-        self._advanced = state["advanced"]
 
 
 @register_mechanism("hira")

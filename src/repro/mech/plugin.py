@@ -6,7 +6,7 @@ hook, what the name does to the DRAM geometry, whether the controller
 runs the REF loop, and which conformance invariants the shadow checker
 should enforce on top of the JEDEC/CROW rules. The plugin itself holds
 no run state — everything mutable lives on the ``Mechanism`` instances
-it builds (one per channel), which snapshot with the controller. The
+it builds (one per channel), which are pickled with the system. The
 activation timings a mechanism issues are declared by those instances
 (:meth:`~repro.controller.mechanism.Mechanism.timing_variants`), so no
 plugin hook re-derives them.

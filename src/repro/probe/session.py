@@ -23,14 +23,15 @@ The host-facing surface deliberately leaks none of that: routines in
 
 Every exploratory :meth:`attempt` is sandboxed: the channel (and the
 optional strict shadow :class:`~repro.check.ProtocolChecker`) are
-snapshotted via their ``state_dict`` support before the command and
-restored after, so probing a rejection never corrupts the timeline —
+pickled before the command and the session swaps in the unpickled
+copies after, so probing a rejection never corrupts the timeline —
 exactly the mark/rollback discipline a SoftMC host applies by
 re-initializing the module between experiments.
 """
 
 from __future__ import annotations
 
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -136,6 +137,9 @@ class ProbeSession:
             else None
         )
         self.now = 0
+        #: The :meth:`mark` token of the current state, until a command
+        #: issues.
+        self._token: bytes | None = None
         self.stats = StatRegistry()
         probe = self.stats.group("probe")
         self._n_attempts = probe.counter(
@@ -235,24 +239,28 @@ class ProbeSession:
     # ------------------------------------------------------------------
     # Mark / restore (the SoftMC "re-initialize between experiments")
     # ------------------------------------------------------------------
-    def mark(self) -> dict:
-        """Snapshot the channel + shadow checker + session clock."""
-        return {
-            "device": self.device.state_dict(),
-            "checker": (
-                self.checker.state_dict()
-                if self.checker is not None
-                else None
-            ),
-            "now": self.now,
-        }
+    def mark(self) -> bytes:
+        """Snapshot the channel + shadow checker + session clock.
 
-    def restore(self, token: dict) -> None:
-        """Roll the session back to a :meth:`mark` token."""
-        self.device.load_state_dict(token["device"])
-        if self.checker is not None and token["checker"] is not None:
-            self.checker.load_state_dict(token["checker"])
-        self.now = token["now"]
+        The token is ``pickle.dumps((device, checker, now))``. Sandboxed
+        attempts mark the same state over and over, so the token of the
+        state last marked or restored is kept until a command issues.
+        """
+        if self._token is None:
+            self._token = pickle.dumps(
+                (self.device, self.checker, self.now),
+                pickle.HIGHEST_PROTOCOL,
+            )
+        return self._token
+
+    def restore(self, token: bytes) -> None:
+        """Roll the session back to a :meth:`mark` token.
+
+        The session's references are swapped for unpickled copies;
+        nothing else holds the device or checker.
+        """
+        self.device, self.checker, self.now = pickle.loads(token)
+        self._token = token
         self._n_restores.add()
 
     @contextmanager
@@ -268,6 +276,7 @@ class ProbeSession:
     # Command issue
     # ------------------------------------------------------------------
     def _issue(self, command: Command, at: int) -> ProbeOutcome:
+        self._token = None
         try:
             self.device.validate_address(command)
         except ProtocolError:

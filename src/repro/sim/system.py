@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from repro.controller import ChannelController, FrFcfsCap, MemRequest, RequestType
 from repro.cpu import Core, Llc, RptPrefetcher, VirtualMemory
-from repro.cpu.core import TraceRecord, _MemOp
+from repro.cpu.core import TraceRecord
 from repro.dram import AddressMapper, CellArray, DramChannel
 from repro.energy import (
     ChannelActivity,
@@ -51,7 +51,7 @@ class _EventQueue:
     Callbacks receive their own scheduled time — every event in this
     simulator is a completion firing *at* its finish cycle, so passing
     the timestamp back removes the need for per-event closures (which a
-    snapshot could not serialize; see :mod:`repro.snapshot`). The heap
+    snapshot could not pickle; see :mod:`repro.snapshot`). The heap
     therefore only ever holds three callable shapes: a
     :class:`repro.cpu.core._MemOp`, a
     :class:`repro.controller.request.MemRequest`, or the telemetry
@@ -73,35 +73,6 @@ class _EventQueue:
     def next_time(self) -> int:
         """Timestamp of the earliest pending event (IDLE if none)."""
         return self._heap[0][0] if self._heap else IDLE
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self, encode_event) -> dict:
-        """Pending events with their exact (time, seq) ordering keys.
-
-        ``encode_event`` maps each callable to a value encoding (the
-        System owns the mapping: window refs, request state, epoch tag).
-        The heap is stored sorted — sorting only compares the unique
-        ``(time, seq)`` prefix, and a sorted list is a valid heap.
-        """
-        return {
-            "heap": [
-                (time, seq, encode_event(fn))
-                for time, seq, fn in sorted(
-                    self._heap, key=lambda event: (event[0], event[1])
-                )
-            ],
-            "seq": self._seq,
-        }
-
-    def load_state_dict(self, state: dict, decode_event) -> None:
-        self._heap = [
-            (time, seq, decode_event(encoded))
-            for time, seq, encoded in state["heap"]
-        ]
-        heapq.heapify(self._heap)
-        self._seq = state["seq"]
 
 
 class MemoryPort:
@@ -211,8 +182,8 @@ class MemoryPort:
     def _fill_done(self, request: MemRequest, finish: int) -> None:
         """Completion callback for every fill this port issued.
 
-        A bound method (not a per-miss closure) so snapshots can encode
-        it by name. The fill's nature is carried by the request itself:
+        A bound method (not a per-miss closure) so snapshots can pickle
+        it. The fill's nature is carried by the request itself:
         prefetch fills allocate at completion time and may evict a dirty
         victim; demand fills allocated at issue time. The outstanding
         entry's waiters are demand completions merged onto the fill.
@@ -273,38 +244,6 @@ class MemoryPort:
         """Zero statistics at the warm-up boundary."""
         self.demand_misses_per_core = [0] * self.system.config.cores
         self.demand_accesses_per_core = [0] * self.system.config.cores
-
-    # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self, encode_op) -> dict:
-        """Outstanding fills (with waiter refs) and per-core counters.
-
-        ``encode_op`` maps each waiter ``_MemOp`` to a value encoding
-        that preserves aliasing with the owning core's window (the same
-        op object can sit in a window *and* on a waiter list, and its
-        ``done`` flag must stay shared after a restore).
-        """
-        return {
-            "outstanding": [
-                (line, entry[0], [encode_op(op) for op in entry[1:]])
-                for line, entry in self._outstanding.items()
-            ],
-            "demand_misses_per_core": list(self.demand_misses_per_core),
-            "demand_accesses_per_core": list(self.demand_accesses_per_core),
-            "dropped_writebacks": self.dropped_writebacks,
-        }
-
-    def load_state_dict(self, state: dict, decode_op) -> None:
-        self._outstanding = {
-            line: [was_prefetch, *(decode_op(tag) for tag in waiters)]
-            for line, was_prefetch, waiters in state["outstanding"]
-        }
-        self.demand_misses_per_core = list(state["demand_misses_per_core"])
-        self.demand_accesses_per_core = list(
-            state["demand_accesses_per_core"]
-        )
-        self.dropped_writebacks = state["dropped_writebacks"]
 
 
 class System:
@@ -826,15 +765,10 @@ class System:
         )
 
     # ------------------------------------------------------------------
-    # Snapshot support
+    # Snapshots
     # ------------------------------------------------------------------
     def _snapshot_guard(self) -> None:
-        """Reject configurations whose state cannot be serialized."""
-        if self.config.functional_cells:
-            raise SnapshotError(
-                "functional cell arrays are not snapshot-serializable; "
-                "run with functional_cells=False to checkpoint"
-            )
+        """Reject systems whose traces cannot be rebuilt on restore."""
         for core in self.cores:
             if not isinstance(core.trace, TraceStream):
                 raise SnapshotError(
@@ -844,155 +778,6 @@ class System:
                     "build these automatically)"
                 )
 
-    def _callback_tag(self, callback) -> str | None:
-        """Symbolic name for a request completion callback."""
-        if callback is None:
-            return None
-        if callback == self.port._fill_done:
-            return "fill"
-        raise SnapshotError(
-            f"unserializable request callback {callback!r}"
-        )
-
-    def _resolve_callback(self, tag: str | None):
-        if tag is None:
-            return None
-        if tag == "fill":
-            return self.port._fill_done
-        raise SnapshotError(f"unknown request callback tag {tag!r}")
-
-    def state_dict(self) -> dict:
-        """Complete mutable simulation state as plain value data.
-
-        In-flight ``_MemOp`` completions are encoded by *reference* when
-        they alias a core's instruction window — ``("win", core, index)``
-        — and by value otherwise (``"free"``: store completions, which
-        never enter a window). In-flight ``MemRequest`` events encode as
-        ``("req", state)`` with a symbolic callback tag, and the pending
-        telemetry epoch sample as ``("epoch",)``. A request is never
-        simultaneously queued in a controller and scheduled on the event
-        heap, and an op is never on the heap and a waiter list at once,
-        so these encodings cover every aliasing pattern that exists.
-        """
-        window_map: dict[int, tuple] = {}
-        for core in self.cores:
-            for index, entry in enumerate(core._window):
-                if isinstance(entry, _MemOp):
-                    window_map[id(entry)] = ("win", core.core_id, index)
-
-        def encode_op(op: _MemOp) -> tuple:
-            tagged = window_map.get(id(op))
-            if tagged is not None:
-                return tagged
-            return (
-                "free", op.core.core_id, op.is_store, op.counts_mshr,
-                op.done,
-            )
-
-        def encode_request(request: MemRequest) -> dict:
-            return request.state_dict(self._callback_tag(request.callback))
-
-        def encode_event(fn) -> tuple:
-            if isinstance(fn, _MemOp):
-                return encode_op(fn)
-            if isinstance(fn, MemRequest):
-                return ("req", encode_request(fn))
-            if self.telemetry is not None and fn == self.telemetry._on_epoch:
-                return ("epoch",)
-            raise SnapshotError(
-                f"event heap holds an unserializable callback {fn!r}"
-            )
-
-        return {
-            "now": self.now,
-            "measure_start": self._measure_start,
-            "cores": [core.state_dict() for core in self.cores],
-            "channels": [channel.state_dict() for channel in self.channels],
-            "controllers": [
-                controller.state_dict(encode_request)
-                for controller in self.controllers
-            ],
-            "controller_wakes": [c.next_wake for c in self.controllers],
-            "llc": self.llc.state_dict(),
-            "vm": self.vm.state_dict(),
-            "prefetchers": [p.state_dict() for p in self.prefetchers],
-            "port": self.port.state_dict(encode_op),
-            "events": self.events.state_dict(encode_event),
-            "telemetry": (
-                self.telemetry.state_dict()
-                if self.telemetry is not None
-                else None
-            ),
-            "checkers": [checker.state_dict() for checker in self.checkers],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Overwrite this (freshly constructed) system's mutable state.
-
-        Cores load first so the instruction windows exist before heap and
-        waiter-list references into them are decoded.
-        """
-        self.now = state["now"]
-        self._measure_start = state["measure_start"]
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.load_state_dict(core_state)
-
-        def decode_op(tag: tuple) -> _MemOp:
-            if tag[0] == "win":
-                return self.cores[tag[1]].window_op(tag[2])
-            _, core_id, is_store, counts_mshr, done = tag
-            op = _MemOp(self.cores[core_id], is_store=is_store)
-            op.counts_mshr = counts_mshr
-            op.done = done
-            return op
-
-        def decode_request(request_state: dict) -> MemRequest:
-            return MemRequest.from_state_dict(
-                request_state,
-                self.mapper.decode(request_state["address"]),
-                self._resolve_callback(request_state["callback"]),
-            )
-
-        def decode_event(tag: tuple):
-            kind = tag[0]
-            if kind in ("win", "free"):
-                return decode_op(tag)
-            if kind == "req":
-                return decode_request(tag[1])
-            if kind == "epoch":
-                if self.telemetry is None:
-                    raise SnapshotError(
-                        "snapshot holds a telemetry epoch event but this "
-                        "system has telemetry disabled"
-                    )
-                return self.telemetry._on_epoch
-            raise SnapshotError(f"unknown event encoding {kind!r}")
-
-        for channel, channel_state in zip(self.channels, state["channels"]):
-            channel.load_state_dict(channel_state)
-        for controller, controller_state, wake in zip(
-            self.controllers, state["controllers"], state["controller_wakes"]
-        ):
-            controller.load_state_dict(controller_state, decode_request)
-            controller.next_wake = wake
-        self.llc.load_state_dict(state["llc"])
-        self.vm.load_state_dict(state["vm"])
-        for prefetcher, prefetcher_state in zip(
-            self.prefetchers, state["prefetchers"]
-        ):
-            prefetcher.load_state_dict(prefetcher_state)
-        self.port.load_state_dict(state["port"], decode_op)
-        self.events.load_state_dict(state["events"], decode_event)
-        if state["telemetry"] is not None:
-            if self.telemetry is None:
-                raise SnapshotError(
-                    "snapshot holds telemetry state but this system has "
-                    "telemetry disabled"
-                )
-            self.telemetry.load_state_dict(state["telemetry"])
-        for checker, checker_state in zip(self.checkers, state["checkers"]):
-            checker.load_state_dict(checker_state)
-
     def save_snapshot(
         self, path: "str | Path", run_state: dict | None = None
     ) -> None:
@@ -1001,7 +786,10 @@ class System:
         ``run_state`` (the loop parameters of an in-flight :meth:`run`)
         makes the snapshot *resumable*: :meth:`resume` continues it to a
         result whose telemetry digest is byte-identical to the
-        uninterrupted run's.
+        uninterrupted run's. The payload is this system itself, pickled
+        whole, so every field travels with it; a system holding an
+        unpicklable object raises :class:`SnapshotError` and writes
+        nothing.
         """
         self._snapshot_guard()
         from repro.sim.campaign import config_digest
@@ -1018,12 +806,7 @@ class System:
             "seeds": [core.trace.seed for core in self.cores],
             "resumable": run_state is not None,
         }
-        payload = {
-            "config": self.config,
-            "state": self.state_dict(),
-            "run": run_state,
-        }
-        write_snapshot(path, header, payload)
+        write_snapshot(path, header, {"system": self, "run": run_state})
 
     @classmethod
     def _restore_with_run(
@@ -1049,16 +832,7 @@ class System:
                     f"{header.get('mechanism')!r}) but restore expected "
                     f"digest {expected} (mechanism {config.mechanism!r})"
                 )
-        state = payload["state"]
-        traces = [
-            TraceStream(
-                core_state["trace"]["workload"], core_state["trace"]["seed"]
-            )
-            for core_state in state["cores"]
-        ]
-        system = cls(payload["config"], traces)
-        system.load_state_dict(state)
-        return system, payload.get("run")
+        return payload["system"], payload["run"]
 
     @classmethod
     def restore(
@@ -1066,12 +840,10 @@ class System:
         path: "str | Path",
         config: SystemConfig | None = None,
     ) -> "System":
-        """Rebuild a system from a full snapshot.
+        """Unpickle the system a full snapshot holds.
 
-        Construction re-runs deterministically from the embedded config
-        (geometry, retention profiling, boot-time remaps), then the saved
-        state overwrites everything mutable. Passing ``config`` asserts
-        the snapshot is compatible with it (:class:`ConfigError` if not).
+        Passing ``config`` asserts the snapshot is compatible with it
+        (:class:`ConfigError` if not).
         """
         system, _ = cls._restore_with_run(path, config)
         return system

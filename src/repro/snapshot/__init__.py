@@ -3,10 +3,10 @@
 This package provides the storage substrate for three features:
 
 - **Checkpoint/resume** — :meth:`repro.sim.system.System.save_snapshot`
-  serializes the complete simulation state (cores, LLC, controller
+  pickles the complete simulation state (cores, LLC, controller
   queues, DRAM bank state, CROW tables, the event heap, telemetry, the
   protocol checkers) into one versioned container;
-  :meth:`System.restore` rebuilds a byte-equivalent system and
+  :meth:`System.restore` unpickles an equivalent system and
   :meth:`System.resume` continues an interrupted run to completion with
   a telemetry digest identical to the uninterrupted run.
 - **Shared warm state** — :mod:`repro.snapshot.warm` names and stores
@@ -14,14 +14,17 @@ This package provides the storage substrate for three features:
   each distinct state once and its mechanism variants adopt it instead
   of re-warming (:func:`warmup_digest` guards compatibility).
 - **Inspection** — ``python -m repro snapshot`` (inspect/verify/diff/
-  resume) works off :func:`read_header` / :func:`read_snapshot`.
+  resume) works off :func:`read_header` / :func:`read_snapshot`; a diff
+  compares the :func:`state_tree` projections of two payloads, so it
+  names every differing field by its attribute path.
 
-Design rule: every stateful component exposes ``state_dict()`` /
-``load_state_dict()`` returning plain value data — no component
-references, no closures. Restoring always goes through ordinary
-``System(config, traces)`` construction (fully deterministic) followed
-by a wholesale state overwrite, so construction-time wiring (observer
-hooks, bound-method callbacks) never needs to be serialized.
+Design rule: ``pickle`` is the only serializer of live simulator state.
+A full snapshot pickles the ``System`` object graph as it stands —
+wiring, memos and all — so no component re-describes its fields, and a
+field cannot be forgotten. What the graph holds must therefore be
+picklable: completion callbacks are objects or bound methods, never
+closures, and a :class:`~repro.trace.TraceStream` pickles as its
+``(workload, seed, consumed)`` provenance.
 """
 
 from repro.snapshot.container import (
@@ -31,6 +34,7 @@ from repro.snapshot.container import (
     read_snapshot,
     write_snapshot,
 )
+from repro.snapshot.tree import state_tree
 from repro.snapshot.warm import warmup_digest
 
 __all__ = [
@@ -39,5 +43,6 @@ __all__ = [
     "read_header",
     "read_snapshot",
     "write_snapshot",
+    "state_tree",
     "warmup_digest",
 ]

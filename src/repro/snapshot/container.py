@@ -16,9 +16,11 @@ A snapshot file is a small self-describing binary container:
 The header carries cheap-to-read metadata (snapshot kind, configuration
 digest, cycle, mechanism — everything ``python -m repro snapshot
 inspect`` prints) and is readable without touching the payload.  The
-payload is the full component state-dict tree; pickling is safe here
-because snapshots are local artifacts the same codebase wrote (the
-digest trailer rejects torn or tampered files before unpickling).
+payload is a pickle of live objects — for a full snapshot the
+:class:`~repro.sim.system.System` itself — so it has no schema of its
+own; unpickling is safe here because snapshots are local artifacts the
+same codebase wrote (the digest trailer rejects torn or tampered files
+before unpickling).
 
 Writes are atomic: the container is assembled in a process-unique
 sibling file and moved into place with :func:`os.replace`, so a killed
@@ -49,10 +51,11 @@ __all__ = [
 
 MAGIC = b"CROWSNAP"
 
-#: Bump on any incompatible change to the container layout *or* to the
-#: component state-dict schema the payload carries. Old snapshots are
+#: Bump on any incompatible change to the container layout or to what
+#: the payload holds. v1 payloads were hand-written component state
+#: dicts; v2 payloads pickle the live objects. Old snapshots are
 #: rejected with a structured :class:`SnapshotError`, never misread.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DIGEST_SIZE = 32
 
@@ -62,7 +65,9 @@ def write_snapshot(path: "str | Path", header: dict, payload: object) -> None:
 
     ``header`` must be JSON-serializable; the ``format_version`` key is
     stamped in here and must not be supplied by the caller. ``payload``
-    is an arbitrary picklable object (in practice the state-dict tree).
+    is an arbitrary picklable object; one that cannot be pickled raises
+    :class:`SnapshotError` naming ``path`` and the offending type, and
+    nothing is written.
     """
     if "format_version" in header:
         raise SnapshotError("header key 'format_version' is reserved")
@@ -70,9 +75,13 @@ def write_snapshot(path: "str | Path", header: dict, payload: object) -> None:
     stamped = dict(header)
     stamped["format_version"] = FORMAT_VERSION
     header_bytes = json.dumps(stamped, sort_keys=True).encode("utf-8")
-    payload_bytes = zlib.compress(
-        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL), 6
-    )
+    try:
+        pickled = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise SnapshotError(
+            f"{path}: cannot pickle the payload: {exc}"
+        ) from exc
+    payload_bytes = zlib.compress(pickled, 6)
     buffer = io.BytesIO()
     buffer.write(MAGIC)
     buffer.write(struct.pack(">I", FORMAT_VERSION))

@@ -179,43 +179,6 @@ class SystemTelemetry:
         system.events.schedule(self._epoch_end, self._on_epoch)
 
     # ------------------------------------------------------------------
-    # Snapshot support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Live-instrument contents and sampler position.
-
-        The registry *structure* (groups, stat names) is rebuilt by
-        construction; harvest-time counters are populated at
-        :meth:`finalize` and need no state here. The pending epoch event
-        itself is serialized by the system event heap (as an ``"epoch"``
-        entry), not here.
-        """
-        return {
-            "start": self._start,
-            "epoch_end": self._epoch_end,
-            "baseline": dict(self._baseline),
-            "latency_hists": [h.state_dict() for h in self.latency_hists],
-            "series": {
-                s.name: s.state_dict()
-                for s in (self.s_ipc, self.s_hit, self.s_lat, self.s_crow,
-                          self.s_readq, self.s_writeq, self.s_mshr)
-            },
-            "trace": self.trace.state_dict() if self.trace is not None else None,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._start = state["start"]
-        self._epoch_end = state["epoch_end"]
-        self._baseline = dict(state["baseline"])
-        for hist, hist_state in zip(self.latency_hists, state["latency_hists"]):
-            hist.load_state_dict(hist_state)
-        for series in (self.s_ipc, self.s_hit, self.s_lat, self.s_crow,
-                       self.s_readq, self.s_writeq, self.s_mshr):
-            series.load_state_dict(state["series"][series.name])
-        if self.trace is not None and state["trace"] is not None:
-            self.trace.load_state_dict(state["trace"])
-
-    # ------------------------------------------------------------------
     # Harvest
     # ------------------------------------------------------------------
     def finalize(self, end: int, cycles: int) -> dict:

@@ -217,23 +217,6 @@ class Histogram(Stat):
         """Exact mean of all observed samples (None when empty)."""
         return self.total / self.count if self.count else None
 
-    def state_dict(self) -> dict:
-        """Snapshot support: contents only (name/desc are structural)."""
-        return {
-            "buckets": list(self.buckets),
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.buckets = list(state["buckets"])
-        self.count = state["count"]
-        self.total = state["total"]
-        self.min = state["min"]
-        self.max = state["max"]
-
     def percentile(self, p: float) -> float | None:
         """Bucket-interpolated percentile in [0, 100] (None when empty)."""
         if not 0 <= p <= 100:
@@ -304,13 +287,6 @@ class EpochSeries(Stat):
 
     def reset(self) -> None:
         self.samples = []
-
-    def state_dict(self) -> dict:
-        """Snapshot support: the sampled series."""
-        return {"samples": list(self.samples)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.samples = list(state["samples"])
 
     def __len__(self) -> int:
         return len(self.samples)

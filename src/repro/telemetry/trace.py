@@ -86,22 +86,6 @@ class EventTrace:
         self._next = 0
         self.recorded = 0
 
-    # -- snapshot --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "ring": list(self._ring),
-            "next": self._next,
-            "recorded": self.recorded,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._ring = [
-            tuple(e) if e is not None else None for e in state["ring"]
-        ]
-        self._next = state["next"]
-        self.recorded = state["recorded"]
-
     # -- export ----------------------------------------------------------
 
     def events(self) -> list[tuple]:

@@ -2,10 +2,12 @@
 
 :class:`TraceStream` wraps a workload's trace iterator with the three
 facts a snapshot needs to rebuild it — the workload name, the seed, and
-how many records have been consumed. Restoring replays the (cheap,
+how many records have been consumed. A stream pickles as those three
+facts (:meth:`TraceStream.__reduce__`); unpickling replays the (cheap,
 deterministic) synthetic generator and fast-forwards past the consumed
-prefix at chunk granularity, so the snapshot itself never stores trace
-records. The wrapped iterator is the workload's
+prefix at chunk granularity, so a snapshot never stores trace records.
+Warm images store the same facts as a plain :meth:`state_dict` cursor.
+The wrapped iterator is the workload's
 :class:`~repro.trace.chunks.ChunkTrace`.
 
 ``System`` also accepts bare ``ChunkTrace`` objects; only snapshotting
@@ -65,8 +67,13 @@ class TraceStream:
         self.consumed += len(vaddrs)
         return vaddrs, writes
 
+    def __reduce__(self):
+        """Pickle as ``(workload, seed, consumed)``: the generator is
+        rebuilt and fast-forwarded on load."""
+        return TraceStream.from_state_dict, (self.state_dict(),)
+
     # ------------------------------------------------------------------
-    # Snapshot support
+    # Warm-image cursor
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         return {

@@ -3,16 +3,18 @@
 A queue pass that issued nothing is reused by later ticks until an
 enqueue, a dequeue or a command issue invalidates it, and activation
 plans are requested only for the activation that issues. These tests
-pin the invalidation rules, the plan-call count, and that a state dict
-carrying retired keys still loads.
+pin the invalidation rules, the plan-call count, and that a pickled
+controller, kept pass record included, continues exactly as the
+original does.
 """
 
-import copy
+import pickle
 
 from repro.controller import ChannelController, MemRequest, RequestType
 from repro.controller.scheduler import Scheduler
 from repro.dram import DramChannel
 from repro.sim import System, SystemConfig
+from repro.snapshot import state_tree
 from repro.trace import workload
 
 from tests.controller.test_controller import (
@@ -26,9 +28,16 @@ from tests.controller.test_controller import (
 )
 
 
+class CommandLog(list):
+    """A picklable channel observer: a list of ``(cycle, command)``."""
+
+    def __call__(self, cycle, command):
+        self.append((cycle, command))
+
+
 def record(channel):
-    log = []
-    channel.attach(lambda cycle, command: log.append((cycle, command)))
+    log = CommandLog()
+    channel.attach(log)
     return log
 
 
@@ -61,16 +70,6 @@ def open_row_then_wait(controller, channel):
     return now, wake
 
 
-def encode(request):
-    return request.state_dict(None)
-
-
-def decode(state):
-    return MemRequest.from_state_dict(
-        state, MAPPER.decode(state["address"]), None
-    )
-
-
 class TestPassReuse:
     def test_hit_enqueued_between_waiting_ticks_ranks_first(self):
         controller, channel = make_controller(row_timeout_ns=None)
@@ -93,47 +92,42 @@ class TestPassReuse:
         controller, channel = make_controller()
         log = record(channel)
         now, _ = open_row_then_wait(controller, channel)
-        snapshot = (controller.state_dict(encode), channel.state_dict())
+        snapshot = pickle.dumps((controller, log))
         start = len(log)
         run_ticks(controller, now + 1, 40)
         expected = issued(log, start)
         assert [k for _, k, _ in expected][:3] == ["PRE", "ACT", "RD"]
 
-        # Restored into the same objects (caches from the continuation
-        # must not leak) and into fresh ones.
-        controller.load_state_dict(snapshot[0], decode)
-        channel.load_state_dict(snapshot[1])
-        start = len(log)
-        run_ticks(controller, now + 1, 40)
-        assert issued(log, start) == expected
-
-        fresh_channel = DramChannel(GEO, TIMING)
-        fresh = ChannelController(
-            fresh_channel, config=controller.config, refresh_enabled=False
-        )
-        fresh_log = record(fresh_channel)
-        fresh.load_state_dict(snapshot[0], decode)
-        fresh_channel.load_state_dict(snapshot[1])
-        run_ticks(fresh, now + 1, 40)
-        assert issued(fresh_log) == expected
+        # The copy carries the kept pass record, still aliasing its own
+        # queue, and continues exactly as the original did; the
+        # original's continuation does not leak into a second copy.
+        for _ in range(2):
+            restored, restored_log = pickle.loads(snapshot)
+            assert restored._idle_pass is not None
+            assert restored._idle_pass[1] is restored.read_q
+            assert restored.channel._observers == (restored_log,)
+            start = len(restored_log)
+            run_ticks(restored, now + 1, 40)
+            assert issued(restored_log, start) == expected
 
     def test_restore_reopens_row_timeout(self):
         controller, channel = make_controller(row_timeout_ns=75.0)
         log = record(channel)
         controller.enqueue(make_request(channel0_address(row=7)), 0)
         now = run_until_drained(controller)
-        snapshot = (controller.state_dict(encode), channel.state_dict())
+        snapshot = pickle.dumps((controller, log))
         start = len(log)
         run_ticks(controller, now, 5)
         expected = issued(log, start)
         assert [k for _, k, _ in expected] == ["PRE"]
         # The continuation ended on a scan that found every bank closed;
-        # after the restore the row is open again and must still close.
-        controller.load_state_dict(snapshot[0], decode)
-        channel.load_state_dict(snapshot[1])
-        start = len(log)
-        run_ticks(controller, now, 5)
-        assert issued(log, start) == expected
+        # in the restored copy the row is open again and must still
+        # close.
+        restored, restored_log = pickle.loads(snapshot)
+        assert restored.channel.banks[0].is_open
+        start = len(restored_log)
+        run_ticks(restored, now, 5)
+        assert issued(restored_log, start) == expected
 
     def test_fcfs_scheduler_without_hit_probe(self):
         channel = DramChannel(GEO, TIMING)
@@ -194,16 +188,13 @@ class TestPlanOnlyWhatIssues:
 class TestRetiredStateKeys:
     def test_state_carrying_retired_keys_loads_unchanged(self):
         # ``refresh_backlog`` (controller) and ``issued_at`` (request)
-        # were write-only fields; older state dicts still carry them.
+        # were write-only fields: no snapshot carries them any more,
+        # and a pickled controller's state equals the original's.
         controller, channel = make_controller()
         open_row_then_wait(controller, channel)
-        state = controller.state_dict(encode)
+        state = state_tree(controller)
         assert state["read_q"]
         assert "refresh_backlog" not in state
         assert all("issued_at" not in r for r in state["read_q"])
-        legacy = copy.deepcopy(state)
-        legacy["refresh_backlog"] = 0
-        for request in legacy["read_q"] + legacy["write_q"]:
-            request["issued_at"] = None
-        controller.load_state_dict(legacy, decode)
-        assert controller.state_dict(encode) == state
+        restored = pickle.loads(pickle.dumps(controller))
+        assert state_tree(restored) == state

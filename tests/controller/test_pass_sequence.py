@@ -15,20 +15,18 @@ random sequence of steps:
 * row remaps: a CROW-ref runtime remap (an ``ACT-c`` on the next
   activation) and RowHammer detections (victim copies the next ticks
   issue as urgent plans),
-* a snapshot restored into the live objects, controller and channel in
-  either order,
+* a pickled snapshot restored in place of the live controller (its
+  kept pass record and request memos travel with it),
 
-and after every step (and between the two halves of a restore) the
-controller's pass must choose what :func:`reference_pass` derives from
-scratch.
+and after every step the controller's pass must choose what
+:func:`reference_pass` derives from scratch.
 """
 
-import copy
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.controller import MemRequest
 from repro.controller.mechanism import ActivationPlan
 from repro.core.ref import CrowRef
 from repro.core.rowhammer import RowHammerMitigation
@@ -37,7 +35,6 @@ from repro.mech import mechanism_names
 
 from tests.controller.test_pass_oracle import (
     BANKS,
-    MAPPER,
     ROWS,
     apply_history,
     build,
@@ -48,16 +45,6 @@ from tests.controller.test_pass_oracle import (
     slot_of,
     subarray_operand,
 )
-
-
-def encode(request):
-    return request.state_dict(None)
-
-
-def decode(state):
-    return MemRequest.from_state_dict(
-        state, MAPPER.decode(state["address"]), None
-    )
 
 
 def check(controller, now):
@@ -93,27 +80,6 @@ def remap(controller, bank, row, now):
     return now
 
 
-def save(controller):
-    return copy.deepcopy(
-        (controller.state_dict(encode), controller.channel.state_dict())
-    )
-
-
-def restore(controller, snapshot, controller_first, now):
-    channel = controller.channel
-    state, channel_state = copy.deepcopy(snapshot)
-    halves = [
-        lambda: controller.load_state_dict(state, decode),
-        lambda: channel.load_state_dict(channel_state),
-    ]
-    if not controller_first:
-        halves.reverse()
-    halves[0]()
-    # Half restored: the pass must see the mix, not what it kept.
-    check(controller, now)
-    halves[1]()
-
-
 banks = st.integers(0, BANKS - 1)
 rows = st.sampled_from(ROWS)
 steps = st.lists(
@@ -131,7 +97,7 @@ steps = st.lists(
         ),
         st.tuples(st.just("remap"), banks, rows),
         st.tuples(st.just("save")),
-        st.tuples(st.just("restore"), st.booleans()),
+        st.tuples(st.just("restore")),
     ),
     min_size=1,
     max_size=40,
@@ -148,7 +114,7 @@ def test_pass_matches_reference_after_every_step(name, policy, cap, steps):
     controller = build(name)
     controller.scheduler = make_scheduler(policy, cap)
     now = 0
-    snapshot = save(controller)
+    snapshot = pickle.dumps(controller)
     for step in steps:
         action = step[0]
         if action == "enqueue":
@@ -163,7 +129,7 @@ def test_pass_matches_reference_after_every_step(name, policy, cap, steps):
         elif action == "remap":
             now = remap(controller, step[1], step[2], now)
         elif action == "save":
-            snapshot = save(controller)
+            snapshot = pickle.dumps(controller)
         else:
-            restore(controller, snapshot, step[1], now)
+            controller = pickle.loads(snapshot)
         check(controller, now)

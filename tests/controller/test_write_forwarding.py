@@ -2,20 +2,21 @@
 
 ``ChannelController.enqueue`` forwards a read from a queued write to the
 same address by looking the address up in an index that ``enqueue`` and
-``_dequeue`` maintain and ``load_state_dict`` rebuilds. The reference
-is the direct form: scan ``write_q`` for the address. Random enqueues,
-ticks (which serve and drain writes) and state restores must agree with
-it on every read, and the index must count exactly the queued writes.
+``_dequeue`` maintain and a snapshot pickles with the queue. The
+reference is the direct form: scan ``write_q`` for the address. Random
+enqueues, ticks (which serve and drain writes) and snapshot restores
+must agree with it on every read, and the index must count exactly the
+queued writes.
 """
 
+import pickle
 from collections import Counter
 
 from hypothesis import given, strategies as st
 
-from repro.controller import MemRequest, RequestType
+from repro.controller import RequestType
 
 from tests.controller.test_controller import (
-    MAPPER,
     channel0_address,
     make_controller,
     make_request,
@@ -28,16 +29,6 @@ ADDRESSES = [
     for row in (3, 9)
     for col in (0, 1)
 ]
-
-
-def encode(request):
-    return request.state_dict(None)
-
-
-def decode(state):
-    return MemRequest.from_state_dict(
-        state, MAPPER.decode(state["address"]), None
-    )
 
 
 def controller_with_small_queues():
@@ -90,17 +81,16 @@ operations = st.lists(
 
 @given(ops=operations)
 def test_forwarding_matches_write_queue_scan(ops):
-    controller, channel = controller_with_small_queues()
+    controller, _ = controller_with_small_queues()
     now = 0
-    saved = (channel.state_dict(), controller.state_dict(encode))
+    saved = pickle.dumps(controller)
     for op, arg in ops:
         if op == "tick":
             now = tick(controller, now, arg)
         elif op == "save":
-            saved = (channel.state_dict(), controller.state_dict(encode))
+            saved = pickle.dumps(controller)
         elif op == "restore":
-            channel.load_state_dict(saved[0])
-            controller.load_state_dict(saved[1], decode)
+            controller = pickle.loads(saved)
             check_index(controller)
         else:
             type = RequestType.READ if op == "read" else RequestType.WRITE

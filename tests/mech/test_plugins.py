@@ -6,6 +6,8 @@ mitigation / coalescing, CLR-DRAM promotion / demotion — is exercised
 directly, without a full-system run.
 """
 
+import pickle
+
 from repro.controller.mechanism import IDLE, ActivationPlan
 from repro.dram.commands import Command, CommandKind, RowId
 from repro.dram.geometry import DramGeometry
@@ -18,6 +20,7 @@ from repro.mech.hira import (
     HiraRefreshInvariant,
     hira_interval,
 )
+from repro.snapshot import state_tree
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -43,6 +46,13 @@ def act(bank, row, timings=None):
         rows=(RowId.regular(row, RPS),),
         timings=timings,
     )
+
+
+def round_trip(obj):
+    """A pickled copy of ``obj``, checked equal to it field by field."""
+    clone = pickle.loads(pickle.dumps(obj))
+    assert state_tree(clone) == state_tree(obj)
+    return clone
 
 
 class _RecordingChecker:
@@ -99,10 +109,16 @@ class TestHira:
             now = mech.next_wake(0)
             bank, plan = mech.urgent_plan(now)
             mech.on_activate(bank, plan, now)
-        clone = HiddenRowActivation(GEOMETRY, TIMING)
-        clone.load_state_dict(mech.state_dict())
-        assert clone.state_dict() == mech.state_dict()
-        assert clone.urgent_plan(clone.next_wake(0))[0] == 3  # bank cursor
+        clone = round_trip(mech)
+        # Both continue identically; the clone's memoized plan is its
+        # own, so its activation still advances the schedule.
+        for each in (mech, clone):
+            now = each.next_wake(0)
+            bank, plan = each.urgent_plan(now)
+            assert bank == 3  # bank cursor
+            each.on_activate(bank, plan, now)
+        assert clone.refresh_acts == 4
+        assert state_tree(clone) == state_tree(mech)
 
 
 class TestHiraInvariant:
@@ -187,10 +203,13 @@ class TestCncPrac:
     def test_state_round_trip(self):
         mech = self.make()
         self.hammer(mech, 0, 5, 4)
-        clone = self.make()
-        clone.load_state_dict(mech.state_dict())
-        assert clone.state_dict() == mech.state_dict()
-        assert clone.urgent_plan(0)[1].rows == mech.urgent_plan(0)[1].rows
+        clone = round_trip(mech)
+        for each in (mech, clone):
+            self.hammer(each, 0, 5, 2)
+            bank, plan = each.urgent_plan(0)
+            each.on_activate(bank, plan, 1)
+        assert clone.alerts == 2
+        assert state_tree(clone) == state_tree(mech)
 
 
 class TestPracInvariant:
@@ -242,9 +261,18 @@ class TestPracInvariant:
         checker = _RecordingChecker()
         for i in range(3):
             inv.on_command(checker, i, act(0, 5))
-        clone = self.make()
-        clone.load_state_dict(inv.state_dict())
-        assert clone.state_dict() == inv.state_dict()
+        clone = round_trip(inv)
+        # Only the original mitigates in time: the clone flags both
+        # victims of the alert it carried over.
+        inv.on_command(checker, 10, act(0, 4))
+        inv.on_command(checker, 11, act(0, 6))
+        inv.finalize(checker, inv.deadline_cycles + 100)
+        assert checker.constraints == []
+        clone_checker = _RecordingChecker()
+        clone.finalize(clone_checker, clone.deadline_cycles + 100)
+        assert clone_checker.constraints == (
+            ["cnc-prac-mitigation-deadline"] * 2
+        )
 
 
 class TestClrDram:
@@ -298,10 +326,13 @@ class TestClrDram:
         mech = self.make()
         self.promote(mech, 0, 4)
         mech.on_activate(0, plain_plan(9), 0)
-        clone = self.make()
-        clone.load_state_dict(mech.state_dict())
-        assert clone.state_dict() == mech.state_dict()
-        assert clone.plan_activation(0, 4, 0).timings is not None
+        clone = round_trip(mech)
+        for each in (mech, clone):
+            assert each.plan_activation(0, 4, 0).timings is not None
+            each.on_activate(0, plain_plan(5), 0)  # the partner demotes
+            self.promote(each, 1, 9)
+        assert clone.demotions == 1
+        assert state_tree(clone) == state_tree(mech)
 
 
 class TestClrInvariant:

@@ -18,6 +18,7 @@ from repro.errors import ConfigError, SnapshotError
 from repro.sim.config import SystemConfig
 from repro.sim.prewarm import _CHUNK_RECORDS
 from repro.sim.system import System
+from repro.snapshot import state_tree
 from repro.trace.chunks import ChunkTrace
 from repro.trace.stream import TraceStream
 from repro.trace.workloads import workload
@@ -64,8 +65,12 @@ def warmed_pair(workloads, seed, accesses):
 
 
 def assert_same_state(oracle, kernel):
-    assert kernel.llc.state_dict() == oracle.llc.state_dict()
-    assert kernel.vm.state_dict() == oracle.vm.state_dict()
+    """Every LLC and VM field, and each LLC set's LRU key order."""
+    assert state_tree(kernel.llc) == state_tree(oracle.llc)
+    assert [list(entries.items()) for entries in kernel.llc._sets] == [
+        list(entries.items()) for entries in oracle.llc._sets
+    ]
+    assert state_tree(kernel.vm) == state_tree(oracle.vm)
 
 
 WORKLOAD_CASES = [
