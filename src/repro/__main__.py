@@ -291,6 +291,9 @@ def _diff_values(path: str, a, b, lines: list) -> None:
     if len(lines) > _DIFF_CAP:
         return
     if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() == b.keys() and list(a) != list(b):
+            # Same keys, other order: for an LLC set, another LRU stack.
+            lines.append(f"{path}: key order {list(a)!r} != {list(b)!r}")
         for key in sorted(set(a) | set(b), key=str):
             inner = f"{path}.{key}" if path else str(key)
             if key not in a:

@@ -480,19 +480,14 @@ class ChannelController:
             assert result.precharge is not None
             self.mechanism.on_precharge(bank, result.precharge, now)
             return
-        cached = request.col_cmd
-        if cached is not None and cached[0] == subarray:
-            command = cached[1]
-        else:
-            command = Command(
-                CommandKind.RD
-                if request.type is RequestType.READ
-                else CommandKind.WR,
-                bank=bank,
-                col=request.location.col,
-                subarray=subarray,
-            )
-            request.col_cmd = (subarray, command)
+        command = Command(
+            CommandKind.RD
+            if request.type is RequestType.READ
+            else CommandKind.WR,
+            bank=bank,
+            col=request.location.col,
+            subarray=subarray,
+        )
         result = self.channel.issue(command, now)
         self.hit_streak[bank] += 1
         self.bank_last_use[bank] = now

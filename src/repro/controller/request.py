@@ -33,7 +33,6 @@ class MemRequest:
         "callback",
         "is_prefetch",
         "completed_at",
-        "col_cmd",
         "sched_version",
         "sched_row",
         "sched_slot",
@@ -59,10 +58,6 @@ class MemRequest:
         self.callback = callback
         self.is_prefetch = is_prefetch
         self.completed_at: int | None = None
-        #: Controller-owned memo: ``(subarray, Command)`` for this
-        #: request's column access (the command is invariant per serving
-        #: subarray, so the scheduler builds it once).
-        self.col_cmd: "tuple | None" = None
         #: Controller-owned scheduling memo, valid while
         #: ``sched_version`` equals the channel's version of this
         #: request's bank (-1: resolve from scratch on the next pass):

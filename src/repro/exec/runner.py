@@ -12,9 +12,11 @@ outputs, only wall-clock.
 
 Observers (journal, progress reporter — any ``(event, fields)`` callable)
 receive ``task_start`` / ``task_done`` / ``task_retry`` / ``task_failed``
-events as they happen. An ``on_outcome`` callback receives each task's
-final outcome before its ``task_done`` / ``task_failed`` event, so a
-caller can persist results while the rest of the batch still runs.
+events as they happen, and ``task_resumed`` / ``checkpoint_discarded``
+after a ``task_start`` whose task finds a checkpoint on disk. An
+``on_outcome`` callback receives each task's final outcome before its
+``task_done`` / ``task_failed`` event, so a caller can persist results
+while the rest of the batch still runs.
 """
 
 from __future__ import annotations
@@ -84,13 +86,15 @@ def retry_backoff(spec, attempt: int, backoff_s: float) -> float:
     return base * (0.5 + 0.5 * fraction)
 
 
-def _checkpoint_cycle(spec) -> "int | None":
-    """Cycle of the spec's on-disk checkpoint, if a readable one exists.
+def _checkpoint_event(spec) -> "tuple[str, dict] | None":
+    """The journal event for the spec's on-disk checkpoint, if it has one.
 
-    Used purely for observability (the ``task_resumed`` journal event);
-    the actual resume decision lives in ``TaskSpec.run`` so it holds for
-    any executor. Unreadable checkpoints report ``None`` — the run will
-    discard them and start over.
+    ``task_resumed`` with the checkpoint's cycle when its header reads;
+    ``checkpoint_discarded`` with the reason when it does not (a file of
+    another format version, or a torn one), because ``TaskSpec.run``
+    then deletes it and reruns the task from cycle 0. This is purely
+    observability: the resume decision lives in ``TaskSpec.run`` so it
+    holds for any executor.
     """
     path_fn = getattr(spec, "checkpoint_path", None)
     if not callable(path_fn):
@@ -101,12 +105,15 @@ def _checkpoint_cycle(spec) -> "int | None":
         return None
     if path is None or not path.is_file():
         return None
-    try:
-        from repro.snapshot import read_header
+    from repro.snapshot import read_header
 
-        return read_header(path).get("cycle")
-    except Exception:
+    try:
+        cycle = read_header(path).get("cycle")
+    except Exception as exc:
+        return "checkpoint_discarded", {"reason": str(exc)}
+    if cycle is None:
         return None
+    return "task_resumed", {"checkpoint_cycle": cycle}
 
 
 def _worker_main(conn, fn, spec) -> None:
@@ -239,12 +246,11 @@ class ProcessPoolRunner:
         max_attempts = self.retries + 1
         for attempt in range(1, max_attempts + 1):
             self._emit("task_start", **self._task_fields(index, spec, attempt))
-            cycle = _checkpoint_cycle(spec)
-            if cycle is not None:
+            checkpoint = _checkpoint_event(spec)
+            if checkpoint is not None:
+                event, fields = checkpoint
                 self._emit(
-                    "task_resumed",
-                    **self._task_fields(index, spec, attempt),
-                    checkpoint_cycle=cycle,
+                    event, **self._task_fields(index, spec, attempt), **fields
                 )
             started = time.monotonic()
             try:
@@ -315,7 +321,7 @@ class ProcessPoolRunner:
             pending.remove(ready)
             # Observe the checkpoint *before* the worker starts: the
             # worker consumes (and eventually deletes) it.
-            cycle = _checkpoint_cycle(ready.spec)
+            checkpoint = _checkpoint_event(ready.spec)
             parent_conn, child_conn = self._ctx.Pipe(duplex=False)
             process = self._ctx.Process(
                 target=_worker_main,
@@ -336,13 +342,14 @@ class ProcessPoolRunner:
                 **self._task_fields(ready.index, ready.spec, ready.attempt),
                 worker_pid=process.pid,
             )
-            if cycle is not None:
+            if checkpoint is not None:
+                event, fields = checkpoint
                 self._emit(
-                    "task_resumed",
+                    event,
                     **self._task_fields(
                         ready.index, ready.spec, ready.attempt
                     ),
-                    checkpoint_cycle=cycle,
+                    **fields,
                 )
             launched = True
         return launched

@@ -32,10 +32,10 @@ byte: the :data:`~repro.cpu.cache.DIRTY` bit and the prefetched bit,
 which a warm hit clears (as :meth:`Llc.warm` does).
 
 The final matrices, the page table as key/frame arrays, the allocator
-RNG state and the trace cursors are the *warm state*
-(:func:`warm_state`): a warm image stores it, and
-:func:`adopt_warm_state` rebuilds exactly the LLC, VM and trace
-positions the kernel left behind.
+RNG state and the trace streams themselves are the *warm state*
+(:func:`warm_state`): a warm image pickles it, and
+:func:`adopt_warm_state` rebuilds exactly the LLC and VM the kernel left
+behind and hands each trace its stored stream's producer and position.
 """
 
 from __future__ import annotations
@@ -135,18 +135,31 @@ def warm_state(tag_state, flag_state, vm, traces: list) -> dict:
             table.values(), dtype=np.int64, count=len(table)
         ),
         "rng": vm._rng.bit_generator.state,
-        "traces": [trace.state_dict() for trace in traces],
+        "traces": traces,
     }
 
 
 def adopt_warm_state(state: dict, llc, vm, traces: list) -> None:
     """Put ``llc``, ``vm`` and ``traces`` in the warm state ``state``.
 
-    Each trace checks its own workload and seed against the stored
-    cursor (:class:`~repro.errors.ConfigError` on a mismatch).
+    Each trace must name the workload and seed of its stored stream
+    (:class:`~repro.errors.ConfigError` on a mismatch, before anything
+    changes); each then takes over its stored stream's producer and
+    position, so nothing is regenerated.
     """
-    for trace, cursor in zip(traces, state["traces"], strict=True):
-        trace.load_state_dict(cursor)
+    pairs = list(zip(traces, state["traces"], strict=True))
+    for trace, stored in pairs:
+        if (stored.workload_name, stored.seed) != (
+            trace.workload_name, trace.seed
+        ):
+            raise ConfigError(
+                f"trace stream mismatch: warm image holds "
+                f"{stored.workload_name!r} seed {stored.seed}, stream is "
+                f"{trace.workload_name!r} seed {trace.seed}"
+            )
+    for trace, stored in pairs:
+        trace.consumed = stored.consumed
+        trace._it = stored._it
     llc.load_matrices(state["tags"], state["flags"])
     llc.reset_stats()
     frames = state["frames"].tolist()

@@ -804,6 +804,7 @@ class System:
             "phase": "warmup" if self._measure_start is None else "measure",
             "workloads": [core.trace.workload_name for core in self.cores],
             "seeds": [core.trace.seed for core in self.cores],
+            "consumed": [core.trace.consumed for core in self.cores],
             "resumable": run_state is not None,
         }
         write_snapshot(path, header, {"system": self, "run": run_state})

@@ -23,8 +23,9 @@ A full snapshot pickles the ``System`` object graph as it stands —
 wiring, memos and all — so no component re-describes its fields, and a
 field cannot be forgotten. What the graph holds must therefore be
 picklable: completion callbacks are objects or bound methods, never
-closures, and a :class:`~repro.trace.TraceStream` pickles as its
-``(workload, seed, consumed)`` provenance.
+closures, and a :class:`~repro.trace.TraceStream` pickles its trace
+producer (RNG and pattern state) with the current chunk, so restoring it
+regenerates nothing.
 """
 
 from repro.snapshot.container import (

@@ -53,9 +53,11 @@ MAGIC = b"CROWSNAP"
 
 #: Bump on any incompatible change to the container layout or to what
 #: the payload holds. v1 payloads were hand-written component state
-#: dicts; v2 payloads pickle the live objects. Old snapshots are
-#: rejected with a structured :class:`SnapshotError`, never misread.
-FORMAT_VERSION = 2
+#: dicts; v2 payloads pickle the live objects, with each trace stream
+#: reduced to ``(workload, seed, consumed)`` and replayed on load; v3
+#: pickles the trace streams' producers as they stand. Old snapshots
+#: are rejected with a structured :class:`SnapshotError`, never misread.
+FORMAT_VERSION = 3
 
 _DIGEST_SIZE = 32
 

@@ -5,6 +5,9 @@ it has no per-component schema to compare. :func:`state_tree` supplies
 one generically: every object becomes a dict of its fields, so a diff of
 two projections names the first differing field by its attribute path
 (``system.channels[0].banks[3].act_time``) and no field can be left out.
+Dict key order is state too (an LLC set's keys are its LRU stack), so
+live dicts project to :class:`~collections.OrderedDict`, whose equality
+is order-aware.
 """
 
 from __future__ import annotations
@@ -12,21 +15,23 @@ from __future__ import annotations
 import enum
 import pickle
 import types
-from collections import deque
+from collections import OrderedDict, deque
 
 __all__ = ["state_tree"]
 
 _LEAVES = (type(None), bool, int, float, complex, str, bytes, enum.Enum)
 _FUNCTIONS = (type, types.FunctionType, types.BuiltinFunctionType)
 _NOT_FIELDS = ("__dict__", "__weakref__")
+_OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 
 
 def _fields(value) -> dict:
     """What pickle stores for ``value``, by field name.
 
     A class with its own ``__reduce__`` contributes the ``args`` and
-    ``state`` of its reduction; any other object its ``__slots__``
-    fields (in MRO order), then its ``__dict__``.
+    ``state`` of its reduction, and one with its own ``__getstate__``
+    what that returns (a dict's items as fields); any other object its
+    ``__slots__`` fields (in MRO order), then its ``__dict__``.
     """
     cls = type(value)
     if (cls.__reduce_ex__ is not object.__reduce_ex__
@@ -36,6 +41,9 @@ def _fields(value) -> dict:
         if len(reduced) > 2 and reduced[2] is not None:
             fields["state"] = reduced[2]
         return fields
+    if getattr(cls, "__getstate__", _OBJECT_GETSTATE) is not _OBJECT_GETSTATE:
+        state = value.__getstate__()
+        return dict(state) if isinstance(state, dict) else {"state": state}
     fields = {}
     for base in reversed(cls.__mro__):
         slots = base.__dict__.get("__slots__", ())
@@ -51,7 +59,8 @@ def state_tree(obj: object) -> object:
 
     - An object becomes a dict of its fields (see :func:`_fields`),
       tagged with its class name under ``"__class__"``.
-    - Containers map element-wise: dicts by key, lists, tuples and
+    - Containers map element-wise: dicts by key into an
+      ``OrderedDict`` that keeps their key order, lists, tuples and
       deques by index, arrays to ``tolist()``, and a set to the sorted
       list of its elements' own projections.
     - A shared or cyclic reference becomes ``"<ref PATH>"``, naming the
@@ -79,7 +88,7 @@ def state_tree(obj: object) -> object:
         if hasattr(value, "tolist"):
             return value.tolist()
         if isinstance(value, dict):
-            shell: dict | list = {}
+            shell: dict | list = OrderedDict()
             items = [
                 (key, f"{path}.{key}" if path else str(key), item)
                 for key, item in value.items()

@@ -18,8 +18,8 @@ adoption checks.
 
 An image file is a magic line followed by two uncompressed
 pickles (protocol 5), streamed straight to and from the file: the
-header, then the state (the warm kernel's arrays, see
-:func:`repro.sim.prewarm.warm_state`). Writes are atomic (process-unique
+header, then the state (the warm kernel's arrays and the pickled trace
+streams, see :func:`repro.sim.prewarm.warm_state`). Writes are atomic (process-unique
 sibling plus :func:`os.replace`).
 """
 
@@ -47,7 +47,10 @@ __all__ = [
 _WARM_VERSION = 1
 
 #: First bytes of a warm image; the digit is the file layout version.
-_IMAGE_MAGIC = b"CROWWARM2\n"
+#: Version 3 stores the pickled trace streams (version 2 stored
+#: ``(workload, seed, consumed)`` cursors); an image of another version
+#: reads as missing and is rewritten.
+_IMAGE_MAGIC = b"CROWWARM3\n"
 
 
 def warmup_digest(config) -> str:

@@ -10,11 +10,14 @@ records eagerly:
 * :meth:`take_arrays` hands the (vaddr, is_write) columns of the next
   ``n`` records to vectorized consumers — the functional pre-warm
   kernel — without ever constructing :class:`TraceRecord` objects;
-* :meth:`skip` fast-forwards past a consumed prefix (snapshot restore)
-  at chunk granularity, skipping both record construction and the
-  per-chunk ``tolist`` decode.
+* pickling stores the producer (its RNG and pattern state), the
+  current chunk and the position in it, so a snapshot or warm image
+  restores the trace exactly where it stood: unpickling regenerates
+  nothing, and a stored trace is at most one chunk larger than its
+  producer. The decoded-list cache is never stored; it is rebuilt on
+  the next record read.
 
-All three views consume the *same* underlying chunk stream, so the RNG
+Both views consume the *same* underlying chunk stream, so the RNG
 draw sequence — and therefore the trace content — is identical no matter
 how a trace is consumed. That equivalence is what lets the vectorized
 pre-warm leave exactly the state a record-at-a-time warm loop would.
@@ -41,9 +44,11 @@ Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class ChunkTrace:
     """Iterator of :class:`TraceRecord` over an array-chunk producer.
 
-    ``chunks`` is an iterator of :data:`Chunk` tuples. Decoded Python
-    lists are cached per chunk, and only built when a record-level view
-    actually needs them — the array views never pay for the decode.
+    ``chunks`` is an iterator of :data:`Chunk` tuples; the trace pickles
+    when it does (the :mod:`~repro.trace.synth` producers and list
+    iterators do). Decoded Python lists are cached per chunk, and only
+    built when a record-level view actually needs them — the array
+    views never pay for the decode.
     """
 
     __slots__ = ("_chunks", "_arrays", "_lists", "_pos")
@@ -53,6 +58,17 @@ class ChunkTrace:
         self._arrays: Chunk | None = None
         self._lists: tuple | None = None
         self._pos = 0
+
+    def __getstate__(self) -> dict:
+        # The decoded lists are a cache of ``_arrays``: never stored.
+        return {"_chunks": self._chunks, "_arrays": self._arrays,
+                "_pos": self._pos}
+
+    def __setstate__(self, state: dict) -> None:
+        self._chunks = state["_chunks"]
+        self._arrays = state["_arrays"]
+        self._pos = state["_pos"]
+        self._lists = None
 
     # ------------------------------------------------------------------
     # Record-level view
@@ -152,23 +168,3 @@ class ChunkTrace:
         return tuple(
             np.concatenate([part[i] for part in parts]) for i in range(4)
         )
-
-    def skip(self, n: int) -> int:
-        """Drop the next ``n`` records without decoding them.
-
-        Returns the number actually skipped (< ``n`` only for finite
-        streams). The producer's RNG advances exactly as if the records
-        had been read.
-        """
-        skipped = 0
-        while skipped < n:
-            arrays = self._arrays
-            if arrays is None or self._pos >= len(arrays[1]):
-                if not self._advance():
-                    break
-                arrays = self._arrays
-            pos = self._pos
-            stop = min(pos + (n - skipped), len(arrays[1]))
-            skipped += stop - pos
-            self._pos = stop
-        return skipped

@@ -1,14 +1,16 @@
-"""Resumable trace streams with provenance.
+"""Trace streams with provenance.
 
 :class:`TraceStream` wraps a workload's trace iterator with the three
-facts a snapshot needs to rebuild it — the workload name, the seed, and
-how many records have been consumed. A stream pickles as those three
-facts (:meth:`TraceStream.__reduce__`); unpickling replays the (cheap,
-deterministic) synthetic generator and fast-forwards past the consumed
-prefix at chunk granularity, so a snapshot never stores trace records.
-Warm images store the same facts as a plain :meth:`state_dict` cursor.
-The wrapped iterator is the workload's
-:class:`~repro.trace.chunks.ChunkTrace`.
+facts a snapshot header names — the workload name, the seed, and how
+many records have been consumed. The wrapped iterator is the workload's
+:class:`~repro.trace.chunks.ChunkTrace`, whose producer is a picklable
+iterator object (:mod:`repro.trace.synth`), so a stream pickles as it
+stands: the RNG, the pattern's position state, the current chunk and
+the position in it. Unpickling continues the stream at exactly that
+record without regenerating the consumed prefix. A snapshot or warm
+image therefore stores at most one chunk of records per ``ChunkTrace``
+(1,024 records, or up to 7,168 for a hot-set pattern's variable-length
+chunk): one per core, plus one per phase of a mixed workload.
 
 ``System`` also accepts bare ``ChunkTrace`` objects; only snapshotting
 requires the provenance this wrapper carries (``save_snapshot`` raises a
@@ -22,13 +24,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.cpu.core import TraceRecord
-from repro.errors import ConfigError
 
 __all__ = ["TraceStream"]
 
 
 class TraceStream:
-    """A workload trace iterator that knows how to rebuild itself.
+    """A workload trace iterator that knows its workload, seed and position.
 
     Iteration protocol matches the wrapped :class:`~repro.trace.chunks.
     ChunkTrace` (``next()`` yields :class:`~repro.cpu.core.TraceRecord`);
@@ -66,43 +67,6 @@ class TraceStream:
         vaddrs, writes = self._it.take_arrays(n)
         self.consumed += len(vaddrs)
         return vaddrs, writes
-
-    def __reduce__(self):
-        """Pickle as ``(workload, seed, consumed)``: the generator is
-        rebuilt and fast-forwarded on load."""
-        return TraceStream.from_state_dict, (self.state_dict(),)
-
-    # ------------------------------------------------------------------
-    # Warm-image cursor
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "workload": self.workload_name,
-            "seed": self.seed,
-            "consumed": self.consumed,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Rebuild the generator and fast-forward past the consumed prefix."""
-        if state["workload"] != self.workload_name or state["seed"] != self.seed:
-            raise ConfigError(
-                f"trace stream mismatch: snapshot holds "
-                f"{state['workload']!r} seed {state['seed']}, stream is "
-                f"{self.workload_name!r} seed {self.seed}"
-            )
-        from repro.trace.workloads import workload
-
-        self._it = workload(self.workload_name).trace(self.seed)
-        consumed = state["consumed"]
-        # Chunk-level fast-forward: no record decode at all.
-        self._it.skip(consumed)
-        self.consumed = consumed
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "TraceStream":
-        stream = cls(state["workload"], state["seed"])
-        stream.load_state_dict(state)
-        return stream
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

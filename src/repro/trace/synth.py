@@ -9,6 +9,13 @@ pre-warm consumes directly (:meth:`ChunkTrace.take_arrays`) while record
 consumers decode lazily. The RNG draw sequence per chunk is part of each
 pattern's contract — it must not depend on how the trace is consumed.
 
+A producer is a plain iterator object, not a generator function: it
+holds its RNG and the few values its pattern carries from chunk to
+chunk (a sweep position, per-stream positions, a mixed trace's next
+phase) as fields. That makes it picklable, so a snapshot or warm image
+stores a trace's exact position and unpickling it continues the stream
+without regenerating what was already read.
+
 Pattern vocabulary (matched to the paper's workload discussion):
 
 * ``streaming_trace`` — sequential lines; very high row-buffer locality,
@@ -43,6 +50,10 @@ __all__ = [
 LINE = 64
 _CHUNK = 1024
 
+#: ``arange(_CHUNK)``, shared read-only by the producers that index a chunk.
+_INDEX = np.arange(_CHUNK)
+_INDEX.flags.writeable = False
+
 
 def _bubbles(rng: np.random.Generator, mean: float, count: int) -> np.ndarray:
     """Per-access non-memory instruction counts (>= 0, mean ``mean``)."""
@@ -60,6 +71,22 @@ def _check(footprint_bytes: int, bubbles_mean: float, write_fraction: float):
         raise ConfigError("write_fraction must be a probability")
 
 
+class _Producer:
+    """An iterator of :data:`~repro.trace.chunks.Chunk` tuples drawn from
+    one seeded RNG, with the fields every single pattern shares."""
+
+    __slots__ = ("rng", "bubbles_mean", "write_fraction", "base_vaddr")
+
+    def __init__(self, bubbles_mean, write_fraction, base_vaddr, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bubbles_mean = bubbles_mean
+        self.write_fraction = write_fraction
+        self.base_vaddr = base_vaddr
+
+    def __iter__(self) -> "_Producer":
+        return self
+
+
 def streaming_trace(
     footprint_bytes: int,
     bubbles_mean: float = 24.0,
@@ -70,28 +97,34 @@ def streaming_trace(
     """Sequential line-by-line sweep over the footprint, repeated forever."""
     _check(footprint_bytes, bubbles_mean, write_fraction)
     return ChunkTrace(
-        _streaming_chunks(
+        _Streaming(
             footprint_bytes, bubbles_mean, write_fraction, base_vaddr, seed
         )
     )
 
 
-def _streaming_chunks(
-    footprint_bytes, bubbles_mean, write_fraction, base_vaddr, seed
-) -> Iterator[Chunk]:
-    rng = np.random.default_rng(seed)
-    lines = footprint_bytes // LINE
-    position = 0
-    pcs = np.full(_CHUNK, 0x400000, dtype=np.int64)
-    while True:
-        bubbles = _bubbles(rng, bubbles_mean, _CHUNK)
-        writes = rng.random(_CHUNK) < write_fraction
+class _Streaming(_Producer):
+    __slots__ = ("lines", "pcs", "position")
+
+    def __init__(
+        self, footprint_bytes, bubbles_mean, write_fraction, base_vaddr, seed
+    ) -> None:
+        super().__init__(bubbles_mean, write_fraction, base_vaddr, seed)
+        self.lines = footprint_bytes // LINE
+        self.pcs = np.full(_CHUNK, 0x400000, dtype=np.int64)
+        self.position = 0
+
+    def __next__(self) -> Chunk:
+        rng = self.rng
+        bubbles = _bubbles(rng, self.bubbles_mean, _CHUNK)
+        writes = rng.random(_CHUNK) < self.write_fraction
+        position = self.position
         vaddrs = (
-            base_vaddr
-            + (np.arange(position, position + _CHUNK) % lines) * LINE
+            self.base_vaddr
+            + (np.arange(position, position + _CHUNK) % self.lines) * LINE
         )
-        position += _CHUNK
-        yield bubbles, vaddrs, writes, pcs
+        self.position = position + _CHUNK
+        return bubbles, vaddrs, writes, self.pcs
 
 
 def random_trace(
@@ -104,25 +137,28 @@ def random_trace(
     """Uniform random line accesses over the footprint."""
     _check(footprint_bytes, bubbles_mean, write_fraction)
     return ChunkTrace(
-        _random_chunks(
-            footprint_bytes, bubbles_mean, write_fraction, base_vaddr, seed
-        )
+        _Random(footprint_bytes, bubbles_mean, write_fraction, base_vaddr, seed)
     )
 
 
-def _random_chunks(
-    footprint_bytes, bubbles_mean, write_fraction, base_vaddr, seed
-) -> Iterator[Chunk]:
-    rng = np.random.default_rng(seed)
-    lines = footprint_bytes // LINE
-    while True:
-        bubbles = _bubbles(rng, bubbles_mean, _CHUNK)
-        targets = rng.integers(0, lines, size=_CHUNK)
-        writes = rng.random(_CHUNK) < write_fraction
+class _Random(_Producer):
+    __slots__ = ("lines",)
+
+    def __init__(
+        self, footprint_bytes, bubbles_mean, write_fraction, base_vaddr, seed
+    ) -> None:
+        super().__init__(bubbles_mean, write_fraction, base_vaddr, seed)
+        self.lines = footprint_bytes // LINE
+
+    def __next__(self) -> Chunk:
+        rng = self.rng
+        bubbles = _bubbles(rng, self.bubbles_mean, _CHUNK)
+        targets = rng.integers(0, self.lines, size=_CHUNK)
+        writes = rng.random(_CHUNK) < self.write_fraction
         pcs = rng.integers(0, 64, size=_CHUNK)
-        yield (
+        return (
             bubbles,
-            base_vaddr + targets * LINE,
+            self.base_vaddr + targets * LINE,
             writes,
             0x500000 + pcs * 4,
         )
@@ -141,30 +177,38 @@ def strided_trace(
     if stride_bytes < LINE or stride_bytes % LINE:
         raise ConfigError("stride must be a multiple of the line size")
     return ChunkTrace(
-        _strided_chunks(
+        _Strided(
             footprint_bytes, stride_bytes, bubbles_mean, write_fraction,
             base_vaddr, seed,
         )
     )
 
 
-def _strided_chunks(
-    footprint_bytes, stride_bytes, bubbles_mean, write_fraction, base_vaddr,
-    seed,
-) -> Iterator[Chunk]:
-    rng = np.random.default_rng(seed)
-    position = 0
-    pcs = np.full(_CHUNK, 0x600000, dtype=np.int64)
-    while True:
-        bubbles = _bubbles(rng, bubbles_mean, _CHUNK)
-        writes = rng.random(_CHUNK) < write_fraction
+class _Strided(_Producer):
+    __slots__ = ("footprint_bytes", "stride_bytes", "pcs", "position")
+
+    def __init__(
+        self, footprint_bytes, stride_bytes, bubbles_mean, write_fraction,
+        base_vaddr, seed,
+    ) -> None:
+        super().__init__(bubbles_mean, write_fraction, base_vaddr, seed)
+        self.footprint_bytes = footprint_bytes
+        self.stride_bytes = stride_bytes
+        self.pcs = np.full(_CHUNK, 0x600000, dtype=np.int64)
+        self.position = 0
+
+    def __next__(self) -> Chunk:
+        rng = self.rng
+        bubbles = _bubbles(rng, self.bubbles_mean, _CHUNK)
+        writes = rng.random(_CHUNK) < self.write_fraction
+        position = self.position
         vaddrs = (
-            base_vaddr
-            + (np.arange(position, position + _CHUNK) * stride_bytes)
-            % footprint_bytes
+            self.base_vaddr
+            + (np.arange(position, position + _CHUNK) * self.stride_bytes)
+            % self.footprint_bytes
         )
-        position += _CHUNK
-        yield bubbles, vaddrs, writes, pcs
+        self.position = position + _CHUNK
+        return bubbles, vaddrs, writes, self.pcs
 
 
 def hotset_trace(
@@ -187,32 +231,39 @@ def hotset_trace(
     if hot_bytes < LINE or hot_bytes > footprint_bytes:
         raise ConfigError("hot_bytes must be within the footprint")
     return ChunkTrace(
-        _hotset_chunks(
+        _Hotset(
             footprint_bytes, hot_bytes, hot_fraction, bubbles_mean,
             write_fraction, base_vaddr, seed,
         )
     )
 
 
-def _hotset_chunks(
-    footprint_bytes, hot_bytes, hot_fraction, bubbles_mean, write_fraction,
-    base_vaddr, seed,
-) -> Iterator[Chunk]:
-    rng = np.random.default_rng(seed)
-    hot_lines = hot_bytes // LINE
-    all_lines = footprint_bytes // LINE
-    base = np.arange(_CHUNK)
-    while True:
-        bubbles = _bubbles(rng, bubbles_mean, _CHUNK)
-        hot = rng.random(_CHUNK) < hot_fraction
+class _Hotset(_Producer):
+    __slots__ = ("hot_lines", "all_lines", "hot_fraction")
+
+    def __init__(
+        self, footprint_bytes, hot_bytes, hot_fraction, bubbles_mean,
+        write_fraction, base_vaddr, seed,
+    ) -> None:
+        super().__init__(bubbles_mean, write_fraction, base_vaddr, seed)
+        self.hot_lines = hot_bytes // LINE
+        self.all_lines = footprint_bytes // LINE
+        self.hot_fraction = hot_fraction
+
+    def __next__(self) -> Chunk:
+        rng = self.rng
+        hot_lines = self.hot_lines
+        all_lines = self.all_lines
+        bubbles = _bubbles(rng, self.bubbles_mean, _CHUNK)
+        hot = rng.random(_CHUNK) < self.hot_fraction
         targets = rng.integers(0, 1 << 62, size=_CHUNK)
-        writes = rng.random(_CHUNK) < write_fraction
+        writes = rng.random(_CHUNK) < self.write_fraction
         run = rng.integers(2, 8, size=_CHUNK)
         # One chunk draw expands to a variable-length record chunk: hot
         # picks emit a spatial run of `run` consecutive hot lines, cold
         # picks emit a single line anywhere in the footprint.
         lengths = np.where(hot, run, 1)
-        rep = np.repeat(base, lengths)
+        rep = np.repeat(_INDEX, lengths)
         offsets = np.arange(len(rep)) - np.repeat(
             np.cumsum(lengths) - lengths, lengths
         )
@@ -222,9 +273,9 @@ def _hotset_chunks(
             (targets % hot_lines)[rep] + offsets,
             (targets % all_lines)[rep],
         ) % np.where(hot_rep, hot_lines, all_lines)
-        yield (
+        return (
             bubbles[rep],
-            base_vaddr + lines * LINE,
+            self.base_vaddr + lines * LINE,
             writes[rep],
             np.where(hot_rep, 0x700000, 0x700100),
         )
@@ -257,29 +308,43 @@ def multistream_trace(
     if region_lines < 1:
         raise ConfigError("footprint too small for the stream count")
     return ChunkTrace(
-        _multistream_chunks(
+        _Multistream(
             streams, bubbles_mean, write_fraction, restart_period,
             base_vaddr, seed, region_lines,
         )
     )
 
 
-def _multistream_chunks(
-    streams, bubbles_mean, write_fraction, restart_period, base_vaddr, seed,
-    region_lines,
-) -> Iterator[Chunk]:
-    rng = np.random.default_rng(seed)
-    positions = np.zeros(streams, dtype=np.int64)
-    count = 0
-    index = np.arange(_CHUNK)
-    while True:
-        bubbles = _bubbles(rng, bubbles_mean, _CHUNK)
+class _Multistream(_Producer):
+    __slots__ = ("streams", "restart_period", "region_lines", "positions",
+                 "count")
+
+    def __init__(
+        self, streams, bubbles_mean, write_fraction, restart_period,
+        base_vaddr, seed, region_lines,
+    ) -> None:
+        super().__init__(bubbles_mean, write_fraction, base_vaddr, seed)
+        self.streams = streams
+        self.restart_period = restart_period
+        self.region_lines = region_lines
+        self.positions = np.zeros(streams, dtype=np.int64)
+        self.count = 0
+
+    def __next__(self) -> Chunk:
+        rng = self.rng
+        streams = self.streams
+        region_lines = self.region_lines
+        base_vaddr = self.base_vaddr
+        positions = self.positions
+        bubbles = _bubbles(rng, self.bubbles_mean, _CHUNK)
         picks = rng.integers(0, streams, size=_CHUNK)
-        writes = rng.random(_CHUNK) < write_fraction
+        writes = rng.random(_CHUNK) < self.write_fraction
+        restart_period = self.restart_period
         if restart_period:
             # Rewinds interleave RNG draws with record synthesis, so this
             # path stays scalar to preserve the exact draw order; the
             # per-chunk columns are packed from the scalar results.
+            count = self.count
             picks_list = picks.tolist()
             vaddr_list = []
             pc_list = []
@@ -294,13 +359,13 @@ def _multistream_chunks(
                     base_vaddr + (stream * region_lines + line) * LINE
                 )
                 pc_list.append(0x800000 + stream * 4)
-            yield (
+            self.count = count
+            return (
                 bubbles,
                 np.asarray(vaddr_list, dtype=np.int64),
                 writes,
                 np.asarray(pc_list, dtype=np.int64),
             )
-            continue
         # Vectorized path: record i of stream s reads line
         # positions[s] + (occurrences of s earlier in the chunk), i.e. a
         # per-stream cumulative count — computed with a stable argsort.
@@ -309,12 +374,12 @@ def _multistream_chunks(
         boundary = np.empty(_CHUNK, dtype=bool)
         boundary[0] = True
         np.not_equal(sorted_picks[1:], sorted_picks[:-1], out=boundary[1:])
-        ranks = index - np.maximum.accumulate(np.where(boundary, index, 0))
+        ranks = _INDEX - np.maximum.accumulate(np.where(boundary, _INDEX, 0))
         cumcount = np.empty(_CHUNK, dtype=np.int64)
         cumcount[order] = ranks
         lines = (positions[picks] + cumcount) % region_lines
         positions += np.bincount(picks, minlength=streams)
-        yield (
+        return (
             bubbles,
             base_vaddr + (picks * region_lines + lines) * LINE,
             writes,
@@ -334,16 +399,41 @@ def mixed_trace(
                 f"mixed_trace phases must be ChunkTrace objects, got "
                 f"{type(source).__name__}"
             )
-    return ChunkTrace(_mixed_chunks(list(phases)))
+    return ChunkTrace(_Mixed(list(phases)))
 
 
-def _mixed_chunks(phases) -> Iterator[Chunk]:
-    # Phase segments accumulate until a full chunk is ready, keeping the
-    # per-chunk overhead bounded even for single-record phase lengths.
-    parts: list[Chunk] = []
-    size = 0
-    while True:
-        for source, length in phases:
+class _Mixed:
+    """Round-robin phase segments, gathered into chunks of >= ``_CHUNK``.
+
+    ``phase`` is the index of the phase the next chunk starts with. A
+    chunk is returned as soon as it is full, so no segment is ever
+    pending between calls. ``done`` is set once a (finite) phase ran
+    dry; the trace then ends.
+    """
+
+    __slots__ = ("phases", "phase", "done")
+
+    def __init__(self, phases) -> None:
+        self.phases = phases
+        self.phase = 0
+        self.done = False
+
+    def __iter__(self) -> "_Mixed":
+        return self
+
+    def __next__(self) -> Chunk:
+        if self.done:
+            raise StopIteration
+        phases = self.phases
+        phase = self.phase
+        # Phase segments accumulate until a full chunk is ready, keeping
+        # the per-chunk overhead bounded even for single-record phase
+        # lengths.
+        parts: list[Chunk] = []
+        size = 0
+        while True:
+            source, length = phases[phase]
+            phase = (phase + 1) % len(phases)
             segment = source.take_columns(length)
             got = len(segment[1])
             if got:
@@ -351,13 +441,13 @@ def _mixed_chunks(phases) -> Iterator[Chunk]:
                 size += got
             if got < length:
                 # A (finite) child ran dry: flush what exists and stop.
+                self.done = True
                 if parts:
-                    yield _concat(parts)
-                return
+                    return _concat(parts)
+                raise StopIteration
             if size >= _CHUNK:
-                yield _concat(parts)
-                parts = []
-                size = 0
+                self.phase = phase
+                return _concat(parts)
 
 
 def _concat(parts: "list[Chunk]") -> Chunk:

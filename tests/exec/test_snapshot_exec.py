@@ -2,7 +2,8 @@
 
 Covers the exec-engine side of the snapshot subsystem: a retried task
 resumes from the checkpoint its killed predecessor left behind (and the
-journal says so), corrupt checkpoints degrade to a full re-run, and
+journal says so), corrupt and old-format checkpoints degrade to a full
+re-run (an old format is journalled), and
 ``ParallelCampaign.run`` warms once per compatibility group without
 changing any result byte.
 """
@@ -18,6 +19,7 @@ from repro.errors import ReproError
 from repro.exec import ParallelCampaign, TaskSpec, execute_task
 from repro.sim.config import SystemConfig
 from repro.sim.sweep import run_workload
+from repro.snapshot import container
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 EXPECTED = json.loads((DATA / "expected_digests.json").read_text())
@@ -129,6 +131,36 @@ class TestCrashResume:
         assert outcome.result.telemetry_digest() == want["digest"]
         (resumed,) = events(read_journal(journal), "task_resumed")
         assert resumed["checkpoint_cycle"] == 300
+
+    def test_version_two_checkpoint_reruns_and_is_journalled(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint in the v2 format (trace streams stored as
+        cursors) is refused, deleted and its task rerun from cycle 0;
+        the journal says why instead of announcing a resume."""
+        journal = tmp_path / "journal.jsonl"
+        spec = spec_for("baseline", checkpoint_dir=tmp_path / "ck")
+        monkeypatch.setattr(container, "FORMAT_VERSION", 2)
+        run_workload(
+            "libq", spec.config, **RUN,
+            snapshot_at_cycle=300,
+            snapshot_path=spec.checkpoint_path(),
+        )
+        monkeypatch.undo()
+        with ParallelCampaign(
+            tmp_path / "cache", jobs=1, journal=journal,
+        ) as campaign:
+            (outcome,) = campaign.run([spec])
+        assert outcome.ok
+        want = EXPECTED["libq-baseline"]
+        assert outcome.result.telemetry_digest() == want["digest"]
+        assert outcome.result.cycles == want["cycles"]
+        assert not spec.checkpoint_path().is_file()
+        log = read_journal(journal)
+        assert events(log, "task_resumed") == []
+        (discarded,) = events(log, "checkpoint_discarded")
+        assert discarded["task"] == spec.label
+        assert "format v2 is not supported" in discarded["reason"]
 
 
 def _leader_fails(spec):

@@ -9,14 +9,16 @@ loop below leaves behind — that state seeds the timed run, so any
 divergence would surface as a digest change downstream.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from repro.cpu.cache import PREFETCHED
 from repro.errors import ConfigError, SnapshotError
 from repro.sim.config import SystemConfig
-from repro.sim.prewarm import _CHUNK_RECORDS
+from repro.sim.prewarm import _CHUNK_RECORDS, adopt_warm_state
 from repro.sim.system import System
 from repro.snapshot import state_tree
 from repro.trace.chunks import ChunkTrace
@@ -88,10 +90,9 @@ class TestWarmStateEquivalence:
     def test_llc_and_vm_state_identical(self, workloads, seed):
         oracle, kernel = warmed_pair(workloads, seed, 30_000)
         assert_same_state(oracle, kernel)
-        # Trace cursors must agree too — the timed phase continues from
-        # exactly where pre-warm stopped consuming.
-        for oc, kc in zip(oracle.cores, kernel.cores):
-            assert kc.trace.state_dict() == oc.trace.state_dict()
+        # Trace positions must agree too — the timed phase continues
+        # from exactly where pre-warm stopped consuming.
+        assert_same_trace_positions(oracle, kernel)
 
     def test_lru_key_order_is_preserved(self):
         """Snapshot byte-identity depends on dict insertion order, not
@@ -190,10 +191,28 @@ class TestWarmStateEquivalence:
             assert next(trace) == next(workload(names[core]).trace(5 + core))
 
 
+def assert_same_trace_positions(a, b):
+    """Each core's stream has read as many records as its counterpart
+    and yields the same records next (read from copies, so the systems'
+    own streams do not move)."""
+    for ac, bc in zip(a.cores, b.cores, strict=True):
+        assert ac.trace.consumed == bc.trace.consumed
+        ahead = copy.deepcopy(ac.trace), copy.deepcopy(bc.trace)
+        assert list(itertools.islice(ahead[0], 1500)) == list(
+            itertools.islice(ahead[1], 1500)
+        )
+
+
 def assert_same_warm_state(a, b):
     assert_same_state(a, b)
-    for ac, bc in zip(a.cores, b.cores):
-        assert ac.trace.state_dict() == bc.trace.state_dict()
+    assert_same_trace_positions(a, b)
+
+
+def _read_image_parts(path):
+    """The (header, state) pickles after a warm image's magic line."""
+    with path.open("rb") as handle:
+        handle.readline()
+        return pickle.load(handle), pickle.load(handle)
 
 
 class TestWarmImage:
@@ -249,6 +268,42 @@ class TestWarmImage:
         plain.prewarm(30_000)
         assert_same_warm_state(plain, system)
         assert image.read_bytes() == whole
+
+    def test_version_two_image_is_recomputed_and_rewritten(self, tmp_path):
+        """A ``CROWWARM2`` image (trace streams stored as cursors) reads
+        as missing: the state is computed and the image rewritten."""
+        image = tmp_path / "w.warm"
+        build(("mcf",), 3, image).prewarm(30_000)
+        current = image.read_bytes()
+        header, state = _read_image_parts(image)
+        state["traces"] = [
+            {"workload": "mcf", "seed": 3, "consumed": 30_000}
+        ]
+        with image.open("wb") as handle:
+            handle.write(b"CROWWARM2\n")
+            pickle.dump(header, handle, protocol=5)
+            pickle.dump(state, handle, protocol=5)
+        system = build(("mcf",), 3, image)
+        system.prewarm(30_000)
+        plain = build(("mcf",), 3)
+        plain.prewarm(30_000)
+        assert_same_warm_state(plain, system)
+        assert image.read_bytes() == current
+        assert current.startswith(b"CROWWARM3\n")
+
+    def test_adoption_checks_each_stored_stream(self, tmp_path):
+        """A stored stream of another workload or seed is refused by
+        ``adopt_warm_state`` itself, before any state is touched."""
+        image = tmp_path / "w.warm"
+        build(("libq", "mcf"), 5, image).prewarm(2_000)
+        _, state = _read_image_parts(image)
+        # Core 1's workload differs; then core 0's seed does.
+        for names, seed in ((("libq", "random"), 5), (("libq", "mcf"), 6)):
+            system = build(names, seed)
+            with pytest.raises(ConfigError, match="trace stream mismatch"):
+                adopt_warm_state(state, system.llc, system.vm,
+                                 [core.trace for core in system.cores])
+            assert all(core.trace.consumed == 0 for core in system.cores)
 
     def test_image_needs_unread_trace_streams(self, tmp_path):
         system = build(("libq",), 1, tmp_path / "w.warm")

@@ -71,7 +71,7 @@ class TestPayload:
         monkeypatch.setattr(container, "FORMAT_VERSION", 1)
         container.write_snapshot(path, {"kind": "full"}, {"state": {}})
         monkeypatch.undo()
-        with pytest.raises(SnapshotError, match=r"format v1 .*reads v2"):
+        with pytest.raises(SnapshotError, match=r"format v1 .*reads v3"):
             read_snapshot(path)
 
     def test_campaign_discards_a_version_one_checkpoint(
@@ -114,3 +114,49 @@ class TestDiff:
             f"system.channels[0].banks[3].act_time: {before} != "
             f"{before + 7}"
         ]
+
+    def test_diff_names_a_set_whose_lru_order_alone_differs(
+        self, tmp_path, capsys
+    ):
+        """An LLC set's key order is its LRU stack: reversing one set of
+        a 4-core crow-cache snapshot changes no key and no value, and
+        the diff must still name that set."""
+        a, b = tmp_path / "a.snap", tmp_path / "b.snap"
+        names = ("libq", "mcf", "stream-copy", "milc")
+        system = System(
+            SystemConfig(cores=4, mechanism="crow-cache", seed=1),
+            [TraceStream(name, 1 + core) for core, name in enumerate(names)],
+        )
+        system.run(
+            instructions=600, warmup_instructions=100, prewarm_accesses=2_000,
+            snapshot_at_cycle=150, snapshot_path=a,
+        )
+        _, payload = read_snapshot(a)
+        sets = payload["system"].llc._sets
+        index = next(i for i, entries in enumerate(sets) if len(entries) > 2)
+        keys = list(sets[index])
+        items = list(reversed(sets[index].items()))
+        sets[index].clear()
+        sets[index].update(items)
+        payload["system"].save_snapshot(b, run_state=payload["run"])
+        assert main(["snapshot", "diff", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"system.llc._sets[{index}]: key order {keys!r} != "
+            f"{keys[::-1]!r}"
+        ]
+
+
+class TestInspect:
+    def test_inspect_prints_records_consumed_per_core(self, tmp_path, capsys):
+        snap = tmp_path / "s.snap"
+        system, _ = snapshot_of_run(snap)
+        header, payload = read_snapshot(snap)
+        consumed = payload["system"].cores[0].trace.consumed
+        assert header["consumed"] == [consumed]
+        assert consumed > 0
+        assert main(["snapshot", "inspect", str(snap)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(
+            row.split() == ["consumed", str(consumed)] for row in rows
+        ), rows
+
