@@ -83,7 +83,8 @@ class SnapshotError(ReproError):
     """A snapshot could not be written, read, or applied.
 
     Raised by :mod:`repro.snapshot` for corrupt or truncated containers,
-    format-version mismatches, and systems that cannot be serialized
+    containers of another format version or written by other code
+    (another ``code_fingerprint``), and systems that cannot be serialized
     (traces without provenance, unpicklable state).
     Configuration *incompatibility* between a snapshot and the system
     restoring it raises :class:`ConfigError` instead.

@@ -175,7 +175,7 @@ class ParallelCampaign:
                 self.runner.observers.remove(launched)
                 for image in images:
                     image.unlink(missing_ok=True)
-                    # a worker killed mid-write leaves write_warm_image's
+                    # a worker killed mid-write leaves the container's
                     # tmp sibling behind
                     for tmp in image.parent.glob(f"{image.name}.*.tmp"):
                         tmp.unlink(missing_ok=True)

@@ -89,12 +89,13 @@ def retry_backoff(spec, attempt: int, backoff_s: float) -> float:
 def _checkpoint_event(spec) -> "tuple[str, dict] | None":
     """The journal event for the spec's on-disk checkpoint, if it has one.
 
-    ``task_resumed`` with the checkpoint's cycle when its header reads;
+    ``task_resumed`` with the checkpoint's cycle when the container
+    verifies (trailer and code fingerprint, without unpickling);
     ``checkpoint_discarded`` with the reason when it does not (a file of
-    another format version, or a torn one), because ``TaskSpec.run``
-    then deletes it and reruns the task from cycle 0. This is purely
-    observability: the resume decision lives in ``TaskSpec.run`` so it
-    holds for any executor.
+    another format version, written by other code, or torn), because
+    ``TaskSpec.run`` then deletes it and reruns the task from cycle 0.
+    This is purely observability: the resume decision lives in
+    ``TaskSpec.run`` so it holds for any executor.
     """
     path_fn = getattr(spec, "checkpoint_path", None)
     if not callable(path_fn):
@@ -105,10 +106,10 @@ def _checkpoint_event(spec) -> "tuple[str, dict] | None":
         return None
     if path is None or not path.is_file():
         return None
-    from repro.snapshot import read_header
+    from repro.snapshot import verify_snapshot
 
     try:
-        cycle = read_header(path).get("cycle")
+        cycle = verify_snapshot(path).get("cycle")
     except Exception as exc:
         return "checkpoint_discarded", {"reason": str(exc)}
     if cycle is None:

@@ -1,4 +1,4 @@
-"""The stable value projection shared by every cache key.
+"""The stable value projection and code fingerprint behind every key.
 
 The campaign result cache (:mod:`repro.sim.campaign`) and the warm-image
 key (:mod:`repro.snapshot.warm`) both key entries by a digest of a
@@ -6,15 +6,35 @@ key (:mod:`repro.snapshot.warm`) both key entries by a digest of a
 both, so they cannot drift: a value that is safe to key in one is safe
 in the other, and a value with no stable representation is rejected
 identically everywhere.
+
+Which code computed a stored value is :func:`code_fingerprint`, which
+the snapshot container stamps into every file and checks on read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+from pathlib import Path
 
 from repro.errors import ConfigError
 
-__all__ = ["jsonable"]
+__all__ = ["jsonable", "code_fingerprint"]
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over the relative path and bytes of each ``repro/**/*.py``,
+    computed on first use, once per process (not at import)."""
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix().encode()
+        data = path.read_bytes()
+        digest.update(len(name).to_bytes(8, "big") + name)
+        digest.update(len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()[:20]
 
 
 def jsonable(value):

@@ -15,17 +15,18 @@ is what makes result caching sound.
 The keying helpers (:func:`config_digest`, :func:`task_digest`,
 :func:`cache_filename`) are module-level and process-stable on purpose:
 :mod:`repro.exec` names cache entries and journal events with them, and
-snapshot headers record :func:`config_digest`.
+snapshot headers record :func:`config_digest`. They key the *inputs*
+only; an entry is stored in the :mod:`repro.snapshot.container` format,
+whose code fingerprint makes a result computed by other code a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 from pathlib import Path
 
+from repro.errors import SnapshotError
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
 from repro.keying import jsonable
@@ -37,23 +38,18 @@ __all__ = [
     "cache_filename",
 ]
 
-#: Bump when a change invalidates previously-cached results.
-#: v2: identity-free projection rejects address-bearing ``repr`` fallbacks
-#: and tags ``__dict__`` projections with the class name.
-CACHE_VERSION = 2
-
 
 def config_digest(config: SystemConfig) -> str:
-    """Process-stable digest of a :class:`SystemConfig`.
+    """Process-stable digest of a :class:`SystemConfig`'s values.
 
-    The inert ``engine`` field is excluded, so configs that name an
-    engine and configs predating the field share one digest (cached
-    campaign entries, warm images and snapshots stay valid).
+    It names the inputs only, never the code: which code wrote a cache
+    entry, warm image or snapshot is the container's fingerprint. The
+    inert ``engine`` field is excluded, so configs that name an engine
+    and configs predating the field share one digest.
     """
     projection = jsonable(config)
     projection.pop("engine", None)
-    payload = {"version": CACHE_VERSION, "config": projection}
-    encoded = json.dumps(payload, sort_keys=True)
+    encoded = json.dumps(projection, sort_keys=True)
     return hashlib.sha256(encoded.encode()).hexdigest()[:20]
 
 
@@ -106,36 +102,28 @@ class Campaign:
     def load_cached(self, path: Path) -> SimResult | None:
         """Return the cached result at ``path``, or ``None`` on a miss.
 
-        Unreadable entries (torn writes from a killed process, stale
-        pickles referencing renamed classes) and entries that are not a
-        :class:`SimResult` count as misses: the bad file is removed so
-        the slot can be rewritten cleanly.
+        An entry the container refuses (missing, torn by a killed
+        process, or written by other code, whose result the current code
+        might not reproduce) or that is not a :class:`SimResult` counts
+        as a miss: the file is removed so the slot can be rewritten
+        cleanly.
         """
-        if not path.is_file():
-            return None
+        from repro.snapshot.container import read_snapshot
+
         try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-        except Exception:
-            path.unlink(missing_ok=True)
-            return None
+            _, result = read_snapshot(path)
+        except (SnapshotError, OSError):
+            result = None
         if not isinstance(result, SimResult):
             path.unlink(missing_ok=True)
             return None
         return result
 
     def store(self, path: Path, result: SimResult) -> None:
-        """Atomically persist ``result`` at ``path``.
+        """Atomically persist ``result`` at ``path`` (see
+        :func:`~repro.snapshot.container.write_snapshot`): a killed
+        writer never leaves a torn entry, and concurrent writers of the
+        same (identical, deterministic) result cannot interleave."""
+        from repro.snapshot.container import write_snapshot
 
-        The pickle is written to a process-unique sibling and moved into
-        place with :func:`os.replace`, so a killed writer can never leave
-        a torn file behind and concurrent writers of the same (identical,
-        deterministic) result cannot interleave.
-        """
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            with tmp.open("wb") as handle:
-                pickle.dump(result, handle)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_snapshot(path, {"kind": "result"}, result)

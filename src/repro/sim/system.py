@@ -498,7 +498,8 @@ class System:
         warmup_digest`, workloads, seeds and access count). Otherwise it
         computes the state and writes the image, atomically, for the
         next system. An image built for other inputs raises
-        :class:`ConfigError`; a missing or torn one is recomputed.
+        :class:`ConfigError`; a missing or torn one, or one written by
+        other code, is recomputed and rewritten.
         """
         if accesses_per_core < 0:
             raise ConfigError("prewarm accesses must be >= 0")
@@ -506,11 +507,7 @@ class System:
         if self.warm_image is None:
             warm_llc(self.llc, self.vm, traces, accesses_per_core)
             return
-        from repro.snapshot.warm import (
-            read_warm_image,
-            warmup_digest,
-            write_warm_image,
-        )
+        from repro.snapshot import read_snapshot, warmup_digest, write_snapshot
 
         for trace in traces:
             if not isinstance(trace, TraceStream) or trace.consumed:
@@ -519,17 +516,27 @@ class System:
                     "unread repro.trace.TraceStream traces"
                 )
         header = {
+            "kind": "warm",
             "warm_digest": warmup_digest(self.config),
             "workloads": [trace.workload_name for trace in traces],
             "seeds": [trace.seed for trace in traces],
             "prewarm_accesses": accesses_per_core,
         }
-        state = read_warm_image(self.warm_image, header)
-        if state is not None:
+        try:
+            saved, state = read_snapshot(self.warm_image)
+        except SnapshotError:  # missing, torn, or written by other code
+            pass
+        else:
+            built_for = {key: saved.get(key) for key in header}
+            if built_for != header:
+                raise ConfigError(
+                    f"warm image {self.warm_image} was built for other "
+                    f"inputs: image {built_for!r}, this system {header!r}"
+                )
             adopt_warm_state(state, self.llc, self.vm, traces)
             return
         tags, flags = warm_llc(self.llc, self.vm, traces, accesses_per_core)
-        write_warm_image(
+        write_snapshot(
             self.warm_image, header, warm_state(tags, flags, self.vm, traces)
         )
 

@@ -1,6 +1,13 @@
-"""Deterministic checkpoint/restore and warm-state forking.
+"""One container for every persistent artifact, checkpoint/restore and
+warm-state forking.
 
-This package provides the storage substrate for three features:
+:mod:`repro.snapshot.container` alone reads and writes the files that
+hold pickled state — campaign result-cache entries, warm images and
+snapshots — uncompressed, stamped with the
+:func:`~repro.keying.code_fingerprint` of the code that wrote them. A
+file of other code is refused before unpickling, and each caller treats
+that as a miss (recompute, or rerun a checkpoint from cycle 0). On top
+of it the package provides three features:
 
 - **Checkpoint/resume** — :meth:`repro.sim.system.System.save_snapshot`
   pickles the complete simulation state (cores, LLC, controller
@@ -9,12 +16,13 @@ This package provides the storage substrate for three features:
   :meth:`System.restore` unpickles an equivalent system and
   :meth:`System.resume` continues an interrupted run to completion with
   a telemetry digest identical to the uninterrupted run.
-- **Shared warm state** — :mod:`repro.snapshot.warm` names and stores
+- **Shared warm state** — :mod:`repro.snapshot.warm` names and groups
   the mechanism-invariant functional pre-warm state, so a campaign warms
   each distinct state once and its mechanism variants adopt it instead
   of re-warming (:func:`warmup_digest` guards compatibility).
 - **Inspection** — ``python -m repro snapshot`` (inspect/verify/diff/
-  resume) works off :func:`read_header` / :func:`read_snapshot`; a diff
+  resume) reads any container with :func:`read_header` /
+  :func:`read_snapshot`; a diff
   compares the :func:`state_tree` projections of two payloads, so it
   names every differing field by its attribute path.
 
@@ -33,6 +41,7 @@ from repro.snapshot.container import (
     MAGIC,
     read_header,
     read_snapshot,
+    verify_snapshot,
     write_snapshot,
 )
 from repro.snapshot.tree import state_tree
@@ -43,6 +52,7 @@ __all__ = [
     "MAGIC",
     "read_header",
     "read_snapshot",
+    "verify_snapshot",
     "write_snapshot",
     "state_tree",
     "warmup_digest",

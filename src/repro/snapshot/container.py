@@ -1,6 +1,8 @@
-"""Versioned, digest-stamped snapshot container format.
+"""The one container format of every persistent artifact.
 
-A snapshot file is a small self-describing binary container:
+Campaign result-cache entries, warm images and snapshots/checkpoints
+are all written by :func:`write_snapshot` and read by
+:func:`read_snapshot`:
 
 .. code-block:: text
 
@@ -9,37 +11,36 @@ A snapshot file is a small self-describing binary container:
     8       4     format version (u32, big-endian)
     12      4     header length H (u32, big-endian)
     16      H     header — UTF-8 JSON, sorted keys
-    16+H    8     payload length P (u64, big-endian)
-    24+H    P     payload — zlib-compressed pickle
-    24+H+P  32    SHA-256 over everything before the trailer
+    16+H    P     payload — pickle (highest protocol), up to the trailer
+    16+H+P  32    SHA-256 over everything before the trailer
 
-The header carries cheap-to-read metadata (snapshot kind, configuration
-digest, cycle, mechanism — everything ``python -m repro snapshot
-inspect`` prints) and is readable without touching the payload.  The
-payload is a pickle of live objects — for a full snapshot the
-:class:`~repro.sim.system.System` itself — so it has no schema of its
-own; unpickling is safe here because snapshots are local artifacts the
-same codebase wrote (the digest trailer rejects torn or tampered files
-before unpickling).
+The header carries cheap-to-read metadata (artifact kind, the
+``code_fingerprint`` of the code that wrote the file and, for a
+snapshot, configuration digest, cycle and mechanism — everything
+``python -m repro snapshot inspect`` prints). The payload is a pickle
+of live objects, so only the code that wrote it can be trusted to read
+it: a read refuses a file stamped with another
+:func:`~repro.keying.code_fingerprint`, or whose trailer does not match
+(torn or tampered), before anything is unpickled.
 
-Writes are atomic: the container is assembled in a process-unique
-sibling file and moved into place with :func:`os.replace`, so a killed
-writer can never leave a torn snapshot behind — which is exactly the
-property resumable campaigns rely on.
+Both directions stream, holding no copy of the payload in memory: a
+write pickles through a hashing writer into the process-unique sibling
+``<path>.<pid>.tmp`` and moves it into place with :func:`os.replace`
+(so a killed writer never leaves a torn file), and a read hashes the
+file in chunks, then unpickles from the open handle.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
 import struct
-import zlib
 from pathlib import Path
 
 from repro.errors import SnapshotError
+from repro.keying import code_fingerprint
 
 __all__ = [
     "MAGIC",
@@ -47,85 +48,91 @@ __all__ = [
     "write_snapshot",
     "read_header",
     "read_snapshot",
+    "verify_snapshot",
 ]
 
 MAGIC = b"CROWSNAP"
 
-#: Bump on any incompatible change to the container layout or to what
-#: the payload holds. v1 payloads were hand-written component state
-#: dicts; v2 payloads pickle the live objects, with each trace stream
-#: reduced to ``(workload, seed, consumed)`` and replayed on load; v3
-#: pickles the trace streams' producers as they stand. Old snapshots
-#: are rejected with a structured :class:`SnapshotError`, never misread.
-FORMAT_VERSION = 3
+#: Bump on any incompatible change to the container layout; which code
+#: wrote the payload is the header's ``code_fingerprint``. v4 stores the
+#: pickle uncompressed, running up to the trailer.
+FORMAT_VERSION = 4
 
 _DIGEST_SIZE = 32
+_CHUNK = 1 << 20
+
+
+class _HashingWriter:
+    """A file wrapper that feeds every byte written to a SHA-256."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        return self.handle.write(data)
 
 
 def write_snapshot(path: "str | Path", header: dict, payload: object) -> None:
-    """Atomically write one snapshot container.
+    """Atomically write one container.
 
-    ``header`` must be JSON-serializable; the ``format_version`` key is
-    stamped in here and must not be supplied by the caller. ``payload``
-    is an arbitrary picklable object; one that cannot be pickled raises
-    :class:`SnapshotError` naming ``path`` and the offending type, and
-    nothing is written.
+    ``header`` must be JSON-serializable; the ``format_version`` and
+    ``code_fingerprint`` keys are stamped in here and must not be
+    supplied by the caller. ``payload`` is an arbitrary picklable
+    object; one that cannot be pickled raises :class:`SnapshotError`
+    naming ``path`` and the offending type, and nothing is written.
     """
-    if "format_version" in header:
-        raise SnapshotError("header key 'format_version' is reserved")
+    for key in ("format_version", "code_fingerprint"):
+        if key in header:
+            raise SnapshotError(f"header key {key!r} is reserved")
     path = Path(path)
-    stamped = dict(header)
-    stamped["format_version"] = FORMAT_VERSION
+    stamped = dict(
+        header, format_version=FORMAT_VERSION,
+        code_fingerprint=code_fingerprint(),
+    )
     header_bytes = json.dumps(stamped, sort_keys=True).encode("utf-8")
-    try:
-        pickled = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        raise SnapshotError(
-            f"{path}: cannot pickle the payload: {exc}"
-        ) from exc
-    payload_bytes = zlib.compress(pickled, 6)
-    buffer = io.BytesIO()
-    buffer.write(MAGIC)
-    buffer.write(struct.pack(">I", FORMAT_VERSION))
-    buffer.write(struct.pack(">I", len(header_bytes)))
-    buffer.write(header_bytes)
-    buffer.write(struct.pack(">Q", len(payload_bytes)))
-    buffer.write(payload_bytes)
-    body = buffer.getvalue()
-    blob = body + hashlib.sha256(body).digest()
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(blob)
+        with tmp.open("wb") as handle:
+            writer = _HashingWriter(handle)
+            writer.write(MAGIC)
+            writer.write(struct.pack(">II", FORMAT_VERSION, len(header_bytes)))
+            writer.write(header_bytes)
+            try:
+                pickle.dump(payload, writer, protocol=pickle.HIGHEST_PROTOCOL)
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                raise SnapshotError(
+                    f"{path}: cannot pickle the payload: {exc}"
+                ) from exc
+            handle.write(writer.digest.digest())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _read_exact(handle, n: int, what: str) -> bytes:
-    data = handle.read(n)
-    if len(data) != n:
-        raise SnapshotError(f"truncated snapshot: short read in {what}")
-    return data
+def _open(path: "str | Path"):
+    if not Path(path).is_file():
+        raise SnapshotError(f"{path}: no such snapshot")
+    return open(path, "rb")
 
 
-def _parse_preamble(handle, path: Path) -> dict:
+def _parse_preamble(handle, path) -> dict:
     """Validate magic + version and return the parsed header."""
-    magic = handle.read(len(MAGIC))
-    if magic != MAGIC:
+    preamble = handle.read(len(MAGIC) + 8)
+    if preamble[:len(MAGIC)] != MAGIC:
         raise SnapshotError(f"{path}: not a snapshot file (bad magic)")
-    (version,) = struct.unpack(">I", _read_exact(handle, 4, "version"))
+    if len(preamble) < len(MAGIC) + 8:
+        raise SnapshotError(f"{path}: truncated snapshot")
+    version, header_len = struct.unpack(">II", preamble[len(MAGIC):])
     if version != FORMAT_VERSION:
         raise SnapshotError(
             f"{path}: snapshot format v{version} is not supported "
             f"(this build reads v{FORMAT_VERSION})"
         )
-    (header_len,) = struct.unpack(
-        ">I", _read_exact(handle, 4, "header length")
-    )
-    header_bytes = _read_exact(handle, header_len, "header")
     try:
-        header = json.loads(header_bytes)
+        header = json.loads(handle.read(header_len))
     except ValueError as exc:
         raise SnapshotError(f"{path}: corrupt snapshot header") from exc
     if not isinstance(header, dict):
@@ -133,40 +140,58 @@ def _parse_preamble(handle, path: Path) -> dict:
     return header
 
 
+def _verify(handle, path) -> "tuple[dict, int]":
+    """Check the code fingerprint, then the trailer; returns the header
+    and the payload's end offset, with ``handle`` at its start."""
+    header = _parse_preamble(handle, path)
+    if header.get("code_fingerprint") != code_fingerprint():
+        raise SnapshotError(
+            f"{path}: written by code {header.get('code_fingerprint')}, "
+            f"this code is {code_fingerprint()}"
+        )
+    start = handle.tell()
+    end = handle.seek(0, os.SEEK_END) - _DIGEST_SIZE
+    if end < start:
+        raise SnapshotError(f"{path}: truncated snapshot")
+    handle.seek(0)
+    digest = hashlib.sha256()
+    while handle.tell() < end:
+        chunk = handle.read(min(_CHUNK, end - handle.tell()))
+        if not chunk:
+            raise SnapshotError(f"{path}: truncated snapshot")
+        digest.update(chunk)
+    if digest.digest() != handle.read(_DIGEST_SIZE):
+        raise SnapshotError(f"{path}: snapshot digest mismatch (corrupt)")
+    handle.seek(start)
+    return header, end
+
+
 def read_header(path: "str | Path") -> dict:
-    """Parse only the (cheap) header of a snapshot file."""
-    path = Path(path)
-    if not path.is_file():
-        raise SnapshotError(f"{path}: no such snapshot")
-    with path.open("rb") as handle:
+    """Parse only the (cheap) header of a container, unverified."""
+    with _open(path) as handle:
         return _parse_preamble(handle, path)
+
+
+def verify_snapshot(path: "str | Path") -> dict:
+    """Check a container's code fingerprint and trailer without
+    unpickling it; returns its header."""
+    with _open(path) as handle:
+        return _verify(handle, path)[0]
 
 
 def read_snapshot(path: "str | Path") -> "tuple[dict, object]":
     """Read and verify one container; returns ``(header, payload)``.
 
-    The SHA-256 trailer is checked over the whole body *before* the
-    payload is unpickled, so a torn or tampered file fails closed.
+    The code fingerprint and the SHA-256 trailer are both checked
+    *before* the payload is unpickled, so a file written by other code,
+    or a torn or tampered one, fails closed with :class:`SnapshotError`.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise SnapshotError(f"{path}: no such snapshot")
-    blob = path.read_bytes()
-    if len(blob) < len(MAGIC) + 8 + 8 + _DIGEST_SIZE:
-        raise SnapshotError(f"{path}: truncated snapshot")
-    body, trailer = blob[:-_DIGEST_SIZE], blob[-_DIGEST_SIZE:]
-    if hashlib.sha256(body).digest() != trailer:
-        raise SnapshotError(f"{path}: snapshot digest mismatch (corrupt)")
-    handle = io.BytesIO(body)
-    header = _parse_preamble(handle, path)
-    (payload_len,) = struct.unpack(
-        ">Q", _read_exact(handle, 8, "payload length")
-    )
-    payload_bytes = _read_exact(handle, payload_len, "payload")
-    if handle.read(1):
-        raise SnapshotError(f"{path}: trailing bytes after payload")
-    try:
-        payload = pickle.loads(zlib.decompress(payload_bytes))
-    except Exception as exc:
-        raise SnapshotError(f"{path}: corrupt snapshot payload") from exc
+    with _open(path) as handle:
+        header, end = _verify(handle, path)
+        try:
+            payload = pickle.load(handle)
+        except Exception as exc:
+            raise SnapshotError(f"{path}: corrupt snapshot payload") from exc
+        if handle.tell() != end:
+            raise SnapshotError(f"{path}: trailing bytes after payload")
     return header, payload

@@ -16,41 +16,26 @@ byte-identical pre-warm state for the same workloads, seeds and
 pre-warm length, which is what an image's header records and what
 adoption checks.
 
-An image file is a magic line followed by two uncompressed
-pickles (protocol 5), streamed straight to and from the file: the
-header, then the state (the warm kernel's arrays and the pickled trace
-streams, see :func:`repro.sim.prewarm.warm_state`). Writes are atomic (process-unique
-sibling plus :func:`os.replace`).
+An image is a :mod:`repro.snapshot.container` file like every other
+persistent artifact: its header records those inputs, its payload is
+the state (the warm kernel's arrays and the pickled trace streams, see
+:func:`repro.sim.prewarm.warm_state`), and an image written by other
+code reads as missing and is rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.errors import ConfigError
 from repro.keying import jsonable
 
 __all__ = [
     "warmup_digest",
     "ForkGroup",
     "fork_groups",
-    "write_warm_image",
-    "read_warm_image",
 ]
-
-#: Bump when the pre-warm algorithm or its config surface changes.
-_WARM_VERSION = 1
-
-#: First bytes of a warm image; the digit is the file layout version.
-#: Version 3 stores the pickled trace streams (version 2 stored
-#: ``(workload, seed, consumed)`` cursors); an image of another version
-#: reads as missing and is rewritten.
-_IMAGE_MAGIC = b"CROWWARM3\n"
 
 
 def warmup_digest(config) -> str:
@@ -65,7 +50,6 @@ def warmup_digest(config) -> str:
     """
     geometry = config.resolved_geometry()
     payload = {
-        "version": _WARM_VERSION,
         "cores": config.cores,
         "seed": config.seed,
         "llc": jsonable(config.llc_config()),
@@ -131,42 +115,3 @@ def fork_groups(specs, prewarm_accesses: int = 200_000) -> list[ForkGroup]:
             name, warm_digest, tuple(indices), prewarm_accesses
         ))
     return groups
-
-
-def write_warm_image(path: "str | Path", header: dict, state: dict) -> None:
-    """Atomically write the warm image ``header`` + ``state`` at ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(_IMAGE_MAGIC)
-            pickle.dump(header, handle, protocol=5)
-            pickle.dump(state, handle, protocol=5)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def read_warm_image(path: "str | Path", header: dict) -> "dict | None":
-    """The state stored at ``path`` for a system whose header is ``header``.
-
-    ``None`` when there is no usable image: the file is missing, not a
-    warm image, or torn (the caller then computes the state and
-    rewrites the image). A readable image built for other inputs raises
-    :class:`ConfigError` showing both headers.
-    """
-    try:
-        with open(path, "rb") as handle:
-            if handle.read(len(_IMAGE_MAGIC)) != _IMAGE_MAGIC:
-                return None
-            saved = pickle.load(handle)
-            state = pickle.load(handle)
-    except Exception:  # missing, or torn by an external writer
-        return None
-    if saved != header:
-        raise ConfigError(
-            f"warm image {path} was built for other inputs: image "
-            f"{saved!r}, this system {header!r}"
-        )
-    return state

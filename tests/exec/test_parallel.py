@@ -1,7 +1,6 @@
 """Tests for ParallelCampaign: job-count parity, faults, journaling."""
 
 import os
-import pickle
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from repro.exec import (
     TaskSpec,
     read_journal,
 )
+from repro.snapshot import read_snapshot
 
 RUN = dict(instructions=2_000, warmup_instructions=500)
 MIX_RUN = dict(instructions=1_500, warmup_instructions=400)
@@ -61,8 +61,8 @@ class TestSerialParallelParity:
             assert s == p
         # ...and either cache deserializes to the other's values.
         for name in (p.name for p in serial_dir.glob("*.pkl")):
-            a = pickle.loads((serial_dir / name).read_bytes())
-            b = pickle.loads((parallel_dir / name).read_bytes())
+            _, a = read_snapshot(serial_dir / name)
+            _, b = read_snapshot(parallel_dir / name)
             assert a == b
         # Each job count reads the other's cache as all hits.
         for directory, jobs in ((serial_dir, 4), (parallel_dir, 1)):

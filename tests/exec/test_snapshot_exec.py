@@ -2,8 +2,8 @@
 
 Covers the exec-engine side of the snapshot subsystem: a retried task
 resumes from the checkpoint its killed predecessor left behind (and the
-journal says so), corrupt and old-format checkpoints degrade to a full
-re-run (an old format is journalled), and
+journal says so), corrupt, old-format and other-code checkpoints degrade
+to a full re-run (and the journal says why), and
 ``ParallelCampaign.run`` warms once per compatibility group without
 changing any result byte.
 """
@@ -162,6 +162,44 @@ class TestCrashResume:
         assert discarded["task"] == spec.label
         assert "format v2 is not supported" in discarded["reason"]
 
+    @pytest.mark.parametrize("damage", ["torn", "other-code"])
+    def test_unverifiable_checkpoint_is_journalled_as_discarded(
+        self, damage, tmp_path, monkeypatch
+    ):
+        """A checkpoint whose header reads but whose body is torn (its
+        last 8 bytes cut), or one written by other code, is not
+        announced as a resume: the journal says it was discarded and
+        why, and the task reruns from cycle 0."""
+        journal = tmp_path / "journal.jsonl"
+        spec = spec_for("baseline", checkpoint_dir=tmp_path / "ck")
+        checkpoint = spec.checkpoint_path()
+        if damage == "other-code":
+            monkeypatch.setattr(
+                container, "code_fingerprint", lambda: "f" * 20
+            )
+        run_workload(
+            "libq", spec.config, **RUN,
+            snapshot_at_cycle=300, snapshot_path=checkpoint,
+        )
+        monkeypatch.undo()
+        assert container.read_header(checkpoint)["cycle"] == 300
+        if damage == "torn":
+            checkpoint.write_bytes(checkpoint.read_bytes()[:-8])
+        with ParallelCampaign(
+            tmp_path / "cache", jobs=1, journal=journal,
+        ) as campaign:
+            (outcome,) = campaign.run([spec])
+        assert outcome.ok
+        want = EXPECTED["libq-baseline"]
+        assert outcome.result.telemetry_digest() == want["digest"]
+        assert outcome.result.cycles == want["cycles"]
+        assert not checkpoint.is_file()
+        log = read_journal(journal)
+        assert events(log, "task_resumed") == []
+        (discarded,) = events(log, "checkpoint_discarded")
+        reason = {"torn": "digest mismatch", "other-code": "f" * 20}[damage]
+        assert reason in discarded["reason"]
+
 
 def _leader_fails(spec):
     """Worker body whose baseline task (a group leader) always fails."""
@@ -173,12 +211,12 @@ def _leader_fails(spec):
 def _killed_writing_image(spec):
     """Worker body killed after writing its warm image's tmp file,
     before the rename (the forked worker's own module is patched)."""
-    from repro.snapshot import warm
+    from repro.snapshot import container
 
     def die(src, dst):
         os._exit(9)
 
-    warm.os = SimpleNamespace(getpid=os.getpid, replace=die)
+    container.os = SimpleNamespace(getpid=os.getpid, replace=die)
     return spec.run()
 
 

@@ -14,7 +14,8 @@ from repro import SystemConfig
 from repro.exec import ParallelCampaign, TaskSpec
 from repro.sim.campaign import config_digest
 from repro.errors import ConfigError
-from repro.keying import jsonable
+from repro.keying import code_fingerprint, jsonable
+from repro.snapshot import container, read_header, write_snapshot
 
 RUN = dict(instructions=3_000, warmup_instructions=1_000)
 
@@ -154,13 +155,25 @@ class TestCacheRobustness:
         assert campaign.hits == 1
 
     def test_wrong_type_entry_is_a_miss(self, tmp_path):
-        import pickle
-
         campaign = ParallelCampaign(tmp_path, jobs=1)
         path = self._path(campaign)
-        path.write_bytes(pickle.dumps({"not": "a SimResult"}))
+        write_snapshot(path, {"kind": "result"}, {"not": "a SimResult"})
         _run(campaign, _libq())
         assert campaign.misses == 1
+
+    def test_entry_written_by_other_code_is_a_miss_and_rewritten(
+        self, tmp_path, monkeypatch
+    ):
+        campaign = ParallelCampaign(tmp_path, jobs=1)
+        monkeypatch.setattr(container, "code_fingerprint", lambda: "f" * 20)
+        cached_elsewhere = _run(campaign, _libq())
+        monkeypatch.undo()
+        path = self._path(campaign)
+        assert read_header(path)["code_fingerprint"] == "f" * 20
+        rerun = ParallelCampaign(tmp_path, jobs=1)
+        assert _run(rerun, _libq()) == cached_elsewhere
+        assert rerun.hits == 0 and rerun.misses == 1
+        assert read_header(path)["code_fingerprint"] == code_fingerprint()
 
     def test_store_is_atomic_via_replace(self, tmp_path, monkeypatch):
         replaced = []

@@ -11,16 +11,16 @@ divergence would surface as a digest change downstream.
 
 import copy
 import itertools
-import pickle
 
 import pytest
 
 from repro.cpu.cache import PREFETCHED
 from repro.errors import ConfigError, SnapshotError
+from repro.keying import code_fingerprint
 from repro.sim.config import SystemConfig
 from repro.sim.prewarm import _CHUNK_RECORDS, adopt_warm_state
 from repro.sim.system import System
-from repro.snapshot import state_tree
+from repro.snapshot import container, read_header, read_snapshot, state_tree
 from repro.trace.chunks import ChunkTrace
 from repro.trace.stream import TraceStream
 from repro.trace.workloads import workload
@@ -208,13 +208,6 @@ def assert_same_warm_state(a, b):
     assert_same_trace_positions(a, b)
 
 
-def _read_image_parts(path):
-    """The (header, state) pickles after a warm image's magic line."""
-    with path.open("rb") as handle:
-        handle.readline()
-        return pickle.load(handle), pickle.load(handle)
-
-
 class TestWarmImage:
     """A system built with a warm-image path computes and writes the
     image once; the next system with that path adopts it, landing on
@@ -269,34 +262,32 @@ class TestWarmImage:
         assert_same_warm_state(plain, system)
         assert image.read_bytes() == whole
 
-    def test_version_two_image_is_recomputed_and_rewritten(self, tmp_path):
-        """A ``CROWWARM2`` image (trace streams stored as cursors) reads
-        as missing: the state is computed and the image rewritten."""
+    def test_image_written_by_other_code_is_recomputed_and_rewritten(
+        self, tmp_path, monkeypatch
+    ):
+        """An image stamped with another code fingerprint reads as
+        missing: the state is computed and the image rewritten."""
         image = tmp_path / "w.warm"
         build(("mcf",), 3, image).prewarm(30_000)
         current = image.read_bytes()
-        header, state = _read_image_parts(image)
-        state["traces"] = [
-            {"workload": "mcf", "seed": 3, "consumed": 30_000}
-        ]
-        with image.open("wb") as handle:
-            handle.write(b"CROWWARM2\n")
-            pickle.dump(header, handle, protocol=5)
-            pickle.dump(state, handle, protocol=5)
+        monkeypatch.setattr(container, "code_fingerprint", lambda: "f" * 20)
+        build(("mcf",), 3, image).prewarm(30_000)
+        monkeypatch.undo()
+        assert image.read_bytes() != current
         system = build(("mcf",), 3, image)
         system.prewarm(30_000)
         plain = build(("mcf",), 3)
         plain.prewarm(30_000)
         assert_same_warm_state(plain, system)
         assert image.read_bytes() == current
-        assert current.startswith(b"CROWWARM3\n")
+        assert read_header(image)["code_fingerprint"] == code_fingerprint()
 
     def test_adoption_checks_each_stored_stream(self, tmp_path):
         """A stored stream of another workload or seed is refused by
         ``adopt_warm_state`` itself, before any state is touched."""
         image = tmp_path / "w.warm"
         build(("libq", "mcf"), 5, image).prewarm(2_000)
-        _, state = _read_image_parts(image)
+        _, state = read_snapshot(image)
         # Core 1's workload differs; then core 0's seed does.
         for names, seed in ((("libq", "random"), 5), (("libq", "mcf"), 6)):
             system = build(names, seed)

@@ -1,9 +1,10 @@
-"""The snapshot container format: framing, versioning, fail-closed reads.
+"""The snapshot container format: framing, versioning, code
+fingerprints, fail-closed reads.
 
 Every rejection path must raise the structured :class:`SnapshotError`
-(never a bare ``pickle``/``zlib``/``struct`` exception): resumable
-campaigns catch ``ReproError`` to decide "discard the checkpoint and
-start over", so an unstructured error would abort the campaign instead.
+(never a bare ``pickle``/``struct`` exception): resumable campaigns
+catch ``ReproError`` to decide "discard the checkpoint and start over",
+so an unstructured error would abort the campaign instead.
 """
 
 import struct
@@ -11,11 +12,14 @@ import struct
 import pytest
 
 from repro.errors import ReproError, SnapshotError
+from repro.keying import code_fingerprint
 from repro.snapshot import (
     FORMAT_VERSION,
     MAGIC,
+    container,
     read_header,
     read_snapshot,
+    verify_snapshot,
     write_snapshot,
 )
 
@@ -86,7 +90,7 @@ class TestFailClosed:
 
     def test_flipped_payload_byte_fails_digest_check(self, snap):
         blob = bytearray(snap.read_bytes())
-        blob[-40] ^= 0xFF  # inside the compressed payload
+        blob[-40] ^= 0xFF  # inside the payload
         snap.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="corrupt"):
             read_snapshot(snap)
@@ -101,3 +105,64 @@ class TestFailClosed:
 
     def test_snapshot_error_is_a_repro_error(self):
         assert issubclass(SnapshotError, ReproError)
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+    return "unpickled"
+
+
+class _Tripwire:
+    """Unpickling this records that it happened."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+class TestCodeFingerprint:
+    """Every container is stamped with the code that wrote it, and a
+    read by other code refuses it before anything is unpickled."""
+
+    @pytest.fixture
+    def foreign(self, tmp_path, monkeypatch):
+        path = tmp_path / "foreign.snap"
+        monkeypatch.setattr(container, "code_fingerprint", lambda: "f" * 20)
+        write_snapshot(path, HEADER, {"tripwire": _Tripwire()})
+        monkeypatch.undo()
+        UNPICKLED.clear()
+        return path
+
+    def test_fingerprint_is_stamped_not_supplied(self, snap, tmp_path):
+        assert read_header(snap)["code_fingerprint"] == code_fingerprint()
+        with pytest.raises(SnapshotError, match="reserved"):
+            write_snapshot(
+                tmp_path / "bad.snap", {"code_fingerprint": "x"}, PAYLOAD
+            )
+
+    def test_foreign_fingerprint_refused_before_unpickling(self, foreign):
+        assert read_header(foreign)["code_fingerprint"] == "f" * 20
+        for read in (read_snapshot, verify_snapshot):
+            with pytest.raises(SnapshotError) as error:
+                read(foreign)
+            assert "f" * 20 in str(error.value)
+            assert code_fingerprint() in str(error.value)
+        assert UNPICKLED == []
+
+    def test_verify_checks_the_trailer(self, snap):
+        blob = snap.read_bytes()
+        snap.write_bytes(blob[:-8])
+        assert read_header(snap)["cycle"] == 42
+        with pytest.raises(SnapshotError, match="digest mismatch"):
+            verify_snapshot(snap)
+
+    def test_own_fingerprint_unpickles(self, tmp_path):
+        path = tmp_path / "own.snap"
+        write_snapshot(path, HEADER, {"tripwire": _Tripwire()})
+        UNPICKLED.clear()
+        assert verify_snapshot(path)["cycle"] == 42
+        assert UNPICKLED == []
+        assert read_snapshot(path)[1] == {"tripwire": "unpickled"}
+        assert UNPICKLED == [True]

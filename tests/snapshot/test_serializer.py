@@ -71,7 +71,7 @@ class TestPayload:
         monkeypatch.setattr(container, "FORMAT_VERSION", 1)
         container.write_snapshot(path, {"kind": "full"}, {"state": {}})
         monkeypatch.undo()
-        with pytest.raises(SnapshotError, match=r"format v1 .*reads v3"):
+        with pytest.raises(SnapshotError, match=r"format v1 .*reads v4"):
             read_snapshot(path)
 
     def test_campaign_discards_a_version_one_checkpoint(

@@ -348,3 +348,57 @@ class TestSnapshotDiff:
         # The diff stops collecting after about 200 leaves, so the count
         # of what was not printed is only a lower bound.
         assert lines[40] == "... at least 161 further difference(s)"
+
+
+class TestSnapshotFingerprint:
+    def test_inspect_prints_the_fingerprint_of_every_artifact(
+        self, capsys, tmp_path
+    ):
+        from repro.keying import code_fingerprint
+        from repro.sim.config import SystemConfig
+        from repro.sim.system import System
+        from repro.trace.stream import TraceStream
+
+        cache = tmp_path / "cache"
+        assert main([
+            "campaign", "libq", "--mechanisms", "baseline", "--jobs", "1",
+            "--instructions", "1000", "--warmup", "200",
+            "--cache-dir", str(cache),
+        ]) == 0
+        (entry,) = cache.glob("*.pkl")
+        image = tmp_path / "libq.warm"
+        System(
+            SystemConfig(), [TraceStream("libq", 1)], warm_image=image
+        ).prewarm(1_000)
+        checkpoint = tmp_path / "libq.ckpt"
+        System(SystemConfig(), [TraceStream("libq", 1)]).save_snapshot(
+            checkpoint
+        )
+        capsys.readouterr()
+        for path, kind in (
+            (entry, "result"), (image, "warm"), (checkpoint, "full")
+        ):
+            assert main(["snapshot", "inspect", str(path)]) == 0
+            rows = {
+                tuple(line.split()[:2])
+                for line in capsys.readouterr().out.splitlines()
+                if len(line.split()) >= 2
+            }
+            assert ("code_fingerprint", code_fingerprint()) in rows
+            assert ("kind", kind) in rows
+            assert main(["snapshot", "verify", str(path)]) == 0
+            capsys.readouterr()
+
+    def test_verify_refuses_a_file_written_by_other_code(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.keying import code_fingerprint
+        from repro.snapshot import container
+
+        path = tmp_path / "other.snap"
+        monkeypatch.setattr(container, "code_fingerprint", lambda: "f" * 20)
+        container.write_snapshot(path, {"kind": "test"}, {"state": 1})
+        monkeypatch.undo()
+        assert main(["snapshot", "verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "f" * 20 in err and code_fingerprint() in err
