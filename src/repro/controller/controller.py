@@ -51,8 +51,6 @@ class ControllerConfig:
     row_timeout_ns: float | None = 75.0
     #: Maximum ranked candidates evaluated for readiness per tick.
     scheduler_window: int = 12
-    #: Enable store-to-load forwarding from the write queue.
-    write_forwarding: bool = True
 
     def __post_init__(self) -> None:
         if self.read_queue_size < 1 or self.write_queue_size < 1:
@@ -208,10 +206,7 @@ class ChannelController:
         self._idle_pass = None
         request.arrival = now
         if request.type is RequestType.READ:
-            if (
-                self.config.write_forwarding
-                and request.address in self._write_lines
-            ):
+            if request.address in self._write_lines:
                 self.stats["forwarded_reads"] += 1
                 self._complete(request, now + self.timing.tcl)
                 return True

@@ -188,11 +188,13 @@ class Llc:
     def load_matrices(self, tag_state, flag_state) -> None:
         """Replace the contents with :meth:`lru_matrices`-shaped state.
 
-        Sets convert in blocks of :data:`_MATERIALIZE_SETS`, and only the
-        valid ways are visited (a lightly warmed LLC is mostly empty).
-        Boolean-mask indexing is row-major, so per set the columns come
-        out left to right: the LRU-first key order. ``tolist()`` yields
-        plain Python ints, the flags among them cached small ones.
+        The pre-warm kernel calls this as its last step; snapshots and
+        warm images pickle the set dicts themselves. Sets convert in
+        blocks of :data:`_MATERIALIZE_SETS`, and only the valid ways are
+        visited (a lightly warmed LLC is mostly empty). Boolean-mask
+        indexing is row-major, so per set the columns come out left to
+        right: the LRU-first key order. ``tolist()`` yields plain Python
+        ints, the flags among them cached small ones.
         """
         sets: list[dict[int, int]] = []
         for lo in range(0, len(tag_state), _MATERIALIZE_SETS):

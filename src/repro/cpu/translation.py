@@ -114,8 +114,3 @@ class VirtualMemory:
             if frame not in self._used_frames:
                 self._used_frames.add(frame)
                 return frame
-
-    @property
-    def mapped_pages(self) -> int:
-        """Virtual pages translated so far."""
-        return len(self._page_table)

@@ -155,12 +155,6 @@ class RetentionModel:
         """Local indices of weak copy rows in one subarray."""
         return self._subarray_sets(channel, bank, subarray)[1]
 
-    def is_weak_regular(
-        self, channel: int, bank: int, subarray: int, index: int
-    ) -> bool:
-        """Whether the regular row is weak at the target interval."""
-        return index in self.weak_regular_rows(channel, bank, subarray)
-
     def weak_set_digest(self, channels: int | None = None) -> str:
         """Content digest of every weak regular/copy row set (16 hex).
 

@@ -31,11 +31,9 @@ twice continues from the first warm. Each way carries the LLC's flags
 byte: the :data:`~repro.cpu.cache.DIRTY` bit and the prefetched bit,
 which a warm hit clears (as :meth:`Llc.warm` does).
 
-The final matrices, the page table as key/frame arrays, the allocator
-RNG state and the trace streams themselves are the *warm state*
-(:func:`warm_state`): a warm image pickles it, and
-:func:`adopt_warm_state` rebuilds exactly the LLC and VM the kernel left
-behind and hands each trace its stored stream's producer and position.
+The matrices live only inside the kernel. A warm image pickles what the
+kernel leaves behind, the ``Llc``, the ``VirtualMemory`` and the trace
+streams, as :meth:`System.prewarm` holds them.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from repro.cpu.cache import DIRTY
 from repro.cpu.translation import ASID_SHIFT, PAGE_MASK, PAGE_SHIFT
 from repro.errors import ConfigError
 
-__all__ = ["warm_llc", "warm_state", "adopt_warm_state"]
+__all__ = ["warm_llc"]
 
 #: Interleaved records (all cores together) per kernel chunk. The chunk
 #: bounds the kernel's int64 temporaries, and with them its share of the
@@ -63,16 +61,12 @@ _CHUNK_RECORDS = 32768
 _SCALAR_TAIL_SETS = 96
 
 
-def warm_llc(
-    llc, vm, traces: list, accesses_per_core: int
-) -> "tuple[np.ndarray, np.ndarray]":
+def warm_llc(llc, vm, traces: list, accesses_per_core: int) -> None:
     """Warm ``llc`` and ``vm`` with the next records of every trace.
 
     ``traces[i]`` is core ``i``'s trace (address space ``i``). Reads up
     to ``accesses_per_core`` records per trace, fewer where a finite
-    trace runs dry, and resets the LLC statistics afterwards. Returns
-    the final (tag, flags) matrices the LLC was loaded from, for a warm
-    image (:func:`warm_state`).
+    trace runs dry, and resets the LLC statistics afterwards.
     """
     for core, trace in enumerate(traces):
         if not hasattr(trace, "take_arrays"):
@@ -121,51 +115,6 @@ def warm_llc(
         )
     llc.load_matrices(tag_state, flag_state)
     llc.reset_stats()
-    return tag_state, flag_state
-
-
-def warm_state(tag_state, flag_state, vm, traces: list) -> dict:
-    """The warm state after :func:`warm_llc` returned these matrices."""
-    table = vm._page_table
-    return {
-        "tags": tag_state,
-        "flags": flag_state,
-        "pages": np.fromiter(table, dtype=np.int64, count=len(table)),
-        "frames": np.fromiter(
-            table.values(), dtype=np.int64, count=len(table)
-        ),
-        "rng": vm._rng.bit_generator.state,
-        "traces": traces,
-    }
-
-
-def adopt_warm_state(state: dict, llc, vm, traces: list) -> None:
-    """Put ``llc``, ``vm`` and ``traces`` in the warm state ``state``.
-
-    Each trace must name the workload and seed of its stored stream
-    (:class:`~repro.errors.ConfigError` on a mismatch, before anything
-    changes); each then takes over its stored stream's producer and
-    position, so nothing is regenerated.
-    """
-    pairs = list(zip(traces, state["traces"], strict=True))
-    for trace, stored in pairs:
-        if (stored.workload_name, stored.seed) != (
-            trace.workload_name, trace.seed
-        ):
-            raise ConfigError(
-                f"trace stream mismatch: warm image holds "
-                f"{stored.workload_name!r} seed {stored.seed}, stream is "
-                f"{trace.workload_name!r} seed {trace.seed}"
-            )
-    for trace, stored in pairs:
-        trace.consumed = stored.consumed
-        trace._it = stored._it
-    llc.load_matrices(state["tags"], state["flags"])
-    llc.reset_stats()
-    frames = state["frames"].tolist()
-    vm._page_table = dict(zip(state["pages"].tolist(), frames))
-    vm._used_frames = set(frames)
-    vm._rng.bit_generator.state = state["rng"]
 
 
 def _interleave(batches, bases, n):

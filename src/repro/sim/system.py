@@ -28,7 +28,7 @@ from repro.mech import get_plugin
 from repro.sim import factory
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import SimResult
-from repro.sim.prewarm import adopt_warm_state, warm_llc, warm_state
+from repro.sim.prewarm import warm_llc
 from repro.trace.stream import TraceStream
 
 __all__ = ["System"]
@@ -495,11 +495,12 @@ class System:
 
         A system built with a ``warm_image`` path adopts the image when
         it holds this warm state (same :func:`~repro.snapshot.warm.
-        warmup_digest`, workloads, seeds and access count). Otherwise it
-        computes the state and writes the image, atomically, for the
-        next system. An image built for other inputs raises
-        :class:`ConfigError`; a missing or torn one, or one written by
-        other code, is recomputed and rewritten.
+        warmup_digest`, workloads, seeds and access count): it takes the
+        image's ``Llc``, ``VirtualMemory`` and trace streams as its own.
+        Otherwise it computes the state and pickles those three objects
+        into the image, atomically, for the next system. An image built
+        for other inputs raises :class:`ConfigError`; a missing or torn
+        one, or one written by other code, is recomputed and rewritten.
         """
         if accesses_per_core < 0:
             raise ConfigError("prewarm accesses must be >= 0")
@@ -533,11 +534,14 @@ class System:
                     f"warm image {self.warm_image} was built for other "
                     f"inputs: image {built_for!r}, this system {header!r}"
                 )
-            adopt_warm_state(state, self.llc, self.vm, traces)
+            self.llc, self.vm = state["llc"], state["vm"]
+            for core, trace in zip(self.cores, state["traces"], strict=True):
+                core.trace = trace
             return
-        tags, flags = warm_llc(self.llc, self.vm, traces, accesses_per_core)
+        warm_llc(self.llc, self.vm, traces, accesses_per_core)
         write_snapshot(
-            self.warm_image, header, warm_state(tags, flags, self.vm, traces)
+            self.warm_image, header,
+            {"llc": self.llc, "vm": self.vm, "traces": traces},
         )
 
     def run(

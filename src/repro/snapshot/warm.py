@@ -1,11 +1,12 @@
 """Shared warm state: the warm digest, fork groups and warm images.
 
 A *warm image* holds the functional (untimed) pre-warm state
-:meth:`repro.sim.system.System.prewarm` leaves behind — LLC contents,
-page table with the frame-allocation RNG, and trace positions. That
-state is **mechanism-invariant**: pre-warming touches only address
-translation and the LLC, never the DRAM substrate, so one image can
-seed *every* mechanism variant of a configuration.
+:meth:`repro.sim.system.System.prewarm` leaves behind — the system's
+``Llc``, its ``VirtualMemory`` (page table and frame-allocation RNG)
+and its trace streams. That state is **mechanism-invariant**:
+pre-warming touches only address translation and the LLC, never the
+DRAM substrate, so one image can seed *every* mechanism variant of a
+configuration.
 :meth:`repro.exec.parallel.ParallelCampaign.run` groups its cache misses
 with :func:`fork_groups` and hands each group one image path: the first
 member to warm writes it, the others adopt it.
@@ -18,9 +19,10 @@ adoption checks.
 
 An image is a :mod:`repro.snapshot.container` file like every other
 persistent artifact: its header records those inputs, its payload is
-the state (the warm kernel's arrays and the pickled trace streams, see
-:func:`repro.sim.prewarm.warm_state`), and an image written by other
-code reads as missing and is rewritten.
+``{"llc": ..., "vm": ..., "traces": [...]}``, the three objects pickled
+as the warming system holds them (adoption hands the system those
+objects), and an image written by other code reads as missing and is
+rewritten.
 """
 
 from __future__ import annotations
@@ -78,29 +80,29 @@ class ForkGroup:
     name: str                  # image file stem (hash of the group key)
     warm_digest: str           # warmup_digest of the member configs
     indices: tuple[int, ...]   # positions of the members in the input
-    prewarm_accesses: int
 
     @property
     def filename(self) -> str:
         return f"{self.name}.warm"
 
 
-def fork_groups(specs, prewarm_accesses: int = 200_000) -> list[ForkGroup]:
+def fork_groups(specs) -> list[ForkGroup]:
     """Group task specs by warm-compatibility key.
 
     Two specs land in one group exactly when a single functional
     pre-warm can seed both: equal :func:`warmup_digest` (config surface)
-    plus identical trace identity (kind, workload names, seed) and
-    pre-warm length. Group naming is content-derived and process-stable,
-    so independently computed groups agree on image file names.
+    plus identical trace identity (kind, workload names, seed). Every
+    task pre-warms for the same length (``System.run``'s default), and
+    an image's header records and checks it. Group naming is
+    content-derived and process-stable, so independently computed
+    groups agree on image file names.
     """
     keyed: "dict[str, tuple[str, list[int]]]" = {}
     order: list[str] = []
     for index, spec in enumerate(specs):
         warm_digest = warmup_digest(spec.config)
         key = json.dumps(
-            [warm_digest, spec.kind, list(spec.names), spec.seed,
-             prewarm_accesses],
+            [warm_digest, spec.kind, list(spec.names), spec.seed],
             sort_keys=True,
         )
         if key not in keyed:
@@ -111,7 +113,5 @@ def fork_groups(specs, prewarm_accesses: int = 200_000) -> list[ForkGroup]:
     for key in order:
         warm_digest, indices = keyed[key]
         name = hashlib.sha256(key.encode()).hexdigest()[:20]
-        groups.append(ForkGroup(
-            name, warm_digest, tuple(indices), prewarm_accesses
-        ))
+        groups.append(ForkGroup(name, warm_digest, tuple(indices)))
     return groups

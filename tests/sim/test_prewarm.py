@@ -18,9 +18,9 @@ from repro.cpu.cache import PREFETCHED
 from repro.errors import ConfigError, SnapshotError
 from repro.keying import code_fingerprint
 from repro.sim.config import SystemConfig
-from repro.sim.prewarm import _CHUNK_RECORDS, adopt_warm_state
+from repro.sim.prewarm import _CHUNK_RECORDS
 from repro.sim.system import System
-from repro.snapshot import container, read_header, read_snapshot, state_tree
+from repro.snapshot import container, read_header, state_tree
 from repro.trace.chunks import ChunkTrace
 from repro.trace.stream import TraceStream
 from repro.trace.workloads import workload
@@ -281,20 +281,6 @@ class TestWarmImage:
         assert_same_warm_state(plain, system)
         assert image.read_bytes() == current
         assert read_header(image)["code_fingerprint"] == code_fingerprint()
-
-    def test_adoption_checks_each_stored_stream(self, tmp_path):
-        """A stored stream of another workload or seed is refused by
-        ``adopt_warm_state`` itself, before any state is touched."""
-        image = tmp_path / "w.warm"
-        build(("libq", "mcf"), 5, image).prewarm(2_000)
-        _, state = read_snapshot(image)
-        # Core 1's workload differs; then core 0's seed does.
-        for names, seed in ((("libq", "random"), 5), (("libq", "mcf"), 6)):
-            system = build(names, seed)
-            with pytest.raises(ConfigError, match="trace stream mismatch"):
-                adopt_warm_state(state, system.llc, system.vm,
-                                 [core.trace for core in system.cores])
-            assert all(core.trace.consumed == 0 for core in system.cores)
 
     def test_image_needs_unread_trace_streams(self, tmp_path):
         system = build(("libq",), 1, tmp_path / "w.warm")

@@ -18,7 +18,9 @@ from repro.errors import SnapshotError
 from repro.exec import TaskSpec
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.snapshot import container, read_snapshot, state_tree
+from repro.snapshot import (
+    container, read_snapshot, state_tree, write_snapshot,
+)
 from repro.trace.stream import TraceStream
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -143,6 +145,32 @@ class TestDiff:
         assert capsys.readouterr().out.splitlines() == [
             f"system.llc._sets[{index}]: key order {keys!r} != "
             f"{keys[::-1]!r}"
+        ]
+
+    def test_diff_of_warm_images_names_an_llc_set_by_path(
+        self, tmp_path, capsys
+    ):
+        """A warm image pickles the prewarmed ``Llc`` as the system held
+        it, so reversing one set's LRU order in an image is named by the
+        set's attribute path, like in a full snapshot."""
+        a, b = tmp_path / "a.warm", tmp_path / "b.warm"
+        System(
+            SystemConfig(cores=1, seed=1), [TraceStream("mcf", 1)],
+            warm_image=a,
+        ).prewarm(2_000)
+        header, payload = read_snapshot(a)
+        sets = payload["llc"]._sets
+        index = next(i for i, entries in enumerate(sets) if len(entries) > 2)
+        keys = list(sets[index])
+        items = list(reversed(sets[index].items()))
+        sets[index].clear()
+        sets[index].update(items)
+        for key in ("format_version", "code_fingerprint"):
+            del header[key]
+        write_snapshot(b, header, payload)
+        assert main(["snapshot", "diff", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"llc._sets[{index}]: key order {keys!r} != {keys[::-1]!r}"
         ]
 
 
