@@ -616,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes (default: CPU count; 1 = serial in-process)",
+        help="worker processes (default: CPU count; 1 = serial "
+             "in-process, or one worker at a time with --timeout)",
     )
     camp.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",

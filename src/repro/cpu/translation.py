@@ -41,6 +41,17 @@ class VirtualMemory:
         self._used_frames: set[int] = set()
         self._rng = np.random.default_rng(seed)
 
+    def __getstate__(self) -> dict:
+        # The used-frame set is always the set of the page table's
+        # frames: pickle the table alone and rebuild the set on load.
+        state = self.__dict__.copy()
+        del state["_used_frames"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._used_frames = set(self._page_table.values())
+
     def translate(self, asid: int, vaddr: int) -> int:
         """Translate a virtual address in address space ``asid``."""
         key = (asid << _ASID_SHIFT) | (vaddr >> _PAGE_SHIFT)

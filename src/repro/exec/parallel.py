@@ -31,8 +31,9 @@ class ParallelCampaign:
 
     :param directory: :class:`~repro.sim.campaign.Campaign` cache
         directory, readable at any job count.
-    :param jobs: worker slots (``1`` = serial in-process fallback).
-    :param timeout_s: per-attempt wall-clock budget (parallel runs only).
+    :param jobs: worker slots (``1`` = serial in-process fallback,
+        unless a timeout needs a worker to kill).
+    :param timeout_s: per-attempt wall-clock budget, or ``None``.
     :param retries: extra attempts per task after the first failure.
     :param journal: path of a JSONL run journal to append to, or ``None``.
     :param progress: attach a live terminal progress/ETA reporter.

@@ -5,10 +5,11 @@ out over ``multiprocessing`` workers — one process per task attempt, so a
 worker that segfaults, calls ``os._exit`` or hangs past its deadline
 takes down *only its own task*: the runner reaps the corpse, journals
 what happened, applies bounded exponential-backoff retries, and keeps the
-rest of the campaign flowing. With ``jobs=1`` everything runs in-process
-(no subprocesses, trivially debuggable) and produces identical results:
-tasks are pure functions of their spec, so scheduling cannot change
-outputs, only wall-clock.
+rest of the campaign flowing. With ``jobs=1`` and no timeout everything
+runs in-process (no subprocesses, trivially debuggable); a timeout needs
+a worker to kill, so ``jobs=1`` with one runs one worker at a time. All
+of these produce identical results: tasks are pure functions of their
+spec, so scheduling cannot change outputs, only wall-clock.
 
 Observers (journal, progress reporter — any ``(event, fields)`` callable)
 receive ``task_start`` / ``task_done`` / ``task_retry`` / ``task_failed``
@@ -156,10 +157,9 @@ class _Running:
 class ProcessPoolRunner:
     """Run tasks on a bounded worker pool with timeouts and retries.
 
-    :param jobs: worker slots (>= 1); ``1`` means serial in-process
-        execution (no subprocesses — note per-task timeouts need worker
-        processes and are not enforced serially). ``None`` uses the CPU
-        count.
+    :param jobs: worker slots (>= 1); ``1`` without a timeout means
+        serial in-process execution (no subprocesses), and with one a
+        single worker slot. ``None`` uses the CPU count.
     :param timeout_s: per-attempt wall-clock budget in seconds (> 0, or
         ``None`` for no budget); an overrunning worker is terminated and
         the attempt counts as a failure.
@@ -229,7 +229,7 @@ class ProcessPoolRunner:
         if not specs:
             return []
         self._on_outcome = on_outcome
-        if self.jobs == 1:
+        if self.jobs == 1 and self.timeout_s is None:
             return [
                 self._run_one_serial(i, spec, fn)
                 for i, spec in enumerate(specs)

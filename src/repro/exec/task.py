@@ -148,24 +148,25 @@ class TaskSpec:
         """Execute the simulation this spec describes (deterministic).
 
         With a ``checkpoint_dir``, a checkpoint left behind by an earlier
-        killed attempt is resumed instead of restarting from cycle 0;
-        unreadable or incompatible checkpoints are discarded and the run
-        starts over. Either way the result is byte-identical to an
-        uninterrupted run.
+        killed attempt is continued instead of restarting from cycle 0,
+        at the cadence it was saved with; a checkpoint that cannot be
+        loaded (torn, written by other code, not a checkpoint) is
+        discarded and the run starts over. Either way the result is
+        byte-identical to an uninterrupted run. An error of the
+        continued run itself is this task's error.
         """
         checkpoint = self.checkpoint_path()
         if checkpoint is not None and checkpoint.is_file():
             from repro.sim.system import System
 
             try:
-                # Resume at *this spec's* cadence so the continued run
-                # keeps checkpointing (a second kill also resumes) and
-                # removes the file once it completes.
-                return System.resume(
-                    checkpoint, checkpoint_every=self.checkpoint_every
-                )
+                system = System.load(checkpoint)
             except ReproError:
                 checkpoint.unlink(missing_ok=True)
+            else:
+                # It keeps checkpointing (a second kill also resumes)
+                # and removes the file once it completes.
+                return system.run_to_completion()
         kwargs: dict = {
             "config": self.config,
             "instructions": self.instructions,

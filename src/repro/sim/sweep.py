@@ -57,15 +57,15 @@ def run_workload(
     warm_image=None,
     checkpoint_path=None,
     checkpoint_every: int = 50_000,
-    snapshot_at_cycle: "int | None" = None,
-    snapshot_path=None,
 ) -> SimResult:
     """Run one workload on a single-core system.
 
     ``warm_image`` is the :class:`~repro.sim.system.System` warm-image
-    path (shared pre-warm state); the other snapshot keywords pass
-    straight through to :meth:`repro.sim.system.System.run` (periodic
-    resumable checkpoints, one-shot snapshots). All default to off.
+    path (shared pre-warm state); ``checkpoint_path`` and
+    ``checkpoint_every`` pass straight through to
+    :meth:`repro.sim.system.System.run` (periodic checkpoints, which
+    :meth:`~repro.sim.system.System.resume` continues). Both paths
+    default to off.
     """
     config = config if config is not None else SystemConfig()
     config = replace(config, cores=1)
@@ -75,8 +75,6 @@ def run_workload(
         warmup_instructions,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        snapshot_at_cycle=snapshot_at_cycle,
-        snapshot_path=snapshot_path,
     )
 
 
@@ -89,8 +87,6 @@ def run_mix(
     warm_image=None,
     checkpoint_path=None,
     checkpoint_every: int = 50_000,
-    snapshot_at_cycle: "int | None" = None,
-    snapshot_path=None,
 ) -> SimResult:
     """Run a multiprogrammed mix (one workload per core)."""
     config = config if config is not None else SystemConfig()
@@ -104,7 +100,5 @@ def run_mix(
         warmup_instructions,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        snapshot_at_cycle=snapshot_at_cycle,
-        snapshot_path=snapshot_path,
     )
 

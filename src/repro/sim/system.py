@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -39,6 +40,27 @@ IDLE = 1 << 62
 def _fmt_wake(time: int) -> str:
     """Render a component wake time for diagnostics (IDLE -> 'idle')."""
     return "idle" if time >= IDLE else str(time)
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Defer the generational GC for the enclosed simulation work.
+
+    The GC costs ~25% of a run: the hot loops allocate short-lived
+    tuples (trace records, commands, events) fast enough to trigger a
+    gen-0 collection every few hundred steps, and each collection also
+    scans the long-lived simulator object graph. Nothing the simulator
+    allocates per-step forms reference cycles, so collection is safely
+    deferred until the run completes (or raises).
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _prefetch_disabled(core_id: int, pc: int, vaddr: int, now: int) -> None:
@@ -363,6 +385,12 @@ class System:
         self._measure_start: int | None = None
         self.warm_image = None if warm_image is None else Path(warm_image)
         self.now = 0
+        # Loop parameters, stored by run() so a checkpoint carries them.
+        self.instructions: int | None = None
+        self.warmup_instructions = 0
+        self.max_cycles: int | None = None
+        self.checkpoint_path: Path | None = None
+        self.checkpoint_every = 0
 
     def check_report(self, finalize: bool = True):
         """Merged conformance report across channels (requires check=True).
@@ -403,8 +431,8 @@ class System:
         fixed: ticks have side effects (row-timeout precharges,
         drain-mode flips, refresh scheduling), so none may be skipped or
         reordered. After each step the ``max_cycles`` limit is checked,
-        then ``between()`` runs (checkpoint and snapshot saving), so
-        snapshots are only ever taken between steps.
+        then ``between()`` runs (checkpoint saving), so checkpoints are
+        only ever taken between steps.
 
         The next horizon is computed while ticking: each component's wake
         is read once its tick (if due) has returned, and the heap head
@@ -552,8 +580,6 @@ class System:
         prewarm_accesses: int = 200_000,
         checkpoint_path: "str | Path | None" = None,
         checkpoint_every: int = 50_000,
-        snapshot_at_cycle: int | None = None,
-        snapshot_path: "str | Path | None" = None,
     ) -> SimResult:
         """Warm up, measure, and return the result.
 
@@ -563,15 +589,12 @@ class System:
         core runs for ``instructions`` more; the simulation stops when
         every core has retired its measured quota.
 
-        Snapshot hooks (near zero-cost when left at their defaults — the
-        timed loop pays one ``is not None`` test per step):
-
-        - ``checkpoint_path`` / ``checkpoint_every``: periodically save a
-          resumable checkpoint (:meth:`System.resume` continues it); the
-          checkpoint is deleted when the run completes.
-        - ``snapshot_at_cycle`` / ``snapshot_path``: save one resumable
-          snapshot the first time the clock reaches the given cycle, and
-          keep it (restore-equivalence testing).
+        With a ``checkpoint_path`` the loop pickles this system into
+        that file every ``checkpoint_every`` cycles (:meth:`resume`
+        continues it), and removes the file when the run completes.
+        Without one the timed loop pays one ``is not None`` test per
+        step. The loop parameters are stored on the system, so a
+        checkpoint carries them.
         """
         if instructions < 1 or warmup_instructions < 0:
             raise ConfigError("invalid instruction counts")
@@ -579,122 +602,73 @@ class System:
             raise ConfigError("prewarm accesses must be >= 0")
         if checkpoint_path is not None and checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        if (snapshot_at_cycle is None) != (snapshot_path is None):
-            raise ConfigError(
-                "snapshot_at_cycle and snapshot_path must be given together"
-            )
-        # The generational GC costs ~25% of a run: the hot loops allocate
-        # short-lived tuples (trace records, commands, events) fast enough
-        # to trigger a gen-0 collection every few hundred steps, and each
-        # collection also scans the long-lived simulator object graph.
-        # Nothing the simulator allocates per-step forms reference cycles,
-        # so collection is safely deferred until the run completes.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        self.instructions = instructions
+        self.warmup_instructions = warmup_instructions
+        self.max_cycles = max_cycles
+        self.checkpoint_path = (
+            None if checkpoint_path is None else Path(checkpoint_path)
+        )
+        self.checkpoint_every = checkpoint_every
+        with _gc_paused():
             if prewarm_accesses:
                 self.prewarm(prewarm_accesses)
-            return self._run_to_completion(
-                instructions,
-                warmup_instructions,
-                max_cycles,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                snapshot_at_cycle=snapshot_at_cycle,
-                snapshot_path=snapshot_path,
-            )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+            return self.run_to_completion()
 
-    def _run_to_completion(
-        self,
-        instructions: int,
-        warmup_instructions: int,
-        max_cycles: int | None,
-        checkpoint_path: "str | Path | None" = None,
-        checkpoint_every: int = 50_000,
-        snapshot_at_cycle: int | None = None,
-        snapshot_path: "str | Path | None" = None,
-    ) -> SimResult:
+    def run_to_completion(self) -> SimResult:
         """Drive the timed loops from the current state to the result.
 
-        Shared by fresh runs and resumed checkpoints: the phase is
-        derived from the state itself (``_measure_start is None`` means
-        the warm-up loop still has work), so restoring a checkpoint and
-        calling this produces the exact step sequence of the original
-        run. Checkpoints and the one-shot snapshot are saved by the
-        loop's between-steps hook; without either the hook is ``None``.
+        Shared by fresh runs and loaded checkpoints: the loop parameters
+        are the ones :meth:`run` stored, and the phase is derived from
+        the state itself (``_measure_start is None`` means the warm-up
+        loop still has work), so a loaded checkpoint continues with the
+        exact step sequence of the original run. Checkpoints are saved
+        by the loop's between-steps hook, whose cadence counts from the
+        current cycle; without a checkpoint path the hook is ``None``.
         """
-        between = None
-        if checkpoint_path is not None or snapshot_at_cycle is not None:
-            between = self._snapshot_hook(
-                {
-                    "instructions": instructions,
-                    "warmup_instructions": warmup_instructions,
-                    "max_cycles": max_cycles,
-                    "checkpoint_every": (
-                        checkpoint_every
-                        if checkpoint_path is not None
-                        else None
-                    ),
-                },
-                checkpoint_path,
-                checkpoint_every,
-                snapshot_at_cycle,
-                snapshot_path,
-            )
+        between = self._checkpoint_hook()
         cores = self.cores
-        if self._measure_start is None:
+        warmup_instructions = self.warmup_instructions
+        with _gc_paused():
+            if self._measure_start is None:
+                self._run_until(
+                    lambda: all(
+                        core.retired >= warmup_instructions for core in cores
+                    ),
+                    self.max_cycles,
+                    "warm-up",
+                    between,
+                )
+                self._begin_measurement(self.instructions)
             self._run_until(
-                lambda: all(
-                    core.retired >= warmup_instructions for core in cores
-                ),
-                max_cycles,
-                "warm-up",
+                lambda: all(core.done for core in cores),
+                self.max_cycles,
+                "measurement",
                 between,
             )
-            self._begin_measurement(instructions)
-        self._run_until(
-            lambda: all(core.done for core in cores),
-            max_cycles,
-            "measurement",
-            between,
-        )
-        result = self._collect(instructions)
-        if checkpoint_path is not None:
+            result = self._collect(self.instructions)
+        if self.checkpoint_path is not None:
             # The run completed: a leftover checkpoint would make a later
             # identical run resume from mid-flight state instead of
             # recomputing (correct but surprising) — remove it.
-            Path(checkpoint_path).unlink(missing_ok=True)
+            self.checkpoint_path.unlink(missing_ok=True)
         return result
 
-    def _snapshot_hook(
-        self,
-        run_state: dict,
-        checkpoint_path: "str | Path | None",
-        checkpoint_every: int,
-        snapshot_at_cycle: int | None,
-        snapshot_path: "str | Path | None",
-    ) -> Callable[[], None]:
-        """The between-steps hook saving checkpoints, then the snapshot.
+    def _checkpoint_hook(self) -> Callable[[], None] | None:
+        """The between-steps hook saving checkpoints (``None`` without a
+        checkpoint path).
 
-        The checkpoint cadence counts from the current cycle and carries
-        across the warm-up/measurement boundary; the one-shot snapshot
-        is saved the first time the clock reaches ``snapshot_at_cycle``.
+        The cadence counts from the current cycle and carries across the
+        warm-up/measurement boundary.
         """
-        next_checkpoint = self.now + checkpoint_every
+        if self.checkpoint_path is None:
+            return None
+        next_checkpoint = self.now + self.checkpoint_every
 
         def between() -> None:
-            nonlocal next_checkpoint, snapshot_at_cycle
-            if checkpoint_path is not None and self.now >= next_checkpoint:
-                self.save_snapshot(checkpoint_path, run_state=run_state)
-                next_checkpoint = self.now + checkpoint_every
-            if (snapshot_at_cycle is not None
-                    and self.now >= snapshot_at_cycle):
-                self.save_snapshot(snapshot_path, run_state=run_state)
-                snapshot_at_cycle = None
+            nonlocal next_checkpoint
+            if self.now >= next_checkpoint:
+                self.save_snapshot(self.checkpoint_path)
+                next_checkpoint = self.now + self.checkpoint_every
 
         return between
 
@@ -779,7 +753,7 @@ class System:
     # Snapshots
     # ------------------------------------------------------------------
     def _snapshot_guard(self) -> None:
-        """Reject systems whose traces cannot be rebuilt on restore."""
+        """Reject systems whose traces a snapshot header cannot name."""
         for core in self.cores:
             if not isinstance(core.trace, TraceStream):
                 raise SnapshotError(
@@ -789,18 +763,14 @@ class System:
                     "build these automatically)"
                 )
 
-    def save_snapshot(
-        self, path: "str | Path", run_state: dict | None = None
-    ) -> None:
-        """Write a full, versioned, digest-stamped snapshot of this system.
+    def save_snapshot(self, path: "str | Path") -> None:
+        """Pickle this system, whole, into one container at ``path``.
 
-        ``run_state`` (the loop parameters of an in-flight :meth:`run`)
-        makes the snapshot *resumable*: :meth:`resume` continues it to a
+        Every field travels with it, the loop parameters :meth:`run`
+        stored included, so :meth:`resume` continues a checkpoint to a
         result whose telemetry digest is byte-identical to the
-        uninterrupted run's. The payload is this system itself, pickled
-        whole, so every field travels with it; a system holding an
-        unpicklable object raises :class:`SnapshotError` and writes
-        nothing.
+        uninterrupted run's. A system holding an unpicklable object
+        raises :class:`SnapshotError` and writes nothing.
         """
         self._snapshot_guard()
         from repro.sim.campaign import config_digest
@@ -816,83 +786,35 @@ class System:
             "workloads": [core.trace.workload_name for core in self.cores],
             "seeds": [core.trace.seed for core in self.cores],
             "consumed": [core.trace.consumed for core in self.cores],
-            "resumable": run_state is not None,
         }
-        write_snapshot(path, header, {"system": self, "run": run_state})
+        write_snapshot(path, header, self)
 
     @classmethod
-    def _restore_with_run(
-        cls,
-        path: "str | Path",
-        config: SystemConfig | None = None,
-    ) -> "tuple[System, dict | None]":
-        from repro.sim.campaign import config_digest
+    def load(cls, path: "str | Path") -> "System":
+        """Unpickle the system a checkpoint holds, to continue its run.
+
+        The loaded system checkpoints into ``path``, the file it was
+        loaded from, at the saved cadence, and removes it when its run
+        completes. A missing, torn or other-code file, or a container of
+        another kind, raises :class:`SnapshotError`.
+        """
         from repro.snapshot.container import read_snapshot
 
-        header, payload = read_snapshot(path)
-        if header.get("kind") != "full":
+        header, system = read_snapshot(path)
+        if header.get("kind") != "full" or not isinstance(system, cls):
             raise SnapshotError(
                 f"{path}: expected a full snapshot, got kind "
                 f"{header.get('kind')!r}"
             )
-        if config is not None:
-            expected = config_digest(config)
-            if expected != header["config_digest"]:
-                raise ConfigError(
-                    f"snapshot {path} was taken under config digest "
-                    f"{header['config_digest']} (mechanism "
-                    f"{header.get('mechanism')!r}) but restore expected "
-                    f"digest {expected} (mechanism {config.mechanism!r})"
-                )
-        return payload["system"], payload["run"]
-
-    @classmethod
-    def restore(
-        cls,
-        path: "str | Path",
-        config: SystemConfig | None = None,
-    ) -> "System":
-        """Unpickle the system a full snapshot holds.
-
-        Passing ``config`` asserts the snapshot is compatible with it
-        (:class:`ConfigError` if not).
-        """
-        system, _ = cls._restore_with_run(path, config)
+        if system.instructions is None:
+            raise SnapshotError(
+                f"{path}: the snapshot was saved outside a run and has "
+                "nothing to continue"
+            )
+        system.checkpoint_path = Path(path)
         return system
 
     @classmethod
-    def resume(
-        cls,
-        path: "str | Path",
-        checkpoint_every: int | None = None,
-    ) -> SimResult:
-        """Continue a checkpointed run to completion.
-
-        The snapshot must have been written by a checkpointing
-        :meth:`run` (it carries the loop parameters). Checkpointing
-        continues into the same file — at the saved cadence, or at
-        ``checkpoint_every`` if given — and the file is removed when the
-        run completes.
-        """
-        system, run_state = cls._restore_with_run(path)
-        if run_state is None:
-            raise SnapshotError(
-                f"{path}: snapshot carries no run state and cannot be "
-                "resumed (it was saved outside a checkpointing run)"
-            )
-        if checkpoint_every is None:
-            checkpoint_every = run_state.get("checkpoint_every")
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            return system._run_to_completion(
-                run_state["instructions"],
-                run_state["warmup_instructions"],
-                run_state["max_cycles"],
-                checkpoint_path=path if checkpoint_every else None,
-                checkpoint_every=checkpoint_every or 50_000,
-            )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+    def resume(cls, path: "str | Path") -> SimResult:
+        """Continue the checkpointed run in ``path`` to completion."""
+        return cls.load(path).run_to_completion()

@@ -1,4 +1,4 @@
-"""One container for every persistent artifact, checkpoint/restore and
+"""One container for every persistent artifact, checkpoint/resume and
 warm-state forking.
 
 :mod:`repro.snapshot.container` alone reads and writes the files that
@@ -9,13 +9,14 @@ file of other code is refused before unpickling, and each caller treats
 that as a miss (recompute, or rerun a checkpoint from cycle 0). On top
 of it the package provides three features:
 
-- **Checkpoint/resume** — :meth:`repro.sim.system.System.save_snapshot`
-  pickles the complete simulation state (cores, LLC, controller
-  queues, DRAM bank state, CROW tables, the event heap, telemetry, the
-  protocol checkers) into one versioned container;
-  :meth:`System.restore` unpickles an equivalent system and
-  :meth:`System.resume` continues an interrupted run to completion with
-  a telemetry digest identical to the uninterrupted run.
+- **Checkpoint/resume** — a :meth:`repro.sim.system.System.run` given
+  a checkpoint path pickles the ``System`` alone (cores, LLC,
+  controller queues, DRAM bank state, CROW tables, the event heap,
+  telemetry, the protocol checkers and the run's loop parameters) into
+  one versioned container every ``checkpoint_every`` cycles, the only
+  way to stop a run; :meth:`System.resume` unpickles it and continues
+  the run to completion, checkpointing into the file it was loaded
+  from, with a telemetry digest identical to the uninterrupted run.
 - **Shared warm state** — :mod:`repro.snapshot.warm` names and groups
   the mechanism-invariant functional pre-warm state, so a campaign warms
   each distinct state once and its mechanism variants adopt it instead
@@ -27,7 +28,7 @@ of it the package provides three features:
   names every differing field by its attribute path.
 
 Design rule: ``pickle`` is the only serializer of live simulator state.
-A full snapshot pickles the ``System`` object graph as it stands —
+A checkpoint pickles the ``System`` object graph as it stands —
 wiring, memos and all — so no component re-describes its fields, and a
 field cannot be forgotten. What the graph holds must therefore be
 picklable: completion callbacks are objects or bound methods, never

@@ -1,10 +1,10 @@
 """Plain-value projection of a live object graph (snapshot diffs).
 
-A full snapshot pickles the live :class:`~repro.sim.system.System`, so
+A checkpoint pickles the live :class:`~repro.sim.system.System`, so
 it has no per-component schema to compare. :func:`state_tree` supplies
 one generically: every object becomes a dict of its fields, so a diff of
 two projections names the first differing field by its attribute path
-(``system.channels[0].banks[3].act_time``) and no field can be left out.
+(``channels[0].banks[3].act_time``) and no field can be left out.
 Dict key order is state too (an LLC set's keys are its LRU stack), so
 live dicts project to :class:`~collections.OrderedDict`, whose equality
 is order-aware.

@@ -1,5 +1,7 @@
 """Tests for the core model, virtual memory, and the RPT prefetcher."""
 
+import pickle
+
 import pytest
 
 from repro.cpu import CoreConfig, RptPrefetcher, VirtualMemory
@@ -150,6 +152,21 @@ class TestVirtualMemory:
         vm.translate(0, 4096)
         with pytest.raises(CapacityError):
             vm.translate(0, 8192)
+
+    def test_pickle_stores_frames_once_and_allocates_on_identically(self):
+        """The used-frame set is rebuilt from the page table on unpickle,
+        so a restored allocator draws the same frames, collisions
+        included, as the original."""
+        vm = VirtualMemory(1 * MIB, seed=3)  # 256 frames: collisions
+        for page in range(100):
+            vm.translate(0, page * 4096)
+        assert "_used_frames" not in vm.__getstate__()
+        restored = pickle.loads(pickle.dumps(vm))
+        assert restored._used_frames == set(vm._page_table.values())
+        more = [(asid, page * 4096) for asid in (0, 1) for page in range(60)]
+        assert [restored.translate(*access) for access in more] == [
+            vm.translate(*access) for access in more
+        ]
 
 
 class TestRptPrefetcher:

@@ -142,6 +142,20 @@ class TestParallel:
         assert outcomes[1].result == 10
         assert wall < 30  # the sleeping worker did not run to completion
 
+    def test_timeout_kills_the_worker_at_one_job(self):
+        """A timeout needs a worker to kill, so ``jobs=1`` with a budget
+        runs each attempt in one worker slot instead of in-process."""
+        runner = ProcessPoolRunner(
+            jobs=1, retries=0, backoff_s=0.01, timeout_s=0.2
+        )
+        started = time.monotonic()
+        outcomes = runner.run([_spec(seed=1), _spec(seed=5)], fn=_mixed)
+        wall = time.monotonic() - started
+        assert not outcomes[0].ok and outcomes[0].timed_out
+        assert "timed out" in outcomes[0].error
+        assert outcomes[1].result == 10
+        assert wall < 30  # the sleeping worker did not run to completion
+
     @pytest.mark.parametrize("timeout_s", [0, 0.0, -1.0, float("nan")])
     def test_non_positive_timeout_rejected(self, timeout_s):
         # A zero budget would kill every worker at launch.

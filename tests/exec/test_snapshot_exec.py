@@ -3,7 +3,8 @@
 Covers the exec-engine side of the snapshot subsystem: a retried task
 resumes from the checkpoint its killed predecessor left behind (and the
 journal says so), corrupt, old-format and other-code checkpoints degrade
-to a full re-run (and the journal says why), and
+to a full re-run (and the journal says why), a continued run's own
+error is the task's, and
 ``ParallelCampaign.run`` warms once per compatibility group without
 changing any result byte.
 """
@@ -18,8 +19,10 @@ import pytest
 from repro.errors import ReproError
 from repro.exec import ParallelCampaign, TaskSpec, execute_task
 from repro.sim.config import SystemConfig
-from repro.sim.sweep import run_workload
+from repro.sim.system import System
 from repro.snapshot import container
+from repro.trace.stream import TraceStream
+from tests.conftest import stop_at_first_checkpoint
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 EXPECTED = json.loads((DATA / "expected_digests.json").read_text())
@@ -45,18 +48,11 @@ def events(journal, name):
 
 
 def _crash_after_checkpoint(spec):
-    """Worker body simulating a mid-run kill: attempt 1 leaves a valid
-    checkpoint at cycle 250 and dies without reporting; the retry runs
-    the spec normally and must resume from that checkpoint."""
-    checkpoint = spec.checkpoint_path()
-    if not checkpoint.is_file():
-        run_workload(
-            spec.names[0], spec.config,
-            instructions=spec.instructions,
-            warmup_instructions=spec.warmup_instructions,
-            seed=spec.seed,
-            snapshot_at_cycle=250, snapshot_path=checkpoint,
-        )
+    """Worker body simulating a mid-run kill: attempt 1 stops right
+    after its first checkpoint and dies without reporting; the retry
+    runs the spec normally and must resume from that checkpoint."""
+    if not spec.checkpoint_path().is_file():
+        stop_at_first_checkpoint(spec.run)
         os._exit(13)
     return spec.run()
 
@@ -87,7 +83,10 @@ class TestCrashResume:
         the runner retries, the retry resumes from the checkpoint — and
         the final digest is byte-identical to an uninterrupted run."""
         journal = tmp_path / "journal.jsonl"
-        spec = spec_for("crow-cache", checkpoint_dir=tmp_path / "ck")
+        spec = spec_for(
+            "crow-cache", checkpoint_dir=tmp_path / "ck",
+            checkpoint_every=250,
+        )
         with ParallelCampaign(
             tmp_path / "cache", jobs=2, retries=1, journal=journal,
         ) as campaign:
@@ -116,12 +115,10 @@ class TestCrashResume:
 
     def test_serial_runner_journals_resume_too(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        spec = spec_for("salp", checkpoint_dir=tmp_path / "ck")
-        run_workload(
-            "libq", spec.config, **RUN,
-            snapshot_at_cycle=300,
-            snapshot_path=spec.checkpoint_path(),
+        spec = spec_for(
+            "salp", checkpoint_dir=tmp_path / "ck", checkpoint_every=300
         )
+        stop_at_first_checkpoint(spec.run)
         with ParallelCampaign(
             tmp_path / "cache", jobs=1, journal=journal,
         ) as campaign:
@@ -139,13 +136,11 @@ class TestCrashResume:
         cursors) is refused, deleted and its task rerun from cycle 0;
         the journal says why instead of announcing a resume."""
         journal = tmp_path / "journal.jsonl"
-        spec = spec_for("baseline", checkpoint_dir=tmp_path / "ck")
-        monkeypatch.setattr(container, "FORMAT_VERSION", 2)
-        run_workload(
-            "libq", spec.config, **RUN,
-            snapshot_at_cycle=300,
-            snapshot_path=spec.checkpoint_path(),
+        spec = spec_for(
+            "baseline", checkpoint_dir=tmp_path / "ck", checkpoint_every=300
         )
+        monkeypatch.setattr(container, "FORMAT_VERSION", 2)
+        stop_at_first_checkpoint(spec.run)
         monkeypatch.undo()
         with ParallelCampaign(
             tmp_path / "cache", jobs=1, journal=journal,
@@ -171,16 +166,15 @@ class TestCrashResume:
         announced as a resume: the journal says it was discarded and
         why, and the task reruns from cycle 0."""
         journal = tmp_path / "journal.jsonl"
-        spec = spec_for("baseline", checkpoint_dir=tmp_path / "ck")
+        spec = spec_for(
+            "baseline", checkpoint_dir=tmp_path / "ck", checkpoint_every=300
+        )
         checkpoint = spec.checkpoint_path()
         if damage == "other-code":
             monkeypatch.setattr(
                 container, "code_fingerprint", lambda: "f" * 20
             )
-        run_workload(
-            "libq", spec.config, **RUN,
-            snapshot_at_cycle=300, snapshot_path=checkpoint,
-        )
+        stop_at_first_checkpoint(spec.run)
         monkeypatch.undo()
         assert container.read_header(checkpoint)["cycle"] == 300
         if damage == "torn":
@@ -199,6 +193,21 @@ class TestCrashResume:
         (discarded,) = events(log, "checkpoint_discarded")
         reason = {"torn": "digest mismatch", "other-code": "f" * 20}[damage]
         assert reason in discarded["reason"]
+
+    def test_continued_run_error_is_the_task_error(self, tmp_path):
+        """A checkpoint that loads, but whose continued run fails on its
+        own (here its saved ``max_cycles`` runs out), fails the task: the
+        checkpoint is neither discarded nor rerun from cycle 0."""
+        spec = spec_for("baseline", checkpoint_dir=tmp_path)
+        checkpoint = spec.checkpoint_path()
+        system = System(spec.config, [TraceStream("libq", spec.seed)])
+        stop_at_first_checkpoint(
+            system.run, spec.instructions, spec.warmup_instructions,
+            max_cycles=500, checkpoint_path=checkpoint, checkpoint_every=300,
+        )
+        with pytest.raises(ReproError, match="exceeded max_cycles"):
+            spec.run()
+        assert checkpoint.is_file()
 
 
 def _leader_fails(spec):

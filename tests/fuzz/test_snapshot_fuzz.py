@@ -2,10 +2,12 @@
 
 The property the whole subsystem stands on, asserted over randomized
 scenarios (workload mixes × mechanisms × CROW knobs × run lengths):
-snapshot a run at a random mid-flight cycle, restore it **in a fresh
-process** (``python -m repro snapshot resume``, so nothing leaks through
-interpreter state — only the container bytes cross over), and the final
-telemetry digest is byte-identical to the uninterrupted run.
+stop a checkpointing run right after its first checkpoint, at a random
+cadence, resume it **in a fresh process** (``python -m repro snapshot
+resume``, so nothing leaks through interpreter state — only the
+container bytes cross over; it keeps checkpointing at that cadence),
+and the final telemetry digest is byte-identical to the uninterrupted
+run.
 
 Example budgets are pinned (each example simulates twice plus one
 subprocess); under ``HYPOTHESIS_PROFILE=ci`` the tests inherit the ci
@@ -27,6 +29,7 @@ from repro.check.scenarios import random_scenario
 from repro.sim.sweep import derive_trace_seed
 from repro.sim.system import System
 from repro.trace.stream import TraceStream
+from tests.conftest import stop_at_first_checkpoint
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -43,12 +46,12 @@ def _build(scenario):
     return System(config, traces)
 
 
-def _run(scenario, system, **snapshot_kwargs):
+def _run(scenario, system, **checkpoint_kwargs):
     return system.run(
         scenario.instructions,
         scenario.warmup_instructions,
         prewarm_accesses=10_000,
-        **snapshot_kwargs,
+        **checkpoint_kwargs,
     )
 
 
@@ -77,18 +80,16 @@ def test_random_scenario_snapshot_resumes_identically(case_seed, fraction):
     digest = straight.telemetry_digest()
     assert digest is not None
 
-    # Snapshot somewhere strictly inside the run: the clock advances in
-    # event-sized jumps, so the guard fires at the first step that
-    # reaches the target cycle.
-    at_cycle = max(1, int(straight.cycles * fraction))
-    note(f"snapshot at cycle {at_cycle} of {straight.cycles}")
+    # Checkpoint strictly inside the run: the clock advances in
+    # event-sized jumps, so the first checkpoint is written at the first
+    # step that reaches the cadence.
+    every = max(1, int(straight.cycles * fraction))
+    note(f"checkpoint every {every} cycles; measured {straight.cycles}")
     with tempfile.TemporaryDirectory() as tmp:
-        snap = Path(tmp) / "fuzz.snap"
-        snapshotted = _run(
-            scenario, _build(scenario),
-            snapshot_at_cycle=at_cycle, snapshot_path=snap,
+        ck = Path(tmp) / "fuzz.ckpt"
+        stop_at_first_checkpoint(
+            _run, scenario, _build(scenario),
+            checkpoint_path=ck, checkpoint_every=every,
         )
-        # the snapshot hook itself must not perturb the host run
-        assert snapshotted.telemetry_digest() == digest
-        assert snap.is_file()
-        assert _resume_in_fresh_process(snap) == digest
+        assert _resume_in_fresh_process(ck) == digest
+        assert not ck.exists()

@@ -20,10 +20,9 @@ from repro.__main__ import main
 from repro.exec import TaskSpec
 from repro.keying import code_fingerprint
 from repro.sim.config import SystemConfig
-from repro.sim.sweep import run_workload
 from repro.sim.system import System
-from repro.snapshot import read_header
 from repro.trace.stream import TraceStream
+from tests.conftest import stop_at_first_checkpoint
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 EXPECTED = json.loads((DATA / "expected_digests.json").read_text())
@@ -96,13 +95,9 @@ def test_edited_copy_misses_every_artifact(tmp_path, capsys):
         "libq",
         SystemConfig(cores=1, mechanism="crow-cache", seed=1, telemetry=True),
         instructions=2_000, warmup_instructions=500, seed=0,
-        checkpoint_dir=paths["checkpoints"],
+        checkpoint_dir=paths["checkpoints"], checkpoint_every=300,
     )
-    run_workload(
-        "libq", spec.config, instructions=2_000, warmup_instructions=500,
-        seed=0, snapshot_at_cycle=300, snapshot_path=spec.checkpoint_path(),
-    )
-    assert read_header(spec.checkpoint_path())["cycle"] == 300
+    assert stop_at_first_checkpoint(spec.run)["cycle"] == 300
 
     # A copy of the package with one comment line appended.
     package = Path(repro.__file__).resolve().parent

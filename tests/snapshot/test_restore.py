@@ -1,7 +1,7 @@
 """Restore-then-run equivalence: the snapshot subsystem's correctness bar.
 
-The tentpole property: a run snapshotted at an arbitrary cycle and
-resumed — in this process or another — produces a telemetry digest
+The tentpole property: a run stopped right after a periodic checkpoint
+and resumed — in this process or another — produces a telemetry digest
 byte-identical to the uninterrupted run. Asserted here against every
 oracle case in ``tests/data/expected_digests.json``, with the
 conformance checker attached, and across the warm-image fork path.
@@ -16,7 +16,9 @@ import pytest
 from repro import SystemConfig, run_workload
 from repro.errors import ConfigError, ReproError, SnapshotError
 from repro.sim.system import System
-from repro.snapshot import read_header, warmup_digest, write_snapshot
+from repro.snapshot import warmup_digest, write_snapshot
+from repro.trace.stream import TraceStream
+from tests.conftest import stop_at_first_checkpoint
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 EXPECTED = json.loads((DATA / "expected_digests.json").read_text())
@@ -30,37 +32,41 @@ def config_for(mechanism, **extra):
     return SystemConfig(**base)
 
 
+def checkpoint(path, config, every, **extra):
+    """Run libq checkpointing into ``path`` every ``every`` cycles and
+    stop right after the first checkpoint; returns its header."""
+    return stop_at_first_checkpoint(
+        run_workload, "libq", config, **RUN, **extra,
+        checkpoint_path=path, checkpoint_every=every,
+    )
+
+
 class TestRestoreThenRun:
     @pytest.mark.parametrize("case", sorted(EXPECTED))
     def test_resumed_digest_matches_oracle(self, case, tmp_path):
-        """Snapshot mid-measurement, resume, compare against the
+        """Checkpoint mid-measurement, stop, resume, compare against the
         committed oracle digest — byte-identical or the subsystem is
         perturbing simulated execution."""
         mechanism = case.removeprefix("libq-")
-        snap = tmp_path / "mid.snap"
-        straight = run_workload(
-            "libq", config_for(mechanism), **RUN,
-            snapshot_at_cycle=300, snapshot_path=snap,
-        )
+        ck = tmp_path / "run.ckpt"
+        header = checkpoint(ck, config_for(mechanism), 400)
+        assert header["phase"] == "measure"
+        resumed = System.resume(ck)
         want = EXPECTED[case]
-        assert straight.telemetry_digest() == want["digest"]
-        assert snap.is_file()
-
-        resumed = System.resume(snap)
         assert resumed.telemetry_digest() == want["digest"]
         assert resumed.cycles == want["cycles"]
+        assert not ck.is_file()
 
     def test_snapshot_during_warmup_resumes_identically(self, tmp_path):
-        """Cycle 40 lands in the timed-warmup phase: the resumed run
+        """Cycle 150 lands in the timed-warmup phase: the resumed run
         must replay the rest of warmup, reset stats, then measure."""
-        snap = tmp_path / "warmup.snap"
-        straight = run_workload(
-            "libq", config_for("crow-cache"), **RUN,
-            snapshot_at_cycle=40, snapshot_path=snap,
+        ck = tmp_path / "warmup.ckpt"
+        assert checkpoint(ck, config_for("crow-cache"), 150)["phase"] == (
+            "warmup"
         )
-        assert read_header(snap)["phase"] == "warmup"
-        resumed = System.resume(snap)
-        assert resumed.telemetry_digest() == straight.telemetry_digest()
+        resumed = System.resume(ck)
+        want = EXPECTED["libq-crow-cache"]
+        assert resumed.telemetry_digest() == want["digest"]
 
     def test_strict_conformance_passes_on_resumed_run(self, tmp_path):
         """repro.check strict mode raises on the first protocol
@@ -70,47 +76,53 @@ class TestRestoreThenRun:
         config = config_for(
             "crow-combined", check=True, check_mode="strict"
         )
-        snap = tmp_path / "checked.snap"
-        straight = run_workload(
-            "libq", config, **RUN,
-            snapshot_at_cycle=300, snapshot_path=snap,
-        )
-        resumed = System.resume(snap)
-        assert resumed.telemetry_digest() == straight.telemetry_digest()
+        ck = tmp_path / "checked.ckpt"
+        checkpoint(ck, config, 400)
+        resumed = System.resume(ck)
+        want = EXPECTED["libq-crow-combined"]
+        assert resumed.telemetry_digest() == want["digest"]
 
     def test_checkpoint_chain_resumes_and_cleans_up(self, tmp_path):
-        """Periodic checkpointing: kill-points at every cadence multiple
-        must all resume to the same digest, and a completed run must
-        delete its checkpoint."""
-        straight = run_workload("libq", config_for("salp"), **RUN)
+        """Periodic checkpointing: a run that checkpoints throughout ends
+        on the uninterrupted digest and deletes its file, and a run
+        killed twice, once more after resuming, resumes to the same
+        digest at the saved cadence."""
+        want = EXPECTED["libq-salp"]
         ck = tmp_path / "run.ckpt"
-        run_workload(
+        straight = run_workload(
             "libq", config_for("salp"), **RUN,
-            snapshot_at_cycle=200, snapshot_path=ck,
+            checkpoint_path=ck, checkpoint_every=250,
         )
-        resumed = System.resume(ck, checkpoint_every=150)
-        assert resumed.telemetry_digest() == straight.telemetry_digest()
+        assert straight.telemetry_digest() == want["digest"]
+        assert not ck.is_file()
+        first = checkpoint(ck, config_for("salp"), 250)
+        second = stop_at_first_checkpoint(System.resume, ck)
+        assert second["cycle"] >= first["cycle"] + 250
+        resumed = System.resume(ck)
+        assert resumed.telemetry_digest() == want["digest"]
         # resume() itself checkpoints to the same file and must clean up
         assert not ck.is_file()
 
+    def test_moved_checkpoint_checkpoints_into_its_new_path(self, tmp_path):
+        """``resume`` uses the path it loaded from: a checkpoint moved
+        after it was written keeps checkpointing into the moved file
+        and removes that file on completion, never the original."""
+        original = tmp_path / "written" / "run.ckpt"
+        checkpoint(original, config_for("crow-cache"), 250)
+        moved = tmp_path / "moved" / "elsewhere.ckpt"
+        moved.parent.mkdir()
+        original.rename(moved)
+        stop_at_first_checkpoint(System.resume, moved)
+        assert moved.is_file()
+        assert not original.exists()
+        resumed = System.resume(moved)
+        want = EXPECTED["libq-crow-cache"]
+        assert resumed.telemetry_digest() == want["digest"]
+        assert not moved.exists()
+        assert not original.exists()
+
 
 class TestCompatibilityGates:
-    def test_config_mismatch_rejected_both_directions(self, tmp_path):
-        a, b = config_for("baseline"), config_for("crow-cache")
-        snap_a = tmp_path / "a.snap"
-        snap_b = tmp_path / "b.snap"
-        run_workload("libq", a, **RUN,
-                     snapshot_at_cycle=300, snapshot_path=snap_a)
-        run_workload("libq", b, **RUN,
-                     snapshot_at_cycle=300, snapshot_path=snap_b)
-        with pytest.raises(ConfigError, match="digest"):
-            System.restore(snap_a, config=b)
-        with pytest.raises(ConfigError, match="digest"):
-            System.restore(snap_b, config=a)
-        # the matching config is accepted in both directions
-        assert System.restore(snap_a, config=a).now == 300
-        assert System.restore(snap_b, config=b).now == 300
-
     @pytest.fixture(scope="class")
     def warm_image(self, tmp_path_factory):
         """One warm image, written by a baseline run, shared across the
@@ -149,22 +161,21 @@ class TestCompatibilityGates:
         with pytest.raises(SnapshotError, match="expected a full snapshot"):
             System.resume(other)
 
+    def test_resume_refuses_a_system_saved_outside_a_run(self, tmp_path):
+        snap = tmp_path / "idle.snap"
+        System(config_for("baseline"), [TraceStream("libq", 0)]).save_snapshot(
+            snap
+        )
+        with pytest.raises(SnapshotError, match="outside a run"):
+            System.resume(snap)
+        assert snap.is_file()
+
 
 class TestRunGuards:
-    def test_snapshot_kwargs_must_pair(self):
-        with pytest.raises(ConfigError, match="together"):
-            run_workload("libq", config_for("baseline"), **RUN,
-                         snapshot_at_cycle=100)
-        with pytest.raises(ConfigError, match="together"):
-            run_workload("libq", config_for("baseline"), **RUN,
-                         snapshot_path="x.snap")
-
     def test_gc_reenabled_when_run_raises_midway(self):
         """run() disables the generational GC for the hot loop; an
         exception escaping mid-run (here: max_cycles exhausted during
         warmup) must re-enable it on the way out."""
-        from repro.trace.stream import TraceStream
-
         system = System(config_for("baseline"), [TraceStream("libq", 0)])
         assert gc.isenabled()
         with pytest.raises(ReproError, match="max_cycles"):

@@ -22,6 +22,7 @@ from repro.snapshot import (
     container, read_snapshot, state_tree, write_snapshot,
 )
 from repro.trace.stream import TraceStream
+from tests.conftest import stop_at_first_checkpoint
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 EXPECTED = json.loads((DATA / "expected_digests.json").read_text())
@@ -36,21 +37,24 @@ def build(mechanism="crow-cache", **extra):
     return System(config, [TraceStream("libq", 1)])
 
 
-def snapshot_of_run(path, **extra):
-    """Run libq to completion, saving a resumable snapshot at cycle
-    300; returns the finished system and its result."""
-    system = build(**extra)
-    result = system.run(**RUN, snapshot_at_cycle=300, snapshot_path=path)
-    return system, result
+def checkpoint_of_run(path, **extra):
+    """Run libq checkpointing into ``path`` every 300 cycles and stop
+    right after the first checkpoint; returns its header."""
+    return stop_at_first_checkpoint(
+        build(**extra).run, **RUN, checkpoint_path=path,
+        checkpoint_every=300,
+    )
 
 
 class TestPayload:
     def test_functional_cells_resume_identically(self, tmp_path):
         snap = tmp_path / "cells.snap"
-        straight, result = snapshot_of_run(snap, functional_cells=True)
-        header, payload = read_snapshot(snap)
-        assert header["phase"] == "measure"
-        restored = payload["system"]
+        assert checkpoint_of_run(snap, functional_cells=True)["phase"] == (
+            "measure"
+        )
+        straight = build(functional_cells=True)
+        result = straight.run(**RUN)
+        _, restored = read_snapshot(snap)
         assert restored.cell_arrays[0] is restored.channels[0].cell_array
         resumed = restored.run(**RUN)
         assert resumed.telemetry_digest() == result.telemetry_digest()
@@ -86,7 +90,7 @@ class TestPayload:
             instructions=2_000, warmup_instructions=500, seed=0,
             checkpoint_dir=tmp_path,
         )
-        header = {"kind": "full", "cycle": 250, "resumable": True}
+        header = {"kind": "full", "cycle": 250}
         monkeypatch.setattr(container, "FORMAT_VERSION", 1)
         container.write_snapshot(spec.checkpoint_path(), header, {})
         monkeypatch.undo()
@@ -100,20 +104,21 @@ class TestPayload:
 class TestDiff:
     def test_diff_names_the_changed_field(self, tmp_path, capsys):
         a, b, c = (tmp_path / f"{n}.snap" for n in "abc")
-        snapshot_of_run(a)
-        snapshot_of_run(b)
+        # Two runs checkpointing into one path (the path is state too).
+        checkpoint_of_run(a)
+        a.rename(b)
+        checkpoint_of_run(a)
         assert main(["snapshot", "diff", str(a), str(b)]) == 0
         assert capsys.readouterr().out == "snapshots are identical\n"
 
-        _, payload = read_snapshot(a)
-        system = payload["system"]
+        _, system = read_snapshot(a)
         bank = system.channels[0].banks[3]
         before = bank.act_time
         bank.act_time += 7
-        system.save_snapshot(c, run_state=payload["run"])
+        system.save_snapshot(c)
         assert main(["snapshot", "diff", str(a), str(c)]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            f"system.channels[0].banks[3].act_time: {before} != "
+            f"channels[0].banks[3].act_time: {before} != "
             f"{before + 7}"
         ]
 
@@ -129,21 +134,21 @@ class TestDiff:
             SystemConfig(cores=4, mechanism="crow-cache", seed=1),
             [TraceStream(name, 1 + core) for core, name in enumerate(names)],
         )
-        system.run(
-            instructions=600, warmup_instructions=100, prewarm_accesses=2_000,
-            snapshot_at_cycle=150, snapshot_path=a,
+        stop_at_first_checkpoint(
+            system.run, instructions=600, warmup_instructions=100,
+            prewarm_accesses=2_000, checkpoint_path=a, checkpoint_every=150,
         )
-        _, payload = read_snapshot(a)
-        sets = payload["system"].llc._sets
+        _, system = read_snapshot(a)
+        sets = system.llc._sets
         index = next(i for i, entries in enumerate(sets) if len(entries) > 2)
         keys = list(sets[index])
         items = list(reversed(sets[index].items()))
         sets[index].clear()
         sets[index].update(items)
-        payload["system"].save_snapshot(b, run_state=payload["run"])
+        system.save_snapshot(b)
         assert main(["snapshot", "diff", str(a), str(b)]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            f"system.llc._sets[{index}]: key order {keys!r} != "
+            f"llc._sets[{index}]: key order {keys!r} != "
             f"{keys[::-1]!r}"
         ]
 
@@ -152,7 +157,7 @@ class TestDiff:
     ):
         """A warm image pickles the prewarmed ``Llc`` as the system held
         it, so reversing one set's LRU order in an image is named by the
-        set's attribute path, like in a full snapshot."""
+        same attribute path as in a checkpoint."""
         a, b = tmp_path / "a.warm", tmp_path / "b.warm"
         System(
             SystemConfig(cores=1, seed=1), [TraceStream("mcf", 1)],
@@ -177,9 +182,9 @@ class TestDiff:
 class TestInspect:
     def test_inspect_prints_records_consumed_per_core(self, tmp_path, capsys):
         snap = tmp_path / "s.snap"
-        system, _ = snapshot_of_run(snap)
-        header, payload = read_snapshot(snap)
-        consumed = payload["system"].cores[0].trace.consumed
+        checkpoint_of_run(snap)
+        header, system = read_snapshot(snap)
+        consumed = system.cores[0].trace.consumed
         assert header["consumed"] == [consumed]
         assert consumed > 0
         assert main(["snapshot", "inspect", str(snap)]) == 0

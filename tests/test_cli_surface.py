@@ -78,7 +78,7 @@ SURFACE = {
         "seed": (("--seed",), 0, None, int, None, None, None),
         "jobs": (("--jobs",), None, None, int, None, None,
                  "worker processes (default: CPU count; 1 = serial "
-                 "in-process)"),
+                 "in-process, or one worker at a time with --timeout)"),
         "timeout": (("--timeout",), None, None, float, None, "SECONDS",
                     "per-task wall-clock budget before the worker is "
                     "killed"),
