@@ -84,7 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _ratio_text(ratio: dict) -> str:
-    """Render a telemetry Ratio export ('-' for the undefined case)."""
+    """Render a telemetry ratio export ('-' for the undefined case)."""
     value = ratio.get("value")
     return "-" if value is None else f"{value:.4f}"
 

@@ -88,17 +88,17 @@ class ChargeCache(Mechanism):
             while len(self._table) > self.capacity:
                 self._table.popitem(last=False)
 
-    def hit_rate(self) -> float:
-        """Fraction of demand activations served as table hits."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, float]:
-        """Mechanism-specific statistics for the metrics layer."""
+        """Mechanism-specific statistics for the metrics layer.
+
+        ``chargecache_hit_rate`` is the fraction of demand activations
+        served as table hits (0.0 before any activation).
+        """
+        total = self.hits + self.misses
         return {
             "chargecache_hits": self.hits,
             "chargecache_misses": self.misses,
-            "chargecache_hit_rate": self.hit_rate(),
+            "chargecache_hit_rate": self.hits / total if total else 0.0,
         }
 
     def reset_stats(self) -> None:

@@ -114,17 +114,17 @@ class TlDram(Mechanism):
         else:
             self.misses += 1
 
-    def hit_rate(self) -> float:
-        """Fraction of demand activations served as table hits."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, float]:
-        """Mechanism-specific statistics for the metrics layer."""
+        """Mechanism-specific statistics for the metrics layer.
+
+        ``tldram_hit_rate`` is the fraction of demand activations
+        served as table hits (0.0 before any activation).
+        """
+        total = self.hits + self.misses
         return {
             "tldram_hits": self.hits,
             "tldram_misses": self.misses,
-            "tldram_hit_rate": self.hit_rate(),
+            "tldram_hit_rate": self.hits / total if total else 0.0,
         }
 
     def reset_stats(self) -> None:

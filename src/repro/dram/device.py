@@ -84,7 +84,6 @@ class DramChannel:
         # that earliest_issue()/issue() needs is a sum of fixed timing
         # parameters, resolved once per parameter set.
         tables = compile_timing_tables(timing)
-        self.tables = tables
         self._base_act_timings = tables.base_act
         self._rd_after_rd = tables.rd_after_rd
         self._rd_after_wr = tables.rd_after_wr
@@ -92,7 +91,6 @@ class DramChannel:
         self._wr_after_rd = tables.wr_after_rd
         self._rd_data_delay = tables.rd_data_delay
         self._wr_done_delay = tables.wr_done_delay
-        self._bus_cycles = tables.bus_cycles
         # Channel/rank-scope state.
         self.cmd_bus_free = 0
         self.act_history: deque[int] = deque(maxlen=4)

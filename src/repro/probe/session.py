@@ -52,7 +52,6 @@ from repro.errors import (
 from repro.mech import get_plugin
 from repro.sim import factory
 from repro.sim.config import SystemConfig
-from repro.telemetry import StatRegistry
 
 __all__ = ["ProbeOutcome", "ProbeSession"]
 
@@ -140,26 +139,16 @@ class ProbeSession:
         #: The :meth:`mark` token of the current state, until a command
         #: issues.
         self._token: bytes | None = None
-        self.stats = StatRegistry()
-        probe = self.stats.group("probe")
-        self._n_attempts = probe.counter(
-            "attempts", "commands offered to the device (incl. sandboxed)"
+        #: Command-budget counters by path: commands offered to the
+        #: device (sandboxed ones included), commands committed to the
+        #: timeline, rollbacks, write/wait/read retention experiments,
+        #: and rejections by class.
+        self._budget = dict.fromkeys(
+            ("probe.attempts", "probe.commits", "probe.restores",
+             "probe.retention_probes")
+            + tuple(f"probe.rejected.{r}" for r in REASONS if r != "ok"),
+            0,
         )
-        self._n_commits = probe.counter(
-            "commits", "commands committed to the session timeline"
-        )
-        self._n_restores = probe.counter(
-            "restores", "state rollbacks after sandboxed attempts"
-        )
-        self._n_retention = probe.counter(
-            "retention_probes", "write/wait/read retention experiments"
-        )
-        rejected = probe.group("rejected")
-        self._n_rejected = {
-            reason: rejected.counter(reason, f"{reason}-class rejections")
-            for reason in REASONS
-            if reason != "ok"
-        }
 
     # ------------------------------------------------------------------
     # Command builders (host address space: bank + bank-level row ints)
@@ -261,7 +250,7 @@ class ProbeSession:
         """
         self.device, self.checker, self.now = pickle.loads(token)
         self._token = token
-        self._n_restores.add()
+        self._budget["probe.restores"] += 1
 
     @contextmanager
     def sandbox(self):
@@ -314,10 +303,10 @@ class ProbeSession:
         unconditional.
         """
         token = self.mark()
-        self._n_attempts.add()
+        self._budget["probe.attempts"] += 1
         outcome = self._issue(command, at)
         if not outcome.accepted:
-            self._n_rejected[outcome.reason].add()
+            self._budget[f"probe.rejected.{outcome.reason}"] += 1
         self.restore(token)
         return outcome
 
@@ -328,17 +317,17 @@ class ProbeSession:
         rolled back and :class:`~repro.errors.ProbeError` raised.
         """
         token = self.mark()
-        self._n_attempts.add()
+        self._budget["probe.attempts"] += 1
         outcome = self._issue(command, at)
         if not outcome.accepted:
-            self._n_rejected[outcome.reason].add()
+            self._budget[f"probe.rejected.{outcome.reason}"] += 1
             self.restore(token)
             raise ProbeError(
                 f"probe step rejected ({outcome.reason}): "
                 f"{command.kind.name} bank {command.bank} at {at}"
             )
         self.now = max(self.now, at)
-        self._n_commits.add()
+        self._budget["probe.commits"] += 1
         return outcome
 
     def step_earliest(self, command: Command) -> tuple[int, ProbeOutcome]:
@@ -381,7 +370,7 @@ class ProbeSession:
         For ``copy`` rows, ``row`` is the copy-slot index and
         ``subarray`` addresses the subarray.
         """
-        self._n_retention.add()
+        self._budget["probe.retention_probes"] += 1
         geometry = self.geometry
         if copy:
             if subarray is None:
@@ -405,8 +394,5 @@ class ProbeSession:
     # Budget export
     # ------------------------------------------------------------------
     def budget(self) -> dict:
-        """Flat command-budget counters (telemetry export projection)."""
-        return {
-            path: stat.export()["value"]
-            for path, stat in self.stats.flatten()
-        }
+        """Flat command-budget counters, a copy keyed by dotted path."""
+        return dict(self._budget)

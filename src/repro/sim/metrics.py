@@ -26,8 +26,9 @@ class SimResult:
     mechanism_stats: dict[str, float] = field(default_factory=dict)
     controller_stats: dict[str, int] = field(default_factory=dict)
     refresh_window_ms: float = 64.0
-    #: Full telemetry-registry export (``SystemConfig(telemetry=True)``
-    #: runs only); a plain deterministic dict — see :mod:`repro.telemetry`.
+    #: Full telemetry export (``SystemConfig(telemetry=True)`` runs
+    #: only): the nested plain dict :meth:`SystemTelemetry.finalize`
+    #: builds at harvest — see :mod:`repro.telemetry`.
     telemetry: "dict | None" = None
 
     @property

@@ -392,6 +392,14 @@ class System:
         self.checkpoint_path: Path | None = None
         self.checkpoint_every = 0
 
+    def __getstate__(self) -> dict:
+        # A checkpoint does not carry its own file name: load() points
+        # checkpoint_path at the file it reads, so two checkpoints of
+        # one run written to different files pickle the same state.
+        state = self.__dict__.copy()
+        state["checkpoint_path"] = None
+        return state
+
     def check_report(self, finalize: bool = True):
         """Merged conformance report across channels (requires check=True).
 
@@ -716,6 +724,8 @@ class System:
         for mechanism in self.mechanisms:
             for key, value in mechanism.stats().items():
                 mechanism_stats[key] = mechanism_stats.get(key, 0.0) + value
+        # Only CROW-cache mechanisms define hit_rate(): other tables
+        # (TL-DRAM, ChargeCache) report their rates in mechanism_stats.
         hit_rates = [
             mech.hit_rate() for mech in self.mechanisms if hasattr(mech, "hit_rate")
         ]

@@ -1,8 +1,9 @@
 """System-wide telemetry collection.
 
-:class:`SystemTelemetry` wires one :class:`~repro.telemetry.StatRegistry`
-(plus an optional :class:`~repro.telemetry.EventTrace`) into a running
-:class:`~repro.sim.system.System`:
+:class:`SystemTelemetry` wires read-latency histograms, epoch series and
+an optional :class:`~repro.telemetry.EventTrace` into a running
+:class:`~repro.sim.system.System`, and assembles the run's export, a
+plain nested dict:
 
 * **live instruments** — the per-channel read-latency
   :class:`~repro.telemetry.Histogram` (observed by the controller's
@@ -16,8 +17,11 @@
 * **harvest** — everything else (command counts, queue/drain/refresh
   counters, CROW-table hits/evictions/restores, CROW-ref remaps, LLC and
   prefetcher counters, bank state residency) is read once from the
-  simulator's existing raw counters at :meth:`finalize`, so instrumented
-  hot paths pay **nothing** beyond the counters they already maintained.
+  simulator's existing raw counters at :meth:`finalize` and exported
+  directly as :func:`~repro.telemetry.stats.counter`,
+  :func:`~repro.telemetry.stats.gauge` and
+  :func:`~repro.telemetry.stats.ratio` dicts, so instrumented hot paths
+  pay **nothing** beyond the counters they already maintained.
 
 The design keeps telemetry zero-cost when disabled: a ``System`` built
 with ``telemetry=False`` never constructs this object, the controller and
@@ -29,7 +33,13 @@ check).
 from __future__ import annotations
 
 from repro.dram.commands import CommandKind
-from repro.telemetry.stats import StatRegistry
+from repro.telemetry.stats import (
+    EpochSeries,
+    Histogram,
+    counter,
+    gauge,
+    ratio,
+)
 from repro.telemetry.trace import EventTrace
 
 __all__ = ["SystemTelemetry"]
@@ -59,8 +69,20 @@ def _ref_component(mechanism):
     return None
 
 
+#: The epoch series, in export order: (name, description).
+_SERIES = (
+    ("ipc", "aggregate IPC over each epoch (CPU cycles)"),
+    ("row_hit_rate", "row-buffer hit fraction per epoch"),
+    ("read_latency", "mean read latency per epoch (cycles)"),
+    ("crow_hit_rate", "CROW-table hit fraction per epoch"),
+    ("read_queue", "read-queue occupancy at epoch end"),
+    ("write_queue", "write-queue occupancy at epoch end"),
+    ("mshr", "outstanding misses (all cores) at epoch end"),
+)
+
+
 class SystemTelemetry:
-    """Registry + trace + epoch sampler for one :class:`System` run."""
+    """Histograms + trace + epoch sampler for one :class:`System` run."""
 
     def __init__(
         self,
@@ -70,17 +92,14 @@ class SystemTelemetry:
     ) -> None:
         self.system = system
         self.epoch_cycles = epoch_cycles
-        self.registry = StatRegistry()
         self.trace = EventTrace(trace_capacity) if trace_capacity else None
 
         # Live instruments: one read-latency histogram per channel,
         # observed by the controller completion path.
-        latency = self.registry.group("controller")
         self.latency_hists = []
-        for index, controller in enumerate(system.controllers):
-            hist = latency.group(f"ch{index}").histogram(
-                "read_latency",
-                "arrival-to-data latency of served reads (memory cycles)",
+        for controller in system.controllers:
+            hist = Histogram(
+                "arrival-to-data latency of served reads (memory cycles)"
             )
             controller.latency_hist = hist
             self.latency_hists.append(hist)
@@ -89,15 +108,9 @@ class SystemTelemetry:
                 channel.attach(self.trace.record_command)
 
         # Epoch time series.
-        epochs = self.registry.group("epochs")
-        mk = lambda name, desc: epochs.series(name, desc, epoch_cycles)
-        self.s_ipc = mk("ipc", "aggregate IPC over each epoch (CPU cycles)")
-        self.s_hit = mk("row_hit_rate", "row-buffer hit fraction per epoch")
-        self.s_lat = mk("read_latency", "mean read latency per epoch (cycles)")
-        self.s_crow = mk("crow_hit_rate", "CROW-table hit fraction per epoch")
-        self.s_readq = mk("read_queue", "read-queue occupancy at epoch end")
-        self.s_writeq = mk("write_queue", "write-queue occupancy at epoch end")
-        self.s_mshr = mk("mshr", "outstanding misses (all cores) at epoch end")
+        self.series = {
+            name: EpochSeries(desc, epoch_cycles) for name, desc in _SERIES
+        }
 
         self._start = 0
         self._epoch_end = 0
@@ -117,8 +130,7 @@ class SystemTelemetry:
             hist.reset()
         if self.trace is not None:
             self.trace.reset()
-        for series in (self.s_ipc, self.s_hit, self.s_lat, self.s_crow,
-                       self.s_readq, self.s_writeq, self.s_mshr):
+        for series in self.series.values():
             series.reset()
         self._baseline = self._snapshot()
         self._epoch_end = now + self.epoch_cycles
@@ -149,28 +161,35 @@ class SystemTelemetry:
     def _on_epoch(self, now: int) -> None:
         """Sample one epoch and re-arm (rides the system event heap)."""
         system = self.system
+        series = self.series
         prev, cur = self._baseline, self._snapshot()
 
         def delta(key: str) -> int:
             return cur[key] - prev[key]
 
         cpu_cycles = self.epoch_cycles * system.config.core.clock_ratio
-        self.s_ipc.append(delta("retired") / cpu_cycles if cpu_cycles else None)
+        series["ipc"].append(
+            delta("retired") / cpu_cycles if cpu_cycles else None
+        )
         accesses = delta("hits") + delta("misses") + delta("conflicts")
-        self.s_hit.append(delta("hits") / accesses if accesses else None)
+        series["row_hit_rate"].append(
+            delta("hits") / accesses if accesses else None
+        )
         reads = delta("reads")
-        self.s_lat.append(delta("lat_sum") / reads if reads else None)
+        series["read_latency"].append(
+            delta("lat_sum") / reads if reads else None
+        )
         crow_acts = delta("crow_acts")
-        self.s_crow.append(
+        series["crow_hit_rate"].append(
             delta("crow_hits") / crow_acts if crow_acts else None
         )
-        self.s_readq.append(
+        series["read_queue"].append(
             sum(len(c.read_q) for c in system.controllers)
         )
-        self.s_writeq.append(
+        series["write_queue"].append(
             sum(len(c.write_q) for c in system.controllers)
         )
-        self.s_mshr.append(sum(core.outstanding for core in system.cores))
+        series["mshr"].append(sum(core.outstanding for core in system.cores))
 
         self._baseline = cur
         if all(core.done for core in system.cores):
@@ -182,14 +201,22 @@ class SystemTelemetry:
     # Harvest
     # ------------------------------------------------------------------
     def finalize(self, end: int, cycles: int) -> dict:
-        """Harvest raw simulator counters into the registry and export."""
+        """Harvest raw simulator counters into the run's export."""
         system = self.system
-        self._harvest_controllers()
-        self._harvest_dram(end, cycles)
-        self._harvest_crow()
-        self._harvest_mechanism()
-        self._harvest_cpu()
-        export = self.registry.export()
+        export = {
+            "controller": self._harvest_controllers(),
+            "epochs": {
+                name: series.export() for name, series in self.series.items()
+            },
+            "dram": self._harvest_dram(end, cycles),
+        }
+        crow = self._harvest_crow()
+        if crow:
+            export["crow"] = crow
+        mech = self._harvest_mechanism()
+        if mech:
+            export["mech"] = mech
+        export.update(self._harvest_cpu())
         if self.trace is not None:
             export["trace"] = self.trace.export()
         export["meta"] = {
@@ -202,62 +229,51 @@ class SystemTelemetry:
         }
         return export
 
-    def _harvest_controllers(self) -> None:
-        root = self.registry.group("controller")
+    def _harvest_controllers(self) -> dict:
+        out = {}
         for index, controller in enumerate(self.system.controllers):
-            group = root.group(f"ch{index}")
             stats = controller.stats
-            counters = {}
+            group = {"read_latency": self.latency_hists[index].export()}
             for key in (
                 "reads_served", "writes_served", "forwarded_reads",
                 "row_hits", "row_misses", "row_conflicts",
                 "restore_activations", "refreshes", "write_drains",
             ):
-                counters[key] = group.counter(key)
-                counters[key].set(stats.get(key, 0))
-            group.ratio(
-                "row_hit_rate",
+                group[key] = counter(stats.get(key, 0))
+            group["row_hit_rate"] = ratio(
+                stats["row_hits"],
+                stats["row_hits"] + stats["row_misses"]
+                + stats["row_conflicts"],
                 "column accesses served from open rows",
-                numerator=counters["row_hits"],
-                denominator=lambda c=counters: (
-                    c["row_hits"].value + c["row_misses"].value
-                    + c["row_conflicts"].value
-                ),
             )
-            group.ratio(
-                "read_latency_avg",
+            group["read_latency_avg"] = ratio(
+                stats["read_latency_sum"],
+                stats["reads_served"] + stats["forwarded_reads"],
                 "mean arrival-to-data read latency (cycles)",
-                numerator=stats["read_latency_sum"],
-                denominator=stats["reads_served"] + stats["forwarded_reads"],
             )
-            trfc = controller.timing.trfc
-            refresh_busy = group.counter(
-                "refresh_busy_cycles",
+            group["refresh_busy_cycles"] = counter(
+                stats["refreshes"] * controller.timing.trfc,
                 "cycles the channel was blocked by REF (refreshes x tRFC)",
             )
-            refresh_busy.set(stats["refreshes"] * trfc)
+            out[f"ch{index}"] = group
+        return out
 
-    def _harvest_dram(self, end: int, cycles: int) -> None:
-        root = self.registry.group("dram")
+    def _harvest_dram(self, end: int, cycles: int) -> dict:
+        out = {}
         for index, channel in enumerate(self.system.channels):
-            group = root.group(f"ch{index}")
-            for kind in CommandKind:
-                group.counter(f"cmd_{kind.name.lower()}").set(
-                    channel.counts[kind]
-                )
+            group = {
+                f"cmd_{kind.name.lower()}": counter(channel.counts[kind])
+                for kind in CommandKind
+            }
             banks = len(channel.banks)
-            residency = group.gauge(
-                "row_buffer_residency",
+            group["row_buffer_residency"] = gauge(
+                round(channel.open_buffer_cycles(end) / (cycles * banks), 6)
+                if cycles > 0 and banks > 0
+                else None,
                 "fraction of bank-cycles with an open row buffer "
                 "(energy-model input)",
             )
-            if cycles > 0 and banks > 0:
-                residency.set(
-                    round(
-                        channel.open_buffer_cycles(end) / (cycles * banks), 6
-                    )
-                )
-            bank_group = group.group("banks")
+            bank_group = {}
             for b, bank in enumerate(channel.banks):
                 open_cycles = bank.open_cycles_total
                 if bank.is_open:
@@ -272,12 +288,15 @@ class SystemTelemetry:
                             for slot in slots.values()
                             if slot.is_open
                         )
-                bank_group.counter(
-                    f"b{b}_open_cycles",
-                    "cycles this bank held an open row",
-                ).set(open_cycles)
+                bank_group[f"b{b}_open_cycles"] = counter(
+                    open_cycles, "cycles this bank held an open row"
+                )
+            group["banks"] = bank_group
+            out[f"ch{index}"] = group
+        return out
 
-    def _harvest_crow(self) -> None:
+    def _harvest_crow(self) -> dict:
+        """The ``crow`` group: empty without a CROW-cache or CROW-ref."""
         caches = [
             c for c in map(_cache_component, self.system.mechanisms)
             if c is not None
@@ -286,46 +305,36 @@ class SystemTelemetry:
             r for r in map(_ref_component, self.system.mechanisms)
             if r is not None
         ]
-        if not caches and not refs:
-            return
-        group = self.registry.group("crow")
+        group: dict = {}
         if caches:
-            counters = {}
-            for key in _CACHE_ATTRS + ("partial_restores",):
-                counters[key] = group.counter(key)
-                counters[key].set(
-                    sum(getattr(c, key, 0) for c in caches)
-                )
+            totals = {
+                key: sum(getattr(c, key, 0) for c in caches)
+                for key in _CACHE_ATTRS + ("partial_restores",)
+            }
+            for key, value in totals.items():
+                group[key] = counter(value)
             demand = sum(c.demand_activations for c in caches)
-            group.ratio(
-                "hit_rate",
+            group["hit_rate"] = ratio(
+                totals["hits"], demand,
                 "CROW-table hit rate over demand activations (Fig 8)",
-                numerator=counters["hits"],
-                denominator=demand,
             )
-            group.ratio(
-                "restore_fraction",
+            group["restore_fraction"] = ratio(
+                totals["restores"], demand + totals["restores"],
                 "evicted-row full-restore activations over all "
                 "activations (Section 8.1.1; paper bound: <= 0.006)",
-                numerator=counters["restores"],
-                denominator=demand + counters["restores"].value,
             )
         if refs:
-            group.counter("ref_remapped_rows").set(
-                sum(r.remapped_rows for r in refs)
-            )
-            group.counter("ref_dynamic_remaps").set(
-                sum(getattr(r, "dynamic_remaps", 0) for r in refs)
-            )
-            group.counter("ref_remap_failures").set(
-                sum(r.remap_failures for r in refs)
-            )
-            group.counter("ref_fallback_subarrays").set(
-                sum(r.fallback_subarrays for r in refs)
-            )
+            for key in (
+                "remapped_rows", "dynamic_remaps", "remap_failures",
+                "fallback_subarrays",
+            ):
+                group[f"ref_{key}"] = counter(
+                    sum(getattr(r, key, 0) for r in refs)
+                )
+        return group
 
-    def _harvest_mechanism(self) -> None:
-        """Per-mechanism stat namespaces (``mech.<namespace>``).
+    def _harvest_mechanism(self) -> dict:
+        """The ``mech`` group: per-mechanism stat namespaces.
 
         Opt-in via ``Mechanism.telemetry_namespace``: mechanisms that
         predate per-mechanism namespaces leave it ``None`` so the
@@ -336,53 +345,57 @@ class SystemTelemetry:
         mechanisms = self.system.mechanisms
         namespace = mechanisms[0].telemetry_namespace
         if namespace is None:
-            return
+            return {}
         totals: dict[str, float] = {}
         for mechanism in mechanisms:
             for key, value in mechanism.stats().items():
                 totals[key] = totals.get(key, 0.0) + value
-        group = self.registry.group("mech").group(namespace)
-        for key, value in totals.items():
-            if value == int(value):
-                group.counter(key).set(int(value))
-            else:
-                group.gauge(key).set(round(value, 6))
+        return {
+            namespace: {
+                key: counter(int(value)) if value == int(value)
+                else gauge(round(value, 6))
+                for key, value in totals.items()
+            }
+        }
 
-    def _harvest_cpu(self) -> None:
+    def _harvest_cpu(self) -> dict:
+        """The ``llc`` and ``cores`` groups."""
         system = self.system
-        llc_group = self.registry.group("llc")
         llc = system.llc
-        hits = llc_group.counter("hits")
-        hits.set(llc.hits)
-        misses = llc_group.counter("misses")
-        misses.set(llc.misses)
-        llc_group.counter("writebacks").set(llc.writebacks)
-        llc_group.ratio(
-            "miss_rate", "demand misses over demand accesses",
-            numerator=misses,
-            denominator=lambda: hits.value + misses.value,
-        )
-        cores_group = self.registry.group("cores")
+        cores = {}
         for core in system.cores:
-            group = cores_group.group(f"c{core.core_id}")
-            group.counter(
-                "instructions", "instructions retired in the measured region"
-            ).set(core.measured_instructions)
-            group.counter(
-                "mshr_stalls", "issue attempts rejected because all MSHRs "
-                "were in flight",
-            ).set(getattr(core, "mshr_stalls", 0))
-            group.counter(
-                "demand_misses"
-            ).set(system.port.demand_misses_per_core[core.core_id])
+            group = {
+                "instructions": counter(
+                    core.measured_instructions,
+                    "instructions retired in the measured region",
+                ),
+                "mshr_stalls": counter(
+                    getattr(core, "mshr_stalls", 0),
+                    "issue attempts rejected because all MSHRs were in "
+                    "flight",
+                ),
+                "demand_misses": counter(
+                    system.port.demand_misses_per_core[core.core_id]
+                ),
+            }
             if system.prefetchers:
                 prefetcher = system.prefetchers[core.core_id]
-                issued = group.counter("prefetches_issued")
-                issued.set(prefetcher.issued)
-                useful = group.counter("prefetches_useful")
-                useful.set(prefetcher.useful)
-                group.ratio(
-                    "prefetch_accuracy",
+                group["prefetches_issued"] = counter(prefetcher.issued)
+                group["prefetches_useful"] = counter(prefetcher.useful)
+                group["prefetch_accuracy"] = ratio(
+                    prefetcher.useful, prefetcher.issued,
                     "useful prefetches over issued prefetches",
-                    numerator=useful, denominator=issued,
                 )
+            cores[f"c{core.core_id}"] = group
+        return {
+            "llc": {
+                "hits": counter(llc.hits),
+                "misses": counter(llc.misses),
+                "writebacks": counter(llc.writebacks),
+                "miss_rate": ratio(
+                    llc.misses, llc.hits + llc.misses,
+                    "demand misses over demand accesses",
+                ),
+            },
+            "cores": cores,
+        }

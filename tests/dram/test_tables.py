@@ -11,10 +11,9 @@
 import pytest
 
 from repro.core.cache import crow_safe_copy_timings
-from repro.dram.commands import CommandKind
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import CrowTimings, TimingParameters
-from repro.dram.tables import COMMAND_LEGALITY, compile_timing_tables
+from repro.dram.tables import compile_timing_tables
 from repro.mech import mechanism_names
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
@@ -32,7 +31,6 @@ class TestCommandTables:
         timing = system.timing
         tables = compile_timing_tables(timing)
         channel = system.channels[0]
-        assert channel.tables is tables
         assert channel._base_act_timings == tables.base_act
         assert channel._rd_after_rd == timing.tccd
         assert channel._rd_after_wr == timing.tcwl + timing.tbl + timing.twtr
@@ -40,26 +38,12 @@ class TestCommandTables:
         assert channel._wr_after_rd == timing.tcl + timing.tbl + 2 - timing.tcwl
         assert channel._rd_data_delay == timing.tcl + timing.tbl
         assert channel._wr_done_delay == timing.tcwl + timing.tbl
-        assert tables.trrd == timing.trrd
-        assert tables.tfaw == timing.tfaw
-        assert tables.trfc == timing.trfc
-
-    def test_bus_cycles_charge_crow_activations_double(self):
-        tables = compile_timing_tables(TimingParameters.lpddr4())
-        for kind in CommandKind:
-            expected = 2 if kind in (CommandKind.ACT_C, CommandKind.ACT_T) else 1
-            assert tables.bus_cycles[kind] == expected
 
     def test_compilation_is_cached_per_parameter_set(self):
         a = TimingParameters.lpddr4()
         assert compile_timing_tables(a) is compile_timing_tables(a)
         b = a.with_refresh_window(128.0)
         assert compile_timing_tables(b) is not compile_timing_tables(a)
-
-    def test_legality_covers_every_command_kind(self):
-        assert set(COMMAND_LEGALITY) == set(CommandKind)
-        with pytest.raises(TypeError):
-            COMMAND_LEGALITY[CommandKind.ACT] = "open"
 
 
 #: Short runs that issue every mechanism's overrides: the oracle run

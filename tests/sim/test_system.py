@@ -118,6 +118,18 @@ class TestSingleCoreRuns:
         assert result.refresh_window_ms == 128.0
         assert result.crow_hit_rate is not None
 
+    @pytest.mark.parametrize("mechanism", ["tl-dram", "chargecache"])
+    def test_crow_hit_rate_is_crow_cache_only(self, mechanism):
+        """Other tables' hit rates stay in mechanism_stats."""
+        result = run_workload(
+            "mcf", SystemConfig(mechanism=mechanism),
+            instructions=3_000, warmup_instructions=500,
+        )
+        assert result.crow_hit_rate is None
+        prefix = mechanism.replace("-", "")
+        assert result.mechanism_stats[f"{prefix}_hits"] > 0
+        assert f"{prefix}_hit_rate" in result.mechanism_stats
+
     def test_tldram_outperforms_crow_on_hits(self):
         crow = quick("h264-dec", mechanism="crow-cache")
         tld = quick("h264-dec", mechanism="tl-dram")

@@ -72,6 +72,18 @@ class TestPayload:
         assert str(path) in str(error.value)
         assert list(tmp_path.iterdir()) == []
 
+    def test_finished_telemetry_run_pickles(self, tmp_path):
+        """A system whose telemetry run has completed saves, and its
+        telemetry harvests the same export after the round trip."""
+        system = build()
+        result = system.run(**RUN)
+        path = tmp_path / "done.snap"
+        system.save_snapshot(path)
+        _, loaded = read_snapshot(path)
+        meta = result.telemetry["meta"]
+        export = loaded.telemetry.finalize(meta["measure_end"], meta["cycles"])
+        assert export == result.telemetry
+
     def test_version_one_container_is_refused(self, tmp_path, monkeypatch):
         path = tmp_path / "v1.snap"
         monkeypatch.setattr(container, "FORMAT_VERSION", 1)
@@ -102,15 +114,19 @@ class TestPayload:
 
 
 class TestDiff:
-    def test_diff_names_the_changed_field(self, tmp_path, capsys):
-        a, b, c = (tmp_path / f"{n}.snap" for n in "abc")
-        # Two runs checkpointing into one path (the path is state too).
+    def test_checkpoints_in_two_files_are_identical(self, tmp_path, capsys):
+        """A checkpoint does not pickle its own file name: two identical
+        runs checkpointing into different files diff equal."""
+        a, b = tmp_path / "a.snap", tmp_path / "b.snap"
         checkpoint_of_run(a)
-        a.rename(b)
-        checkpoint_of_run(a)
+        checkpoint_of_run(b)
         assert main(["snapshot", "diff", str(a), str(b)]) == 0
         assert capsys.readouterr().out == "snapshots are identical\n"
+        assert System.load(b).checkpoint_path == b
 
+    def test_diff_names_the_changed_field(self, tmp_path, capsys):
+        a, c = tmp_path / "a.snap", tmp_path / "c.snap"
+        checkpoint_of_run(a)
         _, system = read_snapshot(a)
         bank = system.channels[0].banks[3]
         before = bank.act_time

@@ -1,4 +1,4 @@
-"""Tests for the typed stats layer (repro.telemetry.stats)."""
+"""Tests for the stats layer (repro.telemetry.stats)."""
 
 import json
 import math
@@ -6,62 +6,41 @@ import math
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry import (
-    Counter,
+from repro.telemetry.stats import (
     EpochSeries,
     Histogram,
-    Ratio,
-    StatRegistry,
+    counter,
     export_digest,
+    gauge,
+    ratio,
 )
 
 
 class TestCounter:
-    def test_add_and_set(self):
-        c = Counter("acts")
-        c.add()
-        c.add(4)
-        assert c.value == 5
-        c.set(2)
-        assert c.value == 2
-        c.reset()
-        assert c.value == 0
-
-    def test_rejects_dotted_names(self):
-        with pytest.raises(ConfigError):
-            Counter("a.b")
-        with pytest.raises(ConfigError):
-            Counter("")
-
     def test_export(self):
-        c = Counter("acts", "activations")
-        c.add(3)
-        assert c.export() == {"kind": "counter", "desc": "activations",
-                              "value": 3}
+        assert counter(3, "activations") == {
+            "kind": "counter", "desc": "activations", "value": 3,
+        }
 
 
 class TestRatio:
     def test_none_when_denominator_zero(self):
-        r = Ratio("hit_rate", numerator=0, denominator=0)
-        assert r.value is None
-        assert r.export()["value"] is None
+        r = ratio(0, 0)
+        assert r["value"] is None
+        assert r["numerator"] == 0.0 and r["denominator"] == 0.0
 
-    def test_stat_terms_are_live(self):
-        hits, total = Counter("hits"), Counter("total")
-        r = Ratio("rate", numerator=hits, denominator=total)
-        assert r.value is None
-        hits.add(3)
-        total.add(4)
-        assert r.value == pytest.approx(0.75)
-
-    def test_callable_terms(self):
-        r = Ratio("rate", numerator=lambda: 1.0, denominator=lambda: 8.0)
-        assert r.value == pytest.approx(0.125)
+    def test_value_is_the_quotient_of_float_terms(self):
+        r = ratio(3, 4, "hit rate")
+        assert r == {
+            "kind": "ratio", "desc": "hit rate",
+            "numerator": 3.0, "denominator": 4.0, "value": 0.75,
+        }
+        assert isinstance(r["numerator"], float)
 
 
 class TestHistogram:
     def test_exact_count_sum_min_max_mean(self):
-        h = Histogram("lat")
+        h = Histogram()
         for v in (10, 20, 30, 100):
             h.observe(v)
         assert h.count == 4
@@ -70,14 +49,14 @@ class TestHistogram:
         assert h.mean == pytest.approx(40.0)
 
     def test_empty_percentiles_are_none(self):
-        h = Histogram("lat")
+        h = Histogram()
         assert h.mean is None
         assert h.percentile(50) is None
         export = h.export()
         assert export["p50"] is None and export["p99"] is None
 
     def test_percentiles_ordered_and_bounded(self):
-        h = Histogram("lat")
+        h = Histogram()
         for v in range(1, 1001):
             h.observe(v)
         p50, p95, p99 = h.percentile(50), h.percentile(95), h.percentile(99)
@@ -88,25 +67,25 @@ class TestHistogram:
         assert p95 > 500
 
     def test_single_value_percentiles_exact(self):
-        h = Histogram("lat")
+        h = Histogram()
         for _ in range(10):
             h.observe(42)
         assert h.percentile(50) == pytest.approx(42)
         assert h.percentile(99) == pytest.approx(42)
 
     def test_negative_clamps_to_zero(self):
-        h = Histogram("lat")
+        h = Histogram()
         h.observe(-5)
         assert h.min == 0 and h.total == 0
 
     def test_percentile_range_validated(self):
         with pytest.raises(ConfigError):
-            Histogram("lat").percentile(101)
+            Histogram().percentile(101)
 
 
 class TestEpochSeries:
     def test_non_finite_becomes_gap(self):
-        s = EpochSeries("ipc", epoch_cycles=100)
+        s = EpochSeries(epoch_cycles=100)
         s.append(1.0)
         s.append(float("nan"))
         s.append(float("inf"))
@@ -115,70 +94,40 @@ class TestEpochSeries:
         assert len(s) == 4
 
     def test_export_rounds(self):
-        s = EpochSeries("ipc", epoch_cycles=100)
+        s = EpochSeries(epoch_cycles=100)
         s.append(1.23456789)
         assert s.export()["samples"] == [1.234568]
         assert s.export()["epoch_cycles"] == 100
 
     def test_rejects_bad_epoch(self):
         with pytest.raises(ConfigError):
-            EpochSeries("ipc", epoch_cycles=0)
+            EpochSeries(epoch_cycles=0)
 
 
 class TestRegistry:
-    def test_nested_groups_and_paths(self):
-        reg = StatRegistry()
-        reg.group("controller.ch0").counter("reads").add(7)
-        assert reg["controller.ch0.reads"].value == 7
-        paths = [p for p, _ in reg.flatten()]
-        assert paths == ["controller.ch0.reads"]
-
-    def test_duplicate_names_rejected(self):
-        reg = StatRegistry()
-        group = reg.group("g")
-        group.counter("x")
-        with pytest.raises(ConfigError):
-            group.counter("x")
-
-    def test_group_stat_name_collision_rejected(self):
-        reg = StatRegistry()
-        reg.group("g").counter("x")
-        with pytest.raises(ConfigError):
-            reg.group("g.x")
+    """The registry export (what ``repro stats --json`` writes): a tree
+    of plain nested dicts, and its content digest."""
 
     def test_export_shape(self):
-        reg = StatRegistry()
-        g = reg.group("dram")
-        g.counter("acts").add(2)
-        export = reg.export()
+        export = {"dram": {"acts": counter(2), "residency": gauge(0.5)}}
         assert export == {
-            "dram": {"acts": {"kind": "counter", "desc": "", "value": 2}}
+            "dram": {
+                "acts": {"kind": "counter", "desc": "", "value": 2},
+                "residency": {"kind": "gauge", "desc": "", "value": 0.5},
+            }
         }
-
-    def test_reset_recurses(self):
-        reg = StatRegistry()
-        c = reg.group("a.b").counter("n")
-        c.add(9)
-        reg.reset()
-        assert c.value == 0
-
-    def test_to_json_is_canonical(self):
-        reg = StatRegistry()
-        reg.group("z").counter("n").add(1)
-        reg.group("a").counter("m").add(2)
-        text = reg.to_json()
-        assert json.loads(text) == reg.export()
-        # sort_keys: 'a' serializes before 'z' regardless of creation order
-        assert text.index('"a"') < text.index('"z"')
+        assert json.loads(json.dumps(export)) == export
 
     def test_digest_stable_and_content_sensitive(self):
         def build(n):
-            reg = StatRegistry()
-            reg.group("g").counter("x").add(n)
-            return reg
+            return {"g": {"x": counter(n)}}
 
-        assert build(3).digest() == build(3).digest()
-        assert build(3).digest() != build(4).digest()
+        assert export_digest(build(3)) == export_digest(build(3))
+        assert export_digest(build(3)) != export_digest(build(4))
+
+    def test_digest_ignores_key_order(self):
+        assert export_digest({"z": counter(1), "a": counter(2)}) == \
+            export_digest({"a": counter(2), "z": counter(1)})
 
     def test_export_digest_handles_non_finite(self):
         assert export_digest({"v": float("nan")}) == \

@@ -119,12 +119,12 @@ class TestDefinedEmptyValues:
         assert export["read_latency_avg"]["value"] is None
 
     def test_telemetry_ratio_distinguishes_no_traffic(self):
-        # The telemetry Ratio reports None (undefined), not 0.0, when the
+        # A telemetry ratio reports None (undefined), not 0.0, when the
         # denominator is zero.
-        from repro.telemetry import Ratio
+        from repro.telemetry.stats import ratio
 
-        ratio = Ratio("rate", numerator=0, denominator=0)
-        assert ratio.value is None
+        assert ratio(0, 0)["value"] is None
+        assert ratio(0, 5)["value"] == 0.0
 
 
 class TestConfigValidation:
